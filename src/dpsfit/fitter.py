@@ -148,8 +148,8 @@ class _Flat:
     t: np.ndarray
     y: np.ndarray
     sub: np.ndarray
-    bm: np.ndarray
-    bm_lists: list[np.ndarray]
+    bm: np.ndarray              # sorted: rows are grouped by biomarker
+    bm_bounds: np.ndarray       # rows of biomarker k are bm_bounds[k]:bm_bounds[k + 1]
     omega: np.ndarray           # 1 / N_i per measurement
     n_points: np.ndarray        # per subject
     mean_age: np.ndarray        # per subject, over measured points
@@ -182,7 +182,6 @@ def _flatten(cohort: Cohort) -> _Flat:
         np.minimum.at(t_min, sub, t)
         np.maximum.at(t_max, sub, t)
     age_span = np.where(n_points > 0, t_max - t_min, 0.0)
-    bm_lists = [np.nonzero(bm == i)[0] for i in range(len(names))]
     return _Flat(
         subject_ids=sids,
         biomarker_names=names,
@@ -190,7 +189,7 @@ def _flatten(cohort: Cohort) -> _Flat:
         y=y,
         sub=sub,
         bm=bm,
-        bm_lists=bm_lists,
+        bm_bounds=np.searchsorted(bm, np.arange(len(names) + 1)),
         omega=omega,
         n_points=n_points,
         mean_age=mean_age,
@@ -234,14 +233,15 @@ def _subject_matrix(flat: _Flat, subjects: dict[str, SubjectParams]) -> np.ndarr
     return x
 
 
-def _eval_flat(state_curves: list[CurveParams], bm_lists: list[np.ndarray], s: np.ndarray):
+def _eval_flat(state_curves: list[CurveParams], flat: _Flat, s: np.ndarray, rows: np.ndarray):
+    """Curve values and slopes at scores ``s`` of the sorted measurement
+    indices ``rows``; cut points split them by biomarker."""
     pred = np.empty_like(s)
     dfds = np.empty_like(s)
-    for p, idx in zip(state_curves, bm_lists):
-        if idx.size:
-            f, g = curves_mod.value_and_slope(p, s[idx])
-            pred[idx] = f
-            dfds[idx] = g
+    cuts = np.searchsorted(rows, flat.bm_bounds)
+    for p, lo, hi in zip(state_curves, cuts[:-1], cuts[1:]):
+        if hi > lo:
+            pred[lo:hi], dfds[lo:hi] = curves_mod.value_and_slope(p, s[lo:hi])
     return pred, dfds
 
 
@@ -322,7 +322,7 @@ def _objective_flat(state: FitState, flat: _Flat, loss: LossKind) -> float:
     x = _subject_matrix(flat, state.subjects)
     s = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
     curve_list = [state.curves[n] for n in flat.biomarker_names]
-    pred, _ = _eval_flat(curve_list, flat.bm_lists, s)
+    pred, _ = _eval_flat(curve_list, flat, s, np.arange(s.size))
     r = (flat.y - pred) / _sigma_per_measurement(flat, state.sigma)
     return float(np.dot(flat.omega, rho(loss, r)))
 
@@ -364,8 +364,8 @@ def _fit_one_biomarker(
     iteration: int,
 ) -> CurveParams:
     k = flat.biomarker_names.index(name)
-    idx = flat.bm_lists[k]
-    if idx.size == 0:
+    idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
+    if flat.bm_bounds[k + 1] == flat.bm_bounds[k]:
         return state.curves[name]
     s = s_all[idx]
     y = flat.y[idx]
@@ -479,8 +479,8 @@ def _fit_subject_step_flat(
     curve_list = [state.curves[n] for n in flat.biomarker_names]
     offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat)
 
-    def eval_fn(s: np.ndarray):
-        return _eval_flat(curve_list, flat.bm_lists, s)
+    def eval_fn(s: np.ndarray, rows: np.ndarray):
+        return _eval_flat(curve_list, flat, s, rows)
 
     try:
         x, _, at_bound = minimize_subjects(
@@ -541,8 +541,8 @@ def _estimate_cohort_subjects(
     x0[:, 0] = 0.0
     x0[:, 1] = float(np.median(inflections))
 
-    def eval_fn(s: np.ndarray):
-        return _eval_flat(curve_list, flat.bm_lists, s)
+    def eval_fn(s: np.ndarray, rows: np.ndarray):
+        return _eval_flat(curve_list, flat, s, rows)
 
     x, obj, _ = minimize_subjects(
         eval_fn,
@@ -613,7 +613,7 @@ def fit(
     flat_valid.mean_age = flat_valid.mean_age - t_shift
 
     points_per_bm = {
-        name: int(flat_train.bm_lists[i].size)
+        name: int(flat_train.bm_bounds[i + 1] - flat_train.bm_bounds[i])
         for i, name in enumerate(flat_train.biomarker_names)
     }
     params_per_bm = {

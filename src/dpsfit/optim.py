@@ -183,8 +183,12 @@ def minimize_subjects(
     Each measurement ``n`` belongs to subject ``sub[n]`` and contributes
     ``omega_n * rho((y_n - f(exp(u) t_n + w)) / sigma_n)`` to that
     subject's objective, where ``(u, w)`` is the subject's row of ``x``.
-    ``eval_fn`` maps a flat score array to ``(predictions,
-    d prediction / d score)``, dispatching internally over biomarkers.
+    ``eval_fn(s, rows)`` maps the scores ``s`` of the measurements with
+    sorted indices ``rows`` to ``(predictions, d prediction / d score)`` at
+    those measurements, dispatching internally over biomarkers.  Each
+    iteration evaluates only the rows of subjects still being solved, and
+    per-subject sums keep the order of a sum over every row, so the result
+    does not depend on which other subjects share the call.
     The meaning of ``w`` follows from the caller's ``t``: with raw ages it
     is the onset, with per-subject mean-centered ages it is the subject's
     score at their mean age, which makes ``offset_bounds`` a direct box on
@@ -209,17 +213,21 @@ def minimize_subjects(
     w_hi = np.broadcast_to(np.asarray(offset_bounds[1], dtype=float), (n_subjects,))
     movable = np.ones(n_subjects, dtype=bool) if frozen is None else ~np.asarray(frozen, dtype=bool)
 
-    def full_eval(params: np.ndarray):
-        alpha = np.exp(params[sub, 0])
-        s = alpha * t + params[sub, 1]
-        pred, dfds = eval_fn(s)
-        r = (y - pred) / sigma
+    def evaluate(params: np.ndarray, rows: np.ndarray):
+        # Per-subject sums over ``rows`` add each subject's terms in the
+        # same order as a sum over every row would.
+        sr = sub[rows]
+        alpha = np.exp(params[sr, 0])
+        s = alpha * t[rows] + params[sr, 1]
+        pred, dfds = eval_fn(s, rows)
+        r = (y[rows] - pred) / sigma[rows]
         finite = np.isfinite(r)
         obj_n = np.where(finite, rho(loss, np.where(finite, r, 0.0)), np.inf)
-        obj = np.bincount(sub, weights=omega * obj_n, minlength=n_subjects)
+        obj = np.bincount(sr, weights=omega[rows] * obj_n, minlength=n_subjects)
         return obj, r, dfds, alpha
 
-    obj, r, dfds, alpha = full_eval(x)
+    rows = np.arange(sub.size)
+    obj, r, dfds, alpha = evaluate(x, rows)
     if not np.all(np.isfinite(obj)):
         raise SolverError("subject objective is not finite at the starting point")
 
@@ -230,17 +238,23 @@ def minimize_subjects(
     lam = np.full(n_subjects, _LAMBDA_INIT)
 
     for _ in range(max_steps):
-        psi_n = psi(loss, np.where(np.isfinite(r), r, 0.0))
-        wt_n = weight(loss, np.where(np.isfinite(r), r, 0.0))
-        da = dfds * alpha * t  # d prediction / d log alpha
-        db = dfds
-        gscale = omega * psi_n / sigma
-        g0 = -np.bincount(sub, weights=gscale * da, minlength=n_subjects)
-        g1 = -np.bincount(sub, weights=gscale * db, minlength=n_subjects)
-        hscale = omega * wt_n / (sigma * sigma)
-        h00 = np.bincount(sub, weights=hscale * da * da, minlength=n_subjects)
-        h01 = np.bincount(sub, weights=hscale * da * db, minlength=n_subjects)
-        h11 = np.bincount(sub, weights=hscale * db * db, minlength=n_subjects)
+        # Only rows of subjects still being solved take part below; ``r``,
+        # ``dfds`` and ``alpha`` stay full length and are updated in place.
+        rows = rows[~done[sub[rows]]]
+        sr = sub[rows]
+        r_l = r[rows]
+        finite_r = np.where(np.isfinite(r_l), r_l, 0.0)
+        psi_n = psi(loss, finite_r)
+        wt_n = weight(loss, finite_r)
+        db = dfds[rows]
+        da = db * alpha[rows] * t[rows]  # d prediction / d log alpha
+        gscale = omega[rows] * psi_n / sigma[rows]
+        g0 = -np.bincount(sr, weights=gscale * da, minlength=n_subjects)
+        g1 = -np.bincount(sr, weights=gscale * db, minlength=n_subjects)
+        hscale = omega[rows] * wt_n / (sigma[rows] * sigma[rows])
+        h00 = np.bincount(sr, weights=hscale * da * da, minlength=n_subjects)
+        h01 = np.bincount(sr, weights=hscale * da * db, minlength=n_subjects)
+        h11 = np.bincount(sr, weights=hscale * db * db, minlength=n_subjects)
 
         g0p = np.where(((x[:, 0] <= la_lo) & (g0 > 0)) | ((x[:, 0] >= la_hi) & (g0 < 0)), 0.0, g0)
         g1p = np.where(((x[:, 1] <= w_lo) & (g1 > 0)) | ((x[:, 1] >= w_hi) & (g1 < 0)), 0.0, g1)
@@ -267,7 +281,8 @@ def minimize_subjects(
         x_cand[solvable, 1] = np.clip(x[solvable, 1] + p1[solvable], w_lo[solvable], w_hi[solvable])
         finite_step = solvable & np.all(np.isfinite(x_cand), axis=1)
 
-        obj_cand, _, _, _ = full_eval(x_cand)
+        cand_rows = rows[active[sr]]
+        obj_cand, r_cand, dfds_cand, alpha_cand = evaluate(x_cand, cand_rows)
         improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
 
         x[improved] = x_cand[improved]
@@ -277,7 +292,12 @@ def minimize_subjects(
         lam[rejected] *= _LAMBDA_UP
 
         if np.any(improved):
-            obj, r, dfds, alpha = full_eval(x)
+            keep = improved[sub[cand_rows]]
+            moved = cand_rows[keep]
+            r[moved] = r_cand[keep]
+            dfds[moved] = dfds_cand[keep]
+            alpha[moved] = alpha_cand[keep]
+            obj[improved] = obj_cand[improved]
         if not np.any(improved) and np.all(lam[active] > _LAMBDA_MAX):
             break
 

@@ -207,16 +207,15 @@ def estimate_subject(
     sigma = np.array([model.sigma[n] for n in names])[bm]
     omega = np.full(len(usable), 1.0 / len(usable))
     sub = np.zeros(len(usable), dtype=np.intp)
-    bm_lists = [np.nonzero(bm == i)[0] for i in range(len(names))]
     curve_list = [model.curves[n] for n in names]
 
-    def eval_fn(s: np.ndarray):
+    def eval_fn(s: np.ndarray, rows: np.ndarray):
+        bm_rows = bm[rows]
         pred = np.empty_like(s)
         dfds = np.empty_like(s)
-        for p, idx in zip(curve_list, bm_lists):
-            f, g = curves.value_and_slope(p, s[idx])
-            pred[idx] = f
-            dfds[idx] = g
+        for k, p in enumerate(curve_list):
+            idx = np.nonzero(bm_rows == k)[0]
+            pred[idx], dfds[idx] = curves.value_and_slope(p, s[idx])
         return pred, dfds
 
     # Work in the subject's mean-centered time frame, where the offset is
