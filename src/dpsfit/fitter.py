@@ -500,7 +500,7 @@ def _fit_subject_step_flat(
             frozen=sparse,
         )
     except SolverError as exc:
-        raise FitError(f"subject step, iteration {iteration}: {exc}") from exc
+        raise _subject_fit_error("subject step", iteration, flat, exc) from exc
     if trace is not None:
         for i in np.nonzero(at_bound)[0]:
             message = (
@@ -515,6 +515,11 @@ def _fit_subject_step_flat(
         alpha = float(np.exp(x[i, 0]))
         beta = float(x[i, 1] - alpha * flat.mean_age[i])
         state.subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
+
+
+def _subject_fit_error(phase: str, iteration: int, flat: _Flat, exc: SolverError) -> FitError:
+    who = "" if exc.subject is None else f", subject {flat.subject_ids[exc.subject]!r}"
+    return FitError(f"{phase}, iteration {iteration}{who}: {exc}")
 
 
 def _estimate_cohort_subjects(
@@ -636,9 +641,12 @@ def fit(
         _fit_biomarker_step_flat(state, flat_train, train, config, iteration)
         _fit_subject_step_flat(state, flat_train, config, iteration, trace)
         e_train = _objective_flat(state, flat_train, config.loss_kind)
-        _, valid_obj = _estimate_cohort_subjects(
-            state.curves, state.sigma, flat_valid, config.loss_kind, config
-        )
+        try:
+            _, valid_obj = _estimate_cohort_subjects(
+                state.curves, state.sigma, flat_valid, config.loss_kind, config
+            )
+        except SolverError as exc:
+            raise _subject_fit_error("validation re-estimation", iteration, flat_valid, exc) from exc
         e_valid = float(valid_obj.sum())
         trace.e_train.append(e_train)
         trace.e_valid.append(e_valid)

@@ -15,6 +15,11 @@ damping instead of aborting.
 subproblems).  :func:`minimize_subjects` solves many independent
 two-parameter ``(log alpha, beta)`` problems simultaneously with per-subject
 damping, which is how the per-subject subproblems stay cheap in pure numpy.
+Two things keep its iterations cheap: each one touches only the
+measurements of subjects that are still being solved, and a subject held
+on its box takes a projected Newton step (Bertsekas 1982, "Projected
+Newton methods for optimization problems with simple constraints") in the
+free coordinate instead of creeping along the bound.
 """
 
 from __future__ import annotations
@@ -162,7 +167,7 @@ def minimize_robust(
 
 
 def minimize_subjects(
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    eval_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     *,
     t: np.ndarray,
@@ -195,15 +200,24 @@ def minimize_subjects(
     where subjects may sit on the score axis.
 
     ``log_alpha_bounds`` and ``offset_bounds`` each hold a ``(lower,
-    upper)`` pair of scalars or per-subject arrays.  Candidate steps are
-    clipped into the box but the starting point is not, so a warm start
-    outside the box either stays put or is drawn in by a strictly
-    improving step; the objective never rises either way.
+    upper)`` pair of scalars or per-subject arrays.  A coordinate on its
+    bound whose gradient points out of the box is held there: it drops out
+    of the 2x2 Newton system and the other coordinate takes the 1-D damped
+    step ``-g / a``.  Candidate steps are clipped into the box but the
+    starting point is not, so a warm start outside the box either stays
+    put or is drawn in by a strictly improving step; the objective never
+    rises either way.
 
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
     subjects whose rate hit the log-alpha box.  Subjects marked ``frozen``
     (or owning no measurements) are left untouched.
+
+    Raises
+    ------
+    SolverError
+        If some subject's objective is not finite at the starting point;
+        its ``subject`` attribute holds the first such subject's index.
     """
     loss = LossKind(loss)
     x = np.array(x0, dtype=float)
@@ -228,8 +242,11 @@ def minimize_subjects(
 
     rows = np.arange(sub.size)
     obj, r, dfds, alpha = evaluate(x, rows)
-    if not np.all(np.isfinite(obj)):
-        raise SolverError("subject objective is not finite at the starting point")
+    bad = np.nonzero(~np.isfinite(obj))[0]
+    if bad.size:
+        raise SolverError(
+            "subject objective is not finite at the starting point", subject=int(bad[0])
+        )
 
     n_points = np.bincount(sub, minlength=n_subjects)
     done = n_points == 0
@@ -256,8 +273,12 @@ def minimize_subjects(
         h01 = np.bincount(sr, weights=hscale * da * db, minlength=n_subjects)
         h11 = np.bincount(sr, weights=hscale * db * db, minlength=n_subjects)
 
-        g0p = np.where(((x[:, 0] <= la_lo) & (g0 > 0)) | ((x[:, 0] >= la_hi) & (g0 < 0)), 0.0, g0)
-        g1p = np.where(((x[:, 1] <= w_lo) & (g1 > 0)) | ((x[:, 1] >= w_hi) & (g1 < 0)), 0.0, g1)
+        # A coordinate on its bound with the gradient pushing outward is
+        # pinned: it leaves the projected gradient and the Newton system.
+        pin0 = ((x[:, 0] <= la_lo) & (g0 > 0)) | ((x[:, 0] >= la_hi) & (g0 < 0))
+        pin1 = ((x[:, 1] <= w_lo) & (g1 > 0)) | ((x[:, 1] >= w_hi) & (g1 < 0))
+        g0p = np.where(pin0, 0.0, g0)
+        g1p = np.where(pin1, 0.0, g1)
         gnorm = np.maximum(np.abs(g0p), np.abs(g1p))
         done = done | (gnorm <= tol) | (lam > _LAMBDA_MAX)
         active = ~done
@@ -269,12 +290,17 @@ def minimize_subjects(
         floor = np.maximum(1e-6 * np.maximum(h00, h11), 1e-12)
         a00 = h00 + lam * np.maximum(h00, floor)
         a11 = h11 + lam * np.maximum(h11, floor)
+        # Projected Newton step (Bertsekas 1982): without its coupling a
+        # pinned coordinate stays put and the free one takes the 1-D damped
+        # step -g / a.  Clipping the coupled step instead creeps along the
+        # bound for many steps.
+        h01 = np.where(pin0 | pin1, 0.0, h01)
         det = a00 * a11 - h01 * h01
         solvable = active & np.isfinite(det) & (det > 1e-300)
         p0 = np.zeros(n_subjects)
         p1 = np.zeros(n_subjects)
-        p0[solvable] = (-g0[solvable] * a11[solvable] + h01[solvable] * g1[solvable]) / det[solvable]
-        p1[solvable] = (-g1[solvable] * a00[solvable] + h01[solvable] * g0[solvable]) / det[solvable]
+        p0[solvable] = (-g0p[solvable] * a11[solvable] + h01[solvable] * g1p[solvable]) / det[solvable]
+        p1[solvable] = (-g1p[solvable] * a00[solvable] + h01[solvable] * g0p[solvable]) / det[solvable]
 
         x_cand = x.copy()
         x_cand[solvable, 0] = np.clip(x[solvable, 0] + p0[solvable], la_lo[solvable], la_hi[solvable])
