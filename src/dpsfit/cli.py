@@ -121,7 +121,10 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if not path:
         return
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DpsFitError(f"{path}: config file is not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DpsFitError(f"{path}: config file must hold a JSON object")
     for key, value in data.items():
@@ -883,3 +886,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,4 +1,8 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +117,59 @@ def test_data_errors_exit_with_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dpsfit: error:" in err
     assert "degrees of freedom" in err
+
+
+def test_failed_validation_solve_names_the_subject(pipeline, tmp_path, capsys):
+    with open(pipeline / "split" / "test.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0]["up"] = "1e308"
+    valid = tmp_path / "valid.csv"
+    with open(valid, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with np.errstate(over="ignore"):
+        code = main([
+            "fit",
+            "--cohort", str(pipeline / "split" / "train.csv"),
+            "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+            "--valid", str(valid),
+            "--out", str(tmp_path / "fit"),
+            "--curve", "verhulst",
+            "--quiet",
+        ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"validation re-estimation, iteration 1, subject {rows[0]['subject_id']!r}" in err
+
+
+def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
+    config = tmp_path / "broken.json"
+    config.write_text('{"l-max": 3,')
+    code = main([
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "fit"),
+        "--config", str(config),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dpsfit: error:" in err
+    assert str(config) in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_module_invocation_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpsfit.cli", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: dpsfit")
 
 
 def test_bad_grid_exits_with_two(pipeline, tmp_path):
