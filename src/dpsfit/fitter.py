@@ -364,9 +364,10 @@ def _fit_one_biomarker(
     iteration: int,
 ) -> CurveParams:
     k = flat.biomarker_names.index(name)
-    idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
-    if flat.bm_bounds[k + 1] == flat.bm_bounds[k]:
+    lo, hi = flat.bm_bounds[k], flat.bm_bounds[k + 1]
+    if hi == lo:
         return state.curves[name]
+    idx = slice(lo, hi)
     s = s_all[idx]
     y = flat.y[idx]
     omega = flat.omega[idx]
