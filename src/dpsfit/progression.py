@@ -214,8 +214,8 @@ def estimate_subject(
         pred = np.empty_like(s)
         dfds = np.empty_like(s)
         for k, p in enumerate(curve_list):
-            idx = np.nonzero(bm_rows == k)[0]
-            pred[idx], dfds[idx] = curves.value_and_slope(p, s[idx])
+            mask = bm_rows == k
+            pred[mask], dfds[mask] = curves.value_and_slope(p, s[mask])
         return pred, dfds
 
     # Work in the subject's mean-centered time frame, where the offset is

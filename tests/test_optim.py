@@ -24,8 +24,8 @@ def make_eval(bm, counter=None):
         pred = np.empty_like(s)
         dfds = np.empty_like(s)
         for k, p in enumerate(CURVES):
-            idx = np.nonzero(bm_rows == k)[0]
-            pred[idx], dfds[idx] = value_and_slope(p, s[idx])
+            mask = bm_rows == k
+            pred[mask], dfds[mask] = value_and_slope(p, s[mask])
         return pred, dfds
 
     return eval_fn
