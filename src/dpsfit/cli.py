@@ -20,6 +20,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -43,15 +44,14 @@ from .cohort import (
     write_biomarker_specs,
     write_cohort_csv,
 )
-from .curves import LogisticKind
-from .errors import DpsFitError, MetricError, StagingError
+from .curves import LogisticKind, evaluate
+from .errors import DpsFitError, MetricError, SchemaError, StagingError
 from .fitter import FitConfig, fit
 from .metrics import bic, mae, multiclass_auc, nmae, wilcoxon_signed_rank
 from .progression import (
     FittedModel,
-    estimate_subject,
+    estimate_subjects,
     load_model,
-    predict_biomarkers,
     save_model,
 )
 from .resampling import (
@@ -65,9 +65,9 @@ from .robust_loss import LossKind
 from .staging import (
     StagingClassifier,
     collect_class_scores,
-    ensemble_posterior,
     fit_classifier,
     kde_eval,
+    stage_subjects,
 )
 from .svg import write_line_chart
 from .synth import generate, inject_outliers, load_synth_spec
@@ -161,10 +161,8 @@ def _write_json(path, data) -> None:
 
 
 def _write_curve_table(path, grid: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         names = sorted(columns)
         writer.writerow(["dps"] + names)
         for i, s in enumerate(grid):
@@ -190,9 +188,7 @@ def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
         b = model.provenance["bootstrap_id"]
         bag_file = f"inbag_{b:03d}.csv"
         with open(os.path.join(outdir, bag_file), "w", newline="") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["subject_id", "count_in_bag"])
             for sid in sorted(in_bag):
                 writer.writerow([sid, in_bag[sid]])
@@ -211,104 +207,126 @@ def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
 
 def _load_ensemble(path) -> BootstrapEnsemble:
     index_path = os.path.join(path, "ensemble.json")
-    with open(index_path) as fh:
-        index = json.load(fh)
-    models = [load_model(os.path.join(path, name)) for name in index["models"]]
-    if not models:
+    try:
+        with open(index_path) as fh:
+            index = json.load(fh)
+        ensemble = BootstrapEnsemble(
+            models=[load_model(os.path.join(path, name)) for name in index["models"]],
+            traces=[],
+            oob_subjects=[set(s) for s in index.get("oob_subjects", [])],
+            in_bag_counts=[],
+            failures=[(int(b), str(m)) for b, m in index.get("failures", [])],
+            n_requested=int(index.get("n_requested", len(index["models"]))),
+            seed=int(index.get("seed", 0)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{index_path}: malformed ensemble index ({exc!r})") from exc
+    if not ensemble.models:
         raise DpsFitError(f"{path}: ensemble holds no models")
-    return BootstrapEnsemble(
-        models=models,
-        traces=[],
-        oob_subjects=[set(s) for s in index.get("oob_subjects", [])],
-        in_bag_counts=[],
-        failures=[(int(b), str(m)) for b, m in index.get("failures", [])],
-        n_requested=int(index.get("n_requested", len(models))),
-        seed=int(index.get("seed", 0)),
-    )
+    return ensemble
 
 
 # ----------------------------------------------------------------------
 # prediction and staging helpers shared by several commands
 # ----------------------------------------------------------------------
 
-def _predict_cells(model: FittedModel, cohort: Cohort):
-    """Predict every measured cell of a cohort under one model.
+def _predict_models(models, cohort: Cohort, estimates):
+    """Predict every measured cell of a cohort under each model, from the
+    model's :func:`estimate_subjects` result.
 
-    Returns ``(rows, skipped)`` where each row is
-    ``(subject_id, visit_index, age, biomarker, actual, predicted)``.
+    Returns the rows of each model, each row a
+    ``(subject_id, visit_index, age, biomarker, actual, predicted)`` tuple
+    in subject order; the NMAE of each model that predicted any cell; and
+    the ``(subject_id, reason)`` pairs of the subjects a model skipped.
     """
-    rows = []
-    skipped = []
-    for sid in cohort.subject_ids():
-        records = [r for r in cohort.iter_records() if r.subject_id == sid]
-        try:
-            sp = estimate_subject(model, records)
-        except DpsFitError as exc:
-            skipped.append((sid, str(exc)))
-            continue
-        for r in records:
-            if r.biomarker not in model.curves:
-                continue
-            predicted = predict_biomarkers(model, sp, [r.age], [r.biomarker])
-            rows.append(
-                (sid, r.visit_index, r.age, r.biomarker, r.value,
-                 float(predicted[r.biomarker][0]))
-            )
-    return rows, skipped
+    records = sorted(cohort.iter_records(), key=lambda r: r.subject_id)
+    sd_map = _biomarker_sds(records)
+    per_model_rows, per_model_nmae, skipped = [], [], []
+    for model, (params, failures) in zip(models, estimates):
+        cells = [r for r in records if r.subject_id in params and r.biomarker in model.curves]
+        sps = [params[r.subject_id] for r in cells]
+        scores = np.array([sp.alpha * r.age + sp.beta for sp, r in zip(sps, cells)])
+        names = np.array([r.biomarker for r in cells], dtype=str)
+        predicted = np.empty(len(cells))
+        for name, p in model.curves.items():
+            mask = names == name
+            predicted[mask] = evaluate(p, scores[mask])
+        rows = [
+            (r.subject_id, r.visit_index, r.age, r.biomarker, r.value, float(f))
+            for r, f in zip(cells, predicted)
+        ]
+        per_model_rows.append(rows)
+        if rows:
+            per_model_nmae.append(_mae_nmae_from_rows(rows, sd_map)[1])
+        skipped += [(sid, str(exc)) for sid, exc in failures.items()]
+    return per_model_rows, per_model_nmae, skipped
 
 
-def _mae_nmae_from_rows(rows, cohort: Cohort):
+def _biomarker_sds(records) -> dict[str, float]:
+    values: dict[str, list[float]] = {}
+    for r in records:
+        values.setdefault(r.biomarker, []).append(r.value)
+    return {name: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for name, v in values.items()}
+
+
+def _mae_nmae_from_rows(rows, sd_map: dict[str, float]):
     actual: dict[str, list[float]] = {}
     predicted: dict[str, list[float]] = {}
     for _, _, _, name, a, p in rows:
         actual.setdefault(name, []).append(a)
         predicted.setdefault(name, []).append(p)
     mae_map = mae(actual, predicted)
-    sd_map = {}
-    for name in mae_map:
-        values = [r.value for r in cohort.iter_records() if r.biomarker == name]
-        sd_map[name] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return mae_map, nmae(mae_map, sd_map)
 
 
 def _build_members(ensemble: BootstrapEnsemble, train: Cohort):
     """Pair each ensemble model with a staging classifier built from its
-    own training scores."""
+    own training scores; also returns the indices of the paired models."""
     members: list[tuple[FittedModel, StagingClassifier]] = []
-    dropped = 0
-    for model in ensemble.models:
+    kept: list[int] = []
+    for m, model in enumerate(ensemble.models):
         scores = collect_class_scores(model, train)
         try:
             members.append((model, fit_classifier(scores)))
+            kept.append(m)
         except StagingError:
-            dropped += 1
+            pass
     if not members:
         raise StagingError("no ensemble member yields a usable classifier")
+    dropped = len(ensemble.models) - len(kept)
     if dropped:
         warnings.warn(f"{dropped} ensemble members lack a usable classifier")
-    return members
+    return members, kept
 
 
-def _stage_cohort(members, cohort: Cohort):
-    """Fuse ensemble posteriors for every subject of a cohort."""
-    staged = []
-    truths = []
-    skipped = []
-    for sid in cohort.subject_ids():
-        records = [r for r in cohort.iter_records() if r.subject_id == sid]
-        visit_meta = {
-            v.visit_index: (v.age, v.diagnosis) for v in cohort.visits_of(sid)
-        }
-        visit_list = [(ix, age) for ix, (age, _) in sorted(visit_meta.items())]
-        try:
-            result = ensemble_posterior(members, records, visits=visit_list)
-        except DpsFitError as exc:
-            skipped.append((sid, str(exc)))
-            continue
-        for visit in result:
-            staged.append(visit)
-            truths.append(visit_meta[visit.visit_index][1])
-    return staged, truths, skipped
+def _stage_cohort(members, cohort: Cohort, estimates):
+    """Fuse ensemble posteriors for every subject of a cohort, given each
+    member's subject estimates."""
+    visits: dict[str, dict] = {}
+    for v in cohort.visits:
+        visits.setdefault(v.subject_id, {})[v.visit_index] = v
+    staged_by_subject, failures = stage_subjects(
+        members,
+        estimates,
+        {sid: [(ix, visits[sid][ix].age) for ix in sorted(visits[sid])] for sid in sorted(visits)},
+    )
+    staged = [visit for sid in sorted(staged_by_subject) for visit in staged_by_subject[sid]]
+    truths = [visits[v.subject_id][v.visit_index].diagnosis for v in staged]
+    return staged, truths, [(sid, str(exc)) for sid, exc in failures.items()]
+
+
+def _write_mean_curves(outdir, grid: np.ndarray, aggregates) -> list[str]:
+    """Write the ensemble's mean and normalized-mean curve tables."""
+    outputs = []
+    for file_name, field in (("curves_mean.csv", "mean"),
+                             ("curves_normalized_mean.csv", "normalized_mean")):
+        _write_curve_table(
+            os.path.join(outdir, file_name),
+            grid,
+            {name: getattr(agg, field) for name, agg in aggregates.items()},
+        )
+        outputs.append(file_name)
+    return outputs
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +392,8 @@ def _cmd_split(args) -> int:
     write_cohort_csv(train, os.path.join(args.out, "train.csv"))
     write_cohort_csv(test, os.path.join(args.out, "test.csv"))
     test_ids = set(test.subject_ids())
-    import csv as _csv
-
     with open(os.path.join(args.out, "split_manifest.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["subject_id", "role"])
         for sid in cohort.subject_ids():
             writer.writerow([sid, "test" if sid in test_ids else "train"])
@@ -454,17 +470,7 @@ def _cmd_bootstrap(args) -> int:
 
     names = ensemble.biomarker_names()
     aggregates = {name: aggregate_curves(ensemble, name, grid) for name in names}
-    _write_curve_table(
-        os.path.join(args.out, "curves_mean.csv"),
-        grid,
-        {name: aggregates[name].mean for name in names},
-    )
-    _write_curve_table(
-        os.path.join(args.out, "curves_normalized_mean.csv"),
-        grid,
-        {name: aggregates[name].normalized_mean for name in names},
-    )
-    outputs += ["curves_mean.csv", "curves_normalized_mean.csv"]
+    outputs += _write_mean_curves(args.out, grid, aggregates)
     for m, model in enumerate(ensemble.models):
         b = model.provenance["bootstrap_id"]
         file_name = f"curves_{b:03d}.csv"
@@ -487,8 +493,6 @@ def _cmd_predict(args) -> int:
     cohort = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.cohort, args.specs]
-    import csv as _csv
-
     if args.model:
         models = [load_model(args.model)]
         inputs.append(args.model)
@@ -497,17 +501,11 @@ def _cmd_predict(args) -> int:
         models = ensemble.models
         inputs.append(os.path.join(args.ensemble, "ensemble.json"))
 
-    per_model_rows = []
-    per_model_nmae = []
-    skipped_all = []
-    for model in models:
-        rows, skipped = _predict_cells(model, cohort)
-        if not rows:
-            raise DpsFitError("no predictable measurements in the cohort")
-        per_model_rows.append(rows)
-        _, value = _mae_nmae_from_rows(rows, cohort)
-        per_model_nmae.append(value)
-        skipped_all += skipped
+    per_model_rows, per_model_nmae, skipped_all = _predict_models(
+        models, cohort, [estimate_subjects(model, cohort) for model in models]
+    )
+    if not all(per_model_rows):
+        raise DpsFitError("no predictable measurements in the cohort")
 
     # Cells predictable by every model, fused by averaging.
     keys = set.intersection(*(
@@ -522,10 +520,10 @@ def _cmd_predict(args) -> int:
         key + (pairs[0][0], float(np.mean([p for _, p in pairs])))
         for key, pairs in sorted(fused.items())
     ]
-    mae_map, nmae_value = _mae_nmae_from_rows(fused_rows, cohort)
+    mae_map, nmae_value = _mae_nmae_from_rows(fused_rows, _biomarker_sds(cohort.iter_records()))
 
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"])
         for sid, ix, age, name, actual, predicted in fused_rows:
             writer.writerow([sid, ix, repr(float(age)), name,
@@ -556,16 +554,15 @@ def _cmd_classify(args) -> int:
     specs = test.specs
     train = parse_cohort_csv(args.train, specs)
     ensemble = _load_ensemble(args.ensemble)
-    members = _build_members(ensemble, train)
-    staged, truths, skipped = _stage_cohort(members, test)
+    members, _ = _build_members(ensemble, train)
+    estimates = [estimate_subjects(model, test) for model, _ in members]
+    staged, truths, skipped = _stage_cohort(members, test, estimates)
     if not staged:
         raise StagingError("no test visit could be staged")
 
     os.makedirs(args.out, exist_ok=True)
-    import csv as _csv
-
     with open(os.path.join(args.out, "classifications.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow([
             "subject_id", "visit_index", "dps",
             "p_cn", "p_mci", "p_ad", "predicted_label", "underflow_flag",
@@ -639,18 +636,15 @@ def _cmd_report(args) -> int:
                 bic(prov["e_train_opt"], prov["q_params"], prov["n_measurements"])
             )
 
-    per_model_nmae = []
-    for model in ensemble.models:
-        rows, _ = _predict_cells(model, test)
-        if rows:
-            _, value = _mae_nmae_from_rows(rows, test)
-            per_model_nmae.append(value)
+    # One estimate per model serves both prediction and staging.
+    estimates = [estimate_subjects(model, test) for model in ensemble.models]
+    per_model_nmae = _predict_models(ensemble.models, test, estimates)[1]
 
     auc = None
     staging_note = None
     try:
-        members = _build_members(ensemble, train)
-        staged, truths, _ = _stage_cohort(members, test)
+        members, kept = _build_members(ensemble, train)
+        staged, truths, _ = _stage_cohort(members, test, [estimates[m] for m in kept])
         if staged:
             auc = multiclass_auc([v.probabilities for v in staged], truths)
     except (StagingError, MetricError) as exc:
@@ -660,12 +654,8 @@ def _cmd_report(args) -> int:
     comparison = None
     if args.compare:
         other = _load_ensemble(args.compare)
-        other_nmae = []
-        for model in other.models:
-            rows, _ = _predict_cells(model, test)
-            if rows:
-                _, value = _mae_nmae_from_rows(rows, test)
-                other_nmae.append(value)
+        other_estimates = [estimate_subjects(model, test) for model in other.models]
+        other_nmae = _predict_models(other.models, test, other_estimates)[1]
         n = min(len(per_model_nmae), len(other_nmae))
         if n < 1:
             raise MetricError("nothing to compare: one ensemble has no scored models")
@@ -679,22 +669,10 @@ def _cmd_report(args) -> int:
 
     names = ensemble.biomarker_names()
     aggregates = {name: aggregate_curves(ensemble, name, grid) for name in names}
-    _write_curve_table(
-        os.path.join(args.out, "curves_mean.csv"),
-        grid,
-        {name: aggregates[name].mean for name in names},
-    )
-    _write_curve_table(
-        os.path.join(args.out, "curves_normalized_mean.csv"),
-        grid,
-        {name: aggregates[name].normalized_mean for name in names},
-    )
-    outputs += ["curves_mean.csv", "curves_normalized_mean.csv"]
-
-    import csv as _csv
+    outputs += _write_mean_curves(args.out, grid, aggregates)
 
     with open(os.path.join(args.out, "inflection_points.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["biomarker", "bootstrap_id", "inflection"])
         for model in ensemble.models:
             b = model.provenance.get("bootstrap_id")

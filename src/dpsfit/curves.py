@@ -178,35 +178,8 @@ def param_gradient(p: CurveParams, s):
     Verhulst and Gompertz kinds.
     """
     arr, scalar = _as_array(s)
-    grads = _param_gradient_impl(p, arr)
+    grads = value_and_gradients(p, np.atleast_1d(arr))[1]
     return grads[0] if scalar else grads
-
-
-def _param_gradient_impl(p: CurveParams, s: np.ndarray) -> np.ndarray:
-    s = np.atleast_1d(s)
-    g, dgds, w, q = _growth(p, s)
-    span = p.a - p.d
-    dfds = span * dgds
-
-    grads = np.empty(s.shape + (5,), dtype=float)
-    grads[..., 0] = g
-    grads[..., 1] = 1.0 - g
-    # b and gamma enter only through the exponent, so df/db follows from
-    # df/ds by the chain rule regardless of kind.
-    grads[..., 2] = dfds * (s - p.c) / p.b
-    grads[..., 3] = -dfds
-    if p.kind is LogisticKind.RICHARDS:
-        gw = p.gamma * w
-        grads[..., 4] = span * g * (np.log1p(gw) / p.gamma**2 - q / p.gamma)
-    elif p.kind is LogisticKind.MODIFIED_STANNARD:
-        grads[..., 4] = span * g * (
-            -np.log1p(w / p.gamma)
-            - q * p.b * (s - p.c) / p.gamma**2
-            + q / p.gamma
-        )
-    else:
-        grads[..., 4] = 0.0
-    return grads
 
 
 def inflection_point(p: CurveParams) -> float:
@@ -238,6 +211,8 @@ def value_and_gradients(p: CurveParams, s: np.ndarray) -> tuple[np.ndarray, np.n
     grads = np.empty(s.shape + (5,), dtype=float)
     grads[..., 0] = g
     grads[..., 1] = 1.0 - g
+    # b and gamma enter only through the exponent, so df/db follows from
+    # df/ds by the chain rule regardless of kind.
     grads[..., 2] = dfds * (s - p.c) / p.b
     grads[..., 3] = -dfds
     if p.kind is LogisticKind.RICHARDS:

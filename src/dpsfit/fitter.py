@@ -35,11 +35,16 @@ from . import curves as curves_mod
 from .cohort import Cohort, ConstraintPolicy, Diagnosis, Direction
 from .curves import CurveParams, LogisticKind
 from .errors import FitError, InitializationError, SolverError
-from .optim import minimize_robust, minimize_subjects
+from .optim import minimize_robust
 from .progression import (
     FittedModel,
     Standardization,
     SubjectParams,
+    _eval_flat,
+    _Flat,
+    _flatten,
+    _sigma_per_measurement,
+    _solve_subjects,
     degrees_of_freedom,
     param_count,
     standardize,
@@ -59,34 +64,6 @@ __all__ = [
 
 _GAMMA_BOUNDS = (1e-4, 1e4)
 _RATE_FLOOR = 1e-8
-_SCORE_PAD = 8.0
-_LOG_ALPHA_LIMIT = 27.631
-
-
-def _subject_bounds(
-    curve_list: list[CurveParams], flat: _Flat
-) -> tuple[tuple[float, float], np.ndarray]:
-    """Search region for the per-subject subproblems.
-
-    Beyond ``_SCORE_PAD`` exponent units from every inflection all curves
-    are flat, so scores out there are observationally equivalent to the
-    boundary; without a box, subjects whose values sit on the asymptotes
-    drift arbitrarily far and wreck the score axis for everyone else.  The
-    box on a subject's mean-age score is the union of the curve-active
-    region and the observed time span, and the rate cap keeps one
-    subject's visits from stretching beyond the width of that box.
-    """
-    pads = [_SCORE_PAD * max(1.0, p.gamma) / abs(p.b) for p in curve_list]
-    w_lo = min(p.c - q for p, q in zip(curve_list, pads))
-    w_hi = max(p.c + q for p, q in zip(curve_list, pads))
-    if flat.t.size:
-        w_lo = min(w_lo, float(flat.t.min()))
-        w_hi = max(w_hi, float(flat.t.max()))
-    width = max(w_hi - w_lo, 1e-12)
-    with np.errstate(divide="ignore"):
-        u_hi = np.log(width / np.maximum(flat.age_span, 1e-12))
-    u_hi = np.clip(u_hi, 0.0, _LOG_ALPHA_LIMIT)
-    return (w_lo, w_hi), u_hi
 
 
 @dataclass(frozen=True)
@@ -141,62 +118,6 @@ class FitState:
 # flat measurement arrays
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Flat:
-    subject_ids: list[str]
-    biomarker_names: list[str]
-    t: np.ndarray
-    y: np.ndarray
-    sub: np.ndarray
-    bm: np.ndarray              # sorted: rows are grouped by biomarker
-    bm_bounds: np.ndarray       # rows of biomarker k are bm_bounds[k]:bm_bounds[k + 1]
-    omega: np.ndarray           # 1 / N_i per measurement
-    n_points: np.ndarray        # per subject
-    mean_age: np.ndarray        # per subject, over measured points
-    age_span: np.ndarray        # per subject, max - min measured age
-
-
-def _flatten(cohort: Cohort) -> _Flat:
-    sids = cohort.subject_ids()
-    names = cohort.biomarker_names()
-    sid_ix = {s: i for i, s in enumerate(sids)}
-    bm_ix = {n: i for i, n in enumerate(names)}
-    rows = []
-    for v in sorted(cohort.visits, key=lambda v: (v.subject_id, v.visit_index)):
-        for name in sorted(v.values):
-            value = v.values[name]
-            if value is not None:
-                rows.append((bm_ix[name], sid_ix[v.subject_id], v.age, value))
-    rows.sort()
-    bm = np.array([r[0] for r in rows], dtype=np.intp)
-    sub = np.array([r[1] for r in rows], dtype=np.intp)
-    t = np.array([r[2] for r in rows], dtype=float)
-    y = np.array([r[3] for r in rows], dtype=float)
-    n_points = np.bincount(sub, minlength=len(sids)).astype(float)
-    omega = np.where(n_points[sub] > 0, 1.0 / np.maximum(n_points[sub], 1.0), 0.0)
-    sum_age = np.bincount(sub, weights=t, minlength=len(sids))
-    mean_age = np.where(n_points > 0, sum_age / np.maximum(n_points, 1.0), 0.0)
-    t_min = np.full(len(sids), np.inf)
-    t_max = np.full(len(sids), -np.inf)
-    if t.size:
-        np.minimum.at(t_min, sub, t)
-        np.maximum.at(t_max, sub, t)
-    age_span = np.where(n_points > 0, t_max - t_min, 0.0)
-    return _Flat(
-        subject_ids=sids,
-        biomarker_names=names,
-        t=t,
-        y=y,
-        sub=sub,
-        bm=bm,
-        bm_bounds=np.searchsorted(bm, np.arange(len(names) + 1)),
-        omega=omega,
-        n_points=n_points,
-        mean_age=mean_age,
-        age_span=age_span,
-    )
-
-
 def _constant_data(flat: _Flat) -> np.ndarray:
     """Per-subject flag: repeated measurements exist but none show spread.
 
@@ -219,11 +140,6 @@ def _constant_data(flat: _Flat) -> np.ndarray:
     return has_multi & ~has_spread
 
 
-def _sigma_per_measurement(flat: _Flat, sigma: dict[str, float]) -> np.ndarray:
-    vec = np.array([sigma[n] for n in flat.biomarker_names])
-    return vec[flat.bm]
-
-
 def _subject_matrix(flat: _Flat, subjects: dict[str, SubjectParams]) -> np.ndarray:
     x = np.empty((len(flat.subject_ids), 2))
     for i, sid in enumerate(flat.subject_ids):
@@ -231,18 +147,6 @@ def _subject_matrix(flat: _Flat, subjects: dict[str, SubjectParams]) -> np.ndarr
         x[i, 0] = np.log(sp.alpha)
         x[i, 1] = sp.beta
     return x
-
-
-def _eval_flat(state_curves: list[CurveParams], flat: _Flat, s: np.ndarray, rows: np.ndarray):
-    """Curve values and slopes at scores ``s`` of the sorted measurement
-    indices ``rows``; cut points split them by biomarker."""
-    pred = np.empty_like(s)
-    dfds = np.empty_like(s)
-    cuts = np.searchsorted(rows, flat.bm_bounds)
-    for p, lo, hi in zip(state_curves, cuts[:-1], cuts[1:]):
-        if hi > lo:
-            pred[lo:hi], dfds[lo:hi] = curves_mod.value_and_slope(p, s[lo:hi])
-    return pred, dfds
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +354,6 @@ def _fit_subject_step_flat(
     iteration: int,
     trace: FitTrace | None = None,
 ) -> None:
-    n_subjects = len(flat.subject_ids)
     sparse = flat.n_points < 2
 
     def emit(message: str) -> None:
@@ -477,28 +380,10 @@ def _fit_subject_step_flat(
     # quantity the score box constrains.
     alpha0 = np.exp(x0[:, 0])
     x0[:, 1] = alpha0 * flat.mean_age + x0[:, 1]
-    curve_list = [state.curves[n] for n in flat.biomarker_names]
-    offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat)
-
-    def eval_fn(s: np.ndarray, rows: np.ndarray):
-        return _eval_flat(curve_list, flat, s, rows)
-
     try:
-        x, _, at_bound = minimize_subjects(
-            eval_fn,
-            x0,
-            t=flat.t - flat.mean_age[flat.sub],
-            y=flat.y,
-            sub=flat.sub,
-            sigma=_sigma_per_measurement(flat, state.sigma),
-            omega=flat.omega,
-            n_subjects=n_subjects,
-            loss=config.loss_kind,
-            tol=config.inner_solver_tol,
-            max_steps=config.inner_max_steps,
-            log_alpha_bounds=(-_LOG_ALPHA_LIMIT, log_alpha_hi),
-            offset_bounds=offset_bounds,
-            frozen=sparse,
+        x, _, at_bound = _solve_subjects(
+            state.curves, state.sigma, flat, config.loss_kind,
+            config.inner_solver_tol, config.inner_max_steps, x0,
         )
     except SolverError as exc:
         raise _subject_fit_error("subject step", iteration, flat, exc) from exc
@@ -521,53 +406,6 @@ def _fit_subject_step_flat(
 def _subject_fit_error(phase: str, iteration: int, flat: _Flat, exc: SolverError) -> FitError:
     who = "" if exc.subject is None else f", subject {flat.subject_ids[exc.subject]!r}"
     return FitError(f"{phase}, iteration {iteration}{who}: {exc}")
-
-
-def _estimate_cohort_subjects(
-    state_curves: dict[str, CurveParams],
-    sigma: dict[str, float],
-    flat: _Flat,
-    loss: LossKind,
-    config: FitConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh ``(log alpha, beta)`` estimates for an held-out cohort.
-
-    Initialization matches :func:`~dpsfit.progression.estimate_subject`:
-    unit rate and an onset that centers the subject's ages on the median
-    inflection point.
-    """
-    n_subjects = len(flat.subject_ids)
-    inflections = np.array([state_curves[n].c for n in flat.biomarker_names])
-    curve_list = [state_curves[n] for n in flat.biomarker_names]
-    offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat)
-    # In the mean-centered frame the offset is the subject's score at
-    # their mean age, so starting at the median inflection is the same
-    # init as unit rate with onset ``median c - mean age``.
-    x0 = np.empty((n_subjects, 2))
-    x0[:, 0] = 0.0
-    x0[:, 1] = float(np.median(inflections))
-
-    def eval_fn(s: np.ndarray, rows: np.ndarray):
-        return _eval_flat(curve_list, flat, s, rows)
-
-    x, obj, _ = minimize_subjects(
-        eval_fn,
-        x0,
-        t=flat.t - flat.mean_age[flat.sub],
-        y=flat.y,
-        sub=flat.sub,
-        sigma=_sigma_per_measurement(flat, sigma),
-        omega=flat.omega,
-        n_subjects=n_subjects,
-        loss=loss,
-        tol=config.inner_solver_tol,
-        max_steps=config.inner_max_steps,
-        log_alpha_bounds=(-_LOG_ALPHA_LIMIT, log_alpha_hi),
-        offset_bounds=offset_bounds,
-        frozen=flat.n_points < 2,
-    )
-    x[:, 1] = x[:, 1] - np.exp(x[:, 0]) * flat.mean_age
-    return x, obj
 
 
 # ----------------------------------------------------------------------
@@ -643,8 +481,9 @@ def fit(
         _fit_subject_step_flat(state, flat_train, config, iteration, trace)
         e_train = _objective_flat(state, flat_train, config.loss_kind)
         try:
-            _, valid_obj = _estimate_cohort_subjects(
-                state.curves, state.sigma, flat_valid, config.loss_kind, config
+            _, valid_obj, _ = _solve_subjects(
+                state.curves, state.sigma, flat_valid, config.loss_kind,
+                config.inner_solver_tol, config.inner_max_steps,
             )
         except SolverError as exc:
             raise _subject_fit_error("validation re-estimation", iteration, flat_valid, exc) from exc

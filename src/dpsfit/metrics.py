@@ -12,17 +12,30 @@ import math
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateTestError, MetricError
 
 __all__ = [
+    "midranks",
     "bic",
     "mae",
     "nmae",
     "multiclass_auc",
     "wilcoxon_signed_rank",
 ]
+
+
+def midranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, tied entries sharing their average rank."""
+    arr = np.asarray(values, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], arr.size]
+    ranks = np.empty(arr.size)
+    # A tie block at sorted positions starts..ends-1 has ranks starts+1..ends.
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def bic(e_train: float, n_params: int, n_measurements: int) -> float:
@@ -126,11 +139,11 @@ def multiclass_auc(posteriors: Sequence[Mapping], truths: Sequence) -> float:
             members_k = [p for p, t in pairs if t == labels[k]]
             n_i, n_k = len(members_i), len(members_k)
             col_i = np.array([p[labels[i]] for p in members_i + members_k])
-            ranks_i = rankdata(col_i)
+            ranks_i = midranks(col_i)
             sr_i = float(ranks_i[:n_i].sum())
             a_ik = (sr_i - n_i * (n_i + 1) / 2.0) / (n_i * n_k)
             col_k = np.array([p[labels[k]] for p in members_i + members_k])
-            ranks_k = rankdata(col_k)
+            ranks_k = midranks(col_k)
             sr_k = float(ranks_k[n_i:].sum())
             a_ki = (sr_k - n_k * (n_k + 1) / 2.0) / (n_i * n_k)
             total += a_ik + a_ki
@@ -172,7 +185,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
         raise DegenerateTestError("all paired differences are zero")
 
     magnitudes = np.abs(d)
-    ranks = rankdata(magnitudes)
+    ranks = midranks(magnitudes)
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)

@@ -43,6 +43,8 @@ _LAMBDA_DOWN = 1.0 / 3.0
 # asymptote in ever-growing steps, since their objective keeps decreasing
 # by slivers all the way to infinity.
 _FTOL = 1e-14
+# Subject rates stay within exp(+-_LOG_ALPHA_LIMIT), about 1e(+-12).
+_LOG_ALPHA_LIMIT = 27.631
 
 
 @dataclass
@@ -179,7 +181,7 @@ def minimize_subjects(
     loss: LossKind,
     tol: float = 1e-8,
     max_steps: int = 200,
-    log_alpha_bounds=(-27.631, 27.631),
+    log_alpha_bounds=(-_LOG_ALPHA_LIMIT, _LOG_ALPHA_LIMIT),
     offset_bounds=(-np.inf, np.inf),
     frozen: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

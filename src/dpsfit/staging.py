@@ -24,7 +24,7 @@ import numpy as np
 from .cohort import Cohort, Diagnosis, MeasurementRecord
 from .curves import CurveParams
 from .errors import DomainError, DpsFitError, MappingError, StagingError
-from .progression import FittedModel, SubjectParams, estimate_subject
+from .progression import FittedModel, SubjectParams, _estimate
 from .resampling import REPLICATE_SEPARATOR
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "fit_classifier",
     "posterior",
     "StagedVisit",
+    "stage_subjects",
     "ensemble_posterior",
     "collect_class_scores",
     "TimeMapping",
@@ -176,7 +177,9 @@ def collect_class_scores(
     source subject's visits, so a twice-drawn subject contributes its
     scores twice, matching its weight in the fit.
     """
-    by_subject = {sid: cohort.visits_of(sid) for sid in cohort.subject_ids()}
+    by_subject: dict[str, list] = {}
+    for v in sorted(cohort.visits, key=lambda v: v.visit_index):
+        by_subject.setdefault(v.subject_id, []).append(v)
     scores: dict[Diagnosis, list[float]] = {}
     for rep_id in sorted(model.subjects):
         base = rep_id.split(REPLICATE_SEPARATOR, 1)[0]
@@ -207,78 +210,94 @@ class StagedVisit:
         return ordered[0][0]
 
 
+def stage_subjects(
+    members: Sequence[tuple[FittedModel, StagingClassifier]],
+    estimates: Sequence[tuple[Mapping[str, SubjectParams], Mapping[str, DpsFitError]]],
+    visits: Mapping[str, Sequence[tuple[int, float]]],
+) -> tuple[dict[str, list[StagedVisit]], dict[str, StagingError]]:
+    """Average the per-replicate posteriors at every subject's visits.
+
+    ``estimates`` holds one :func:`~dpsfit.progression.estimate_subjects`
+    result per member; ``visits`` maps each subject to the ``(visit_index,
+    age)`` pairs to stage.  Each member scores the visits on the subject's
+    timeline against its own curves and applies its classifier; the member
+    posteriors are averaged and renormalized.  Members that could not
+    estimate a subject are skipped for it (with a warning); a subject no
+    member could estimate is returned with the error instead.
+    """
+    if not members:
+        raise StagingError("ensemble has no members")
+    classes = members[0][1].classes()
+    staged: dict[str, list[StagedVisit]] = {}
+    failures: dict[str, StagingError] = {}
+    for subject_id, subject_visits in visits.items():
+        ages = np.array([age for _, age in subject_visits])
+        prob_sum = {label: np.zeros(len(subject_visits)) for label in classes}
+        dps_sum = np.zeros(len(subject_visits))
+        underflow_any = np.zeros(len(subject_visits), dtype=bool)
+        n_used = 0
+        last_error = None
+        for (_, classifier), (params, errors) in zip(members, estimates):
+            sp = params.get(subject_id)
+            if sp is None:
+                last_error = errors.get(subject_id, last_error)
+                continue
+            scores = sp.alpha * ages + sp.beta
+            dps_sum += scores
+            for i, s in enumerate(scores):
+                probs, underflow = posterior(classifier, float(s), return_underflow=True)
+                underflow_any[i] |= underflow
+                for label in classes:
+                    prob_sum[label][i] += probs[label]
+            n_used += 1
+
+        if n_used == 0:
+            failures[subject_id] = StagingError(
+                f"no ensemble member could stage the subject ({last_error})"
+            )
+            continue
+        if n_used < len(members):
+            warnings.warn(
+                f"{len(members) - n_used} of {len(members)} ensemble members "
+                f"could not stage subject {subject_id!r}"
+            )
+        staged[subject_id] = []
+        for i, (visit_index, age) in enumerate(subject_visits):
+            raw = {label: prob_sum[label][i] / n_used for label in classes}
+            total = sum(raw.values())
+            staged[subject_id].append(
+                StagedVisit(
+                    subject_id=subject_id,
+                    visit_index=visit_index,
+                    age=age,
+                    dps=float(dps_sum[i] / n_used),
+                    probabilities={label: value / total for label, value in raw.items()},
+                    underflow=bool(underflow_any[i]),
+                )
+            )
+    return staged, failures
+
+
 def ensemble_posterior(
     members: Sequence[tuple[FittedModel, StagingClassifier]],
     records: Iterable[MeasurementRecord],
     *,
     visits: Sequence[tuple[int, float]] | None = None,
 ) -> list[StagedVisit]:
-    """Average the per-replicate posteriors for one subject's visits.
-
-    Each ensemble member estimates the subject's timeline against its own
-    curves, scores the requested visits and applies its classifier; the
-    member posteriors are averaged and renormalized.  Members that cannot
-    estimate the subject are skipped (with a warning); if none can, staging
-    is impossible.
-    """
+    """Fused staging of one subject's visits (by default those in
+    ``records``); see :func:`stage_subjects`, whose failure is raised here."""
     records = list(records)
-    if not members:
-        raise StagingError("ensemble has no members")
     if visits is None:
-        seen: dict[int, float] = {}
-        for r in records:
-            seen.setdefault(r.visit_index, r.age)
-        visits = sorted(seen.items())
+        visits = sorted({r.visit_index: r.age for r in reversed(records)}.items())
     if not visits:
         raise StagingError("no visits to stage")
     subject_id = records[0].subject_id if records else ""
-
-    classes = members[0][1].classes()
-    ages = np.array([age for _, age in visits])
-    prob_sum = {label: np.zeros(len(visits)) for label in classes}
-    dps_sum = np.zeros(len(visits))
-    underflow_any = np.zeros(len(visits), dtype=bool)
-    n_used = 0
-    last_error: DpsFitError | None = None
-    for model, classifier in members:
-        try:
-            sp = estimate_subject(model, records)
-        except DpsFitError as exc:
-            last_error = exc
-            continue
-        scores = sp.alpha * ages + sp.beta
-        dps_sum += scores
-        for i, s in enumerate(scores):
-            probs, underflow = posterior(classifier, float(s), return_underflow=True)
-            underflow_any[i] |= underflow
-            for label in classes:
-                prob_sum[label][i] += probs[label]
-        n_used += 1
-
-    if n_used == 0:
-        raise StagingError(f"no ensemble member could stage the subject ({last_error})")
-    if n_used < len(members):
-        warnings.warn(
-            f"{len(members) - n_used} of {len(members)} ensemble members "
-            f"could not stage subject {subject_id!r}"
-        )
-
-    staged = []
-    for i, (visit_index, age) in enumerate(visits):
-        raw = {label: prob_sum[label][i] / n_used for label in classes}
-        total = sum(raw.values())
-        probs = {label: value / total for label, value in raw.items()}
-        staged.append(
-            StagedVisit(
-                subject_id=subject_id,
-                visit_index=visit_index,
-                age=age,
-                dps=float(dps_sum[i] / n_used),
-                probabilities=probs,
-                underflow=bool(underflow_any[i]),
-            )
-        )
-    return staged
+    measurements = [(subject_id, r.biomarker, r.age, r.value) for r in records]
+    estimates = [_estimate(model, [subject_id], measurements) for model, _ in members]
+    staged, failures = stage_subjects(members, estimates, {subject_id: visits})
+    if failures:
+        raise failures[subject_id]
+    return staged[subject_id]
 
 
 # ----------------------------------------------------------------------

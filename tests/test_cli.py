@@ -172,6 +172,58 @@ def test_module_invocation_runs_the_cli():
     assert proc.stdout.startswith("usage: dpsfit")
 
 
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dpsfit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _set_sigma(value):
+    return lambda p: _edit_json(p, lambda d: d["biomarkers"]["up"].__setitem__("sigma", value))
+
+
+@pytest.mark.parametrize("target, damage, culprit", [
+    ("model_000.json", lambda p: p.write_text('{"curve_kind": "verh'), "model_000.json"),
+    ("ensemble.json", lambda p: _edit_json(p, lambda d: d.pop("models")), "ensemble.json"),
+    ("ensemble.json", lambda p: p.write_text("[1, 2"), "ensemble.json"),
+    ("model_001.json", _set_sigma(0.0), "biomarker 'up'"),
+    ("model_001.json", _set_sigma(-1.0), "biomarker 'up'"),
+    ("model_001.json", _set_sigma(float("inf")), "biomarker 'up'"),
+], ids=["malformed-model", "index-without-models", "malformed-index", "zero-sigma",
+        "negative-sigma", "infinite-sigma"])
+def test_bad_model_and_ensemble_files_exit_with_two(pipeline, tmp_path, capsys,
+                                                   target, damage, culprit):
+    ensemble = tmp_path / "ens"
+    ensemble.mkdir()
+    for path in (pipeline / "ens").glob("*.json"):
+        (ensemble / path.name).write_bytes(path.read_bytes())
+    damage(ensemble / target)
+    code = main([
+        "predict",
+        "--cohort", str(pipeline / "split" / "test.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--ensemble", str(ensemble),
+        "--out", str(tmp_path / "pred"),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpsfit: error:")
+    assert str(ensemble / target) in err
+    assert culprit in err
+
+
 def test_bad_grid_exits_with_two(pipeline, tmp_path):
     code = main([
         "bootstrap",

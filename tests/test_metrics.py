@@ -6,7 +6,24 @@ from scipy.stats import rankdata
 
 from dpsfit.cohort import Diagnosis
 from dpsfit.errors import DegenerateTestError, MetricError
-from dpsfit.metrics import bic, mae, multiclass_auc, nmae, wilcoxon_signed_rank
+from dpsfit.metrics import bic, mae, midranks, multiclass_auc, nmae, wilcoxon_signed_rank
+
+
+# ----------------------------------------------------------------------
+# ranks
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("values", [
+    [3.2, -1.0, 7.5, 0.0, 2.2],
+    [1.0, 2.0, 2.0, 3.0, 2.0, 1.0, 5.0],
+    [4.0, 4.0, 4.0],
+    [0.5],
+    [],
+    np.random.default_rng(0).integers(0, 6, size=200).astype(float),
+    np.random.default_rng(1).standard_normal(200),
+])
+def test_midranks_match_scipy(values):
+    np.testing.assert_array_equal(midranks(values), rankdata(values))
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dpsfit.cohort import ConstraintPolicy, MeasurementRecord
+from dpsfit.cohort import BiomarkerSpec, Cohort, ConstraintPolicy, MeasurementRecord, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import (
     DomainError,
     IncompatibleModelError,
     InsufficientDataError,
     SchemaError,
+    SolverError,
     StandardizationError,
 )
 from dpsfit.progression import (
@@ -18,6 +19,7 @@ from dpsfit.progression import (
     compute_dps,
     degrees_of_freedom,
     estimate_subject,
+    estimate_subjects,
     load_model,
     param_count,
     predict_biomarkers,
@@ -283,6 +285,76 @@ def test_estimate_subject_error_cases():
     ]
     with pytest.raises(IncompatibleModelError):
         estimate_subject(model, foreign)
+
+
+def cohort_of(records):
+    """A cohort holding the given records, one visit per record."""
+    visits = [
+        Visit(subject_id=r.subject_id, visit_index=i, age=r.age, values={r.biomarker: r.value})
+        for i, r in enumerate(records)
+    ]
+    specs = {r.biomarker: BiomarkerSpec(name=r.biomarker) for r in records}
+    return Cohort(visits, specs)
+
+
+def relabel(records, sid):
+    return [MeasurementRecord(sid, r.visit_index, r.age, r.biomarker, r.value) for r in records]
+
+
+def test_estimate_subjects_batch_matches_one_subject_solves():
+    model = toy_model()
+    rng = np.random.default_rng(11)
+    truths = {
+        "a": (SubjectParams(1.3, -89.0), [68.0, 70.0, 72.0, 74.0, 76.0], None),
+        "b": (SubjectParams(0.8, -52.0), [66.0, 69.0, 71.0, 75.0], None),
+        "c": (SubjectParams(1.1, -75.0), [70.0, 72.0, 74.0, 76.0], ["w", "x"]),
+        "d": (SubjectParams(0.6, -30.0), [61.0, 64.0], ["y", "z"]),
+        "e": (SubjectParams(2.0, -170.0), [80.0, 81.0, 82.5], None),
+    }
+    by_subject = {}
+    for sid, (truth, ages, names) in truths.items():
+        by_subject[sid] = [
+            MeasurementRecord(sid, r.visit_index, r.age, r.biomarker,
+                              r.value + 0.05 * rng.standard_normal())
+            for r in records_from(model, truth, ages, names)
+        ]
+    cohort = cohort_of([r for records in by_subject.values() for r in records])
+    estimates, failures = estimate_subjects(model, cohort)
+    assert failures == {}
+    assert sorted(estimates) == sorted(truths)
+    for sid, records in by_subject.items():
+        single = estimate_subject(model, records)
+        assert estimates[sid].alpha == pytest.approx(single.alpha, rel=0, abs=1e-12)
+        assert estimates[sid].beta == pytest.approx(single.beta, rel=0, abs=1e-12)
+
+
+def test_estimate_subjects_skips_bad_subjects_and_keeps_the_rest():
+    model = toy_model()
+    good = relabel(records_from(model, SubjectParams(1.3, -89.0), [68.0, 70.0, 72.0]), "good")
+    other = relabel(records_from(model, SubjectParams(0.9, -60.0), [65.0, 68.0, 71.0]), "other")
+    one_point = [MeasurementRecord("one", 0, 70.0, "w", 0.4)]
+    foreign = [MeasurementRecord("foreign", i, 70.0 + i, "mystery", 1.0) for i in range(3)]
+    absurd = relabel(records_from(model, SubjectParams(1.0, -70.0), [69.0, 71.0]), "absurd")
+    absurd[0] = MeasurementRecord("absurd", 0, 69.0, absurd[0].biomarker, 1e308)
+    cohort = cohort_of(good + one_point + foreign + other + absurd)
+    empty = Visit(subject_id="empty", visit_index=0, age=70.0, values={"w": None})
+    cohort = Cohort(cohort.visits + [empty], cohort.specs)
+
+    with np.errstate(over="ignore"):
+        estimates, failures = estimate_subjects(model, cohort)
+    assert sorted(estimates) == ["good", "other"]
+    assert sorted(failures) == ["absurd", "empty", "foreign", "one"]
+    assert isinstance(failures["one"], InsufficientDataError)
+    assert str(failures["one"]) == "need at least 2 measurement points, got 1"
+    assert isinstance(failures["foreign"], IncompatibleModelError)
+    assert str(failures["foreign"]) == "subject and model share no biomarkers"
+    assert isinstance(failures["empty"], InsufficientDataError)
+    assert str(failures["empty"]) == "subject has no measured values"
+    assert isinstance(failures["absurd"], SolverError)
+    for sid, records in (("good", good), ("other", other)):
+        single = estimate_subject(model, records)
+        assert estimates[sid].alpha == pytest.approx(single.alpha, rel=0, abs=1e-12)
+        assert estimates[sid].beta == pytest.approx(single.beta, rel=0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
