@@ -10,8 +10,8 @@ and plot data.
 Every run writes ``run_manifest.json`` into its output directory: the
 command, the effective configuration, SHA-256 hashes of the inputs and the
 list of files produced.  Numeric outputs are byte-identical across reruns
-with the same inputs and seed; the thread count only changes how work is
-scheduled, so it is not part of the manifest.
+with the same inputs and seed.  ``bootstrap`` fits its replicates one after
+another; it still accepts the old ``--threads`` flag and ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.
@@ -82,16 +82,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("DPSFIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _sha256(path) -> str:
@@ -240,7 +230,6 @@ def _predict_models(models, cohort: Cohort, estimates):
     the ``(subject_id, reason)`` pairs of the subjects a model skipped.
     """
     records = sorted(cohort.iter_records(), key=lambda r: r.subject_id)
-    sd_map = _biomarker_sds(records)
     per_model_rows, per_model_nmae, skipped = [], [], []
     for model, (params, failures) in zip(models, estimates):
         cells = [r for r in records if r.subject_id in params and r.biomarker in model.curves]
@@ -257,25 +246,24 @@ def _predict_models(models, cohort: Cohort, estimates):
         ]
         per_model_rows.append(rows)
         if rows:
-            per_model_nmae.append(_mae_nmae_from_rows(rows, sd_map)[1])
+            per_model_nmae.append(_mae_nmae_from_rows(rows)[1])
         skipped += [(sid, str(exc)) for sid, exc in failures.items()]
     return per_model_rows, per_model_nmae, skipped
 
 
-def _biomarker_sds(records) -> dict[str, float]:
-    values: dict[str, list[float]] = {}
-    for r in records:
-        values.setdefault(r.biomarker, []).append(r.value)
-    return {name: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for name, v in values.items()}
-
-
-def _mae_nmae_from_rows(rows, sd_map: dict[str, float]):
+def _mae_nmae_from_rows(rows):
+    """Per-biomarker MAE and the NMAE of prediction rows, each biomarker's
+    error normalized by the spread of the same actual values it averages."""
     actual: dict[str, list[float]] = {}
     predicted: dict[str, list[float]] = {}
     for _, _, _, name, a, p in rows:
         actual.setdefault(name, []).append(a)
         predicted.setdefault(name, []).append(p)
     mae_map = mae(actual, predicted)
+    sd_map = {
+        name: float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        for name, values in actual.items()
+    }
     return mae_map, nmae(mae_map, sd_map)
 
 
@@ -302,16 +290,14 @@ def _build_members(ensemble: BootstrapEnsemble, train: Cohort):
 def _stage_cohort(members, cohort: Cohort, estimates):
     """Fuse ensemble posteriors for every subject of a cohort, given each
     member's subject estimates."""
-    visits: dict[str, dict] = {}
-    for v in cohort.visits:
-        visits.setdefault(v.subject_id, {})[v.visit_index] = v
+    by_subject = cohort.by_subject()
     staged_by_subject, failures = stage_subjects(
         members,
         estimates,
-        {sid: [(ix, visits[sid][ix].age) for ix in sorted(visits[sid])] for sid in sorted(visits)},
+        {sid: [(v.visit_index, v.age) for v in visits] for sid, visits in by_subject.items()},
     )
-    staged = [visit for sid in sorted(staged_by_subject) for visit in staged_by_subject[sid]]
-    truths = [visits[v.subject_id][v.visit_index].diagnosis for v in staged]
+    staged = [visit for visits in staged_by_subject.values() for visit in visits]
+    truths = [v.diagnosis for sid in staged_by_subject for v in by_subject[sid]]
     return staged, truths, [(sid, str(exc)) for sid, exc in failures.items()]
 
 
@@ -456,11 +442,8 @@ def _cmd_bootstrap(args) -> int:
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
     n = int(_resolve(args, "n", 100))
-    threads = int(_resolve(args, "threads", _default_threads()))
     grid = _parse_grid(_resolve(args, "grid", "-10:10:201"))
-    ensemble = run_bootstraps(
-        cohort, config, n_bootstraps=n, threads=threads, progress=not args.quiet
-    )
+    ensemble = run_bootstraps(cohort, config, n_bootstraps=n, progress=not args.quiet)
     os.makedirs(args.out, exist_ok=True)
     outputs = _save_ensemble(ensemble, args.out)
 
@@ -520,7 +503,7 @@ def _cmd_predict(args) -> int:
         key + (pairs[0][0], float(np.mean([p for _, p in pairs])))
         for key, pairs in sorted(fused.items())
     ]
-    mae_map, nmae_value = _mae_nmae_from_rows(fused_rows, _biomarker_sds(cohort.iter_records()))
+    mae_map, nmae_value = _mae_nmae_from_rows(fused_rows)
 
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -808,7 +791,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bootstrap", help="fit a bootstrap ensemble")
     common(p)
     p.add_argument("--n", type=int, help="number of bootstrap replicates")
-    p.add_argument("--threads", type=int, help="worker threads (default: processors)")
+    # Accepted for old command lines; replicates always run in one loop.
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.add_argument("--grid", help="curve export grid lo:hi:n")
     fit_flags(p)
     p.set_defaults(func=_cmd_bootstrap)

@@ -196,11 +196,15 @@ class Cohort:
     def biomarker_names(self) -> list[str]:
         return sorted(self.specs)
 
+    def by_subject(self) -> dict[str, list[Visit]]:
+        """Each subject's visits in visit-index order, subjects sorted."""
+        groups: dict[str, list[Visit]] = {}
+        for v in sorted(self.visits, key=lambda v: v.visit_index):
+            groups.setdefault(v.subject_id, []).append(v)
+        return {sid: groups[sid] for sid in sorted(groups)}
+
     def visits_of(self, subject_id: str) -> list[Visit]:
-        return sorted(
-            (v for v in self.visits if v.subject_id == subject_id),
-            key=lambda v: v.visit_index,
-        )
+        return self.by_subject().get(subject_id, [])
 
     def iter_records(self):
         """Yield one :class:`MeasurementRecord` per non-missing value."""
@@ -521,11 +525,7 @@ def remove_reverting_diagnoses(cohort: Cohort) -> Cohort:
     the later visit.
     """
     out = cohort.clone()
-    by_subject: dict[str, list[Visit]] = {}
-    for v in out.visits:
-        by_subject.setdefault(v.subject_id, []).append(v)
-    for visits in by_subject.values():
-        visits.sort(key=lambda v: v.visit_index)
+    for visits in out.by_subject().values():
         labeled = [v for v in visits if v.diagnosis is not Diagnosis.MISSING]
         if len(labeled) < 2:
             continue
@@ -549,13 +549,8 @@ def match_visits(cohort: Cohort, *, window_days: float = 92.0) -> Cohort:
     afterwards.
     """
     out = cohort.clone()
-    by_subject: dict[str, list[Visit]] = {}
-    for v in out.visits:
-        by_subject.setdefault(v.subject_id, []).append(v)
-
     new_visits: list[Visit] = []
-    for sid in sorted(by_subject):
-        visits = sorted(by_subject[sid], key=lambda v: v.visit_index)
+    for visits in out.by_subject().values():
         anchors = [v for v in visits if v.diagnosis is not Diagnosis.MISSING]
         floaters = [v for v in visits if v.diagnosis is Diagnosis.MISSING]
         if anchors:

@@ -100,6 +100,8 @@ def nmae(
     ratios = []
     for name in sorted(mae_by_biomarker):
         sd = float(sd_by_biomarker[name])
+        if not math.isfinite(sd):
+            raise MetricError(f"biomarker {name!r}: non-finite spread")
         if not sd > 0:
             raise MetricError(f"biomarker {name!r}: non-positive spread")
         ratios.append(float(mae_by_biomarker[name]) / sd)

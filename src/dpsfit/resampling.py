@@ -9,8 +9,8 @@ by the usual bootstrap argument hold back about ``1 - 1/e ~ 37%`` of
 subjects.
 
 Every bootstrap seeds its own counter-based random stream from
-``(seed, index)``, so replicates are reproducible independently and in any
-execution order.
+``(seed, index)``, so each replicate is reproducible on its own, whatever
+the number of replicates drawn.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import csv
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def compute_strata(cohort: Cohort) -> dict[str, Stratum]:
     """
     endpoints: dict[str, tuple[str, str]] = {}
     counts: dict[str, int] = {}
-    for sid in cohort.subject_ids():
-        visits = cohort.visits_of(sid)
+    for sid, visits in cohort.by_subject().items():
         labeled = [v.diagnosis for v in visits if v.diagnosis is not Diagnosis.MISSING]
         if labeled:
             endpoints[sid] = (labeled[0].value, labeled[-1].value)
@@ -162,11 +160,12 @@ def _replicate_cohort(cohort: Cohort, in_bag: dict[str, int]) -> Cohort:
     own timeline during fitting, which is exactly the reweighting the
     bootstrap asks for.
     """
+    by_subject = cohort.by_subject()
     visits: list[Visit] = []
     for sid in sorted(in_bag):
         for copy in range(in_bag[sid]):
             rep = f"{sid}{REPLICATE_SEPARATOR}{copy}"
-            for v in cohort.visits_of(sid):
+            for v in by_subject[sid]:
                 clone = v.clone()
                 clone.subject_id = rep
                 visits.append(clone)
@@ -194,47 +193,16 @@ def run_bootstraps(
     config: FitConfig,
     *,
     n_bootstraps: int = 100,
-    threads: int = 1,
     progress: bool = True,
 ) -> BootstrapEnsemble:
-    """Fit one model per stratified bootstrap replicate.
+    """Fit one model per stratified bootstrap replicate, in index order.
 
     Replicates that fail to fit are recorded and skipped; more than 10%
-    failures aborts with an error.  Results are deterministic for a given
-    ``config.seed`` regardless of ``threads``, because every replicate
-    is seeded independently and collected in index order.
+    failures aborts with an error.  Replicate ``b`` is seeded from
+    ``(config.seed, b)`` alone, so it comes out the same whatever
+    ``n_bootstraps`` is and whichever replicates precede it.
     """
     strata = compute_strata(train)
-
-    def run_one(b: int):
-        in_bag, oob = bootstrap_sample(train, [config.seed, b], strata=strata)
-        if not oob:
-            raise EnsembleError(f"bootstrap {b}: empty out-of-bag set")
-        in_cohort = _replicate_cohort(train, in_bag)
-        valid = train.subset(oob)
-        model, trace = fit(in_cohort, valid, config, progress=False)
-        provenance = dict(model.provenance)
-        provenance["bootstrap_id"] = b
-        import dataclasses as _dc
-
-        return _dc.replace(model, provenance=provenance), trace, oob, in_bag
-
-    outcomes: list = [None] * n_bootstraps
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {b: pool.submit(run_one, b) for b in range(n_bootstraps)}
-            for b in range(n_bootstraps):
-                try:
-                    outcomes[b] = ("ok", futures[b].result())
-                except DpsFitError as exc:
-                    outcomes[b] = ("failed", str(exc))
-    else:
-        for b in range(n_bootstraps):
-            try:
-                outcomes[b] = ("ok", run_one(b))
-            except DpsFitError as exc:
-                outcomes[b] = ("failed", str(exc))
-
     ensemble = BootstrapEnsemble(
         models=[],
         traces=[],
@@ -243,24 +211,31 @@ def run_bootstraps(
         n_requested=n_bootstraps,
         seed=config.seed,
     )
-    for b, outcome in enumerate(outcomes):
-        status, payload = outcome
-        if status == "ok":
-            model, trace, oob, in_bag = payload
-            ensemble.models.append(model)
-            ensemble.traces.append(trace)
-            ensemble.oob_subjects.append(oob)
-            ensemble.in_bag_counts.append(in_bag)
+    for b in range(n_bootstraps):
+        try:
+            in_bag, oob = bootstrap_sample(train, [config.seed, b], strata=strata)
+            if not oob:
+                raise EnsembleError(f"bootstrap {b}: empty out-of-bag set")
+            model, trace = fit(
+                _replicate_cohort(train, in_bag), train.subset(oob), config, progress=False
+            )
+        except DpsFitError as exc:
+            ensemble.failures.append((b, str(exc)))
             if progress:
-                print(
-                    f"bootstrap {b:3d}  l_opt={trace.l_opt}  "
-                    f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
-                    file=sys.stderr,
-                )
-        else:
-            ensemble.failures.append((b, payload))
-            if progress:
-                print(f"bootstrap {b:3d}  FAILED: {payload}", file=sys.stderr)
+                print(f"bootstrap {b:3d}  FAILED: {exc}", file=sys.stderr)
+            continue
+        ensemble.models.append(
+            replace(model, provenance={**model.provenance, "bootstrap_id": b})
+        )
+        ensemble.traces.append(trace)
+        ensemble.oob_subjects.append(oob)
+        ensemble.in_bag_counts.append(in_bag)
+        if progress:
+            print(
+                f"bootstrap {b:3d}  l_opt={trace.l_opt}  "
+                f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
+                file=sys.stderr,
+            )
 
     if len(ensemble.failures) > 0.1 * n_bootstraps:
         raise EnsembleError(

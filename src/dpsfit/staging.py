@@ -143,27 +143,33 @@ def fit_classifier(train_scores: Mapping[Diagnosis, Sequence[float]]) -> Staging
 
 def posterior(
     classifier: StagingClassifier,
-    s: float,
+    s,
     *,
     return_underflow: bool = False,
 ):
-    """Class probabilities at one score via Bayes' rule.
+    """Class probabilities at a score, or at each of an array of scores,
+    via Bayes' rule.
 
-    When every class likelihood underflows to zero the priors are returned
-    unchanged (the score carries no usable evidence); the optional flag
-    reports that this happened.
+    A scalar score gives a dict of floats; an array gives a dict of arrays
+    (and an array of flags).  Where every class likelihood underflows to
+    zero the priors are returned unchanged (the score carries no usable
+    evidence); the optional flag reports that this happened.
     """
+    pts = np.atleast_1d(np.asarray(s, dtype=float))
     numerators = {
-        label: classifier.priors[label] * kde_eval(classifier.densities[label], s)
+        label: classifier.priors[label] * kde_eval(classifier.densities[label], pts)
         for label in classifier.classes()
     }
     total = sum(numerators.values())
-    if total <= 0.0:
-        probs = dict(classifier.priors)
-        underflow = True
-    else:
-        probs = {label: value / total for label, value in numerators.items()}
-        underflow = False
+    underflow = total <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = {
+            label: np.where(underflow, classifier.priors[label], value / total)
+            for label, value in numerators.items()
+        }
+    if np.ndim(s) == 0:
+        probs = {label: float(p[0]) for label, p in probs.items()}
+        underflow = bool(underflow[0])
     return (probs, underflow) if return_underflow else probs
 
 
@@ -177,9 +183,7 @@ def collect_class_scores(
     source subject's visits, so a twice-drawn subject contributes its
     scores twice, matching its weight in the fit.
     """
-    by_subject: dict[str, list] = {}
-    for v in sorted(cohort.visits, key=lambda v: v.visit_index):
-        by_subject.setdefault(v.subject_id, []).append(v)
+    by_subject = cohort.by_subject()
     scores: dict[Diagnosis, list[float]] = {}
     for rep_id in sorted(model.subjects):
         base = rep_id.split(REPLICATE_SEPARATOR, 1)[0]
@@ -244,11 +248,10 @@ def stage_subjects(
                 continue
             scores = sp.alpha * ages + sp.beta
             dps_sum += scores
-            for i, s in enumerate(scores):
-                probs, underflow = posterior(classifier, float(s), return_underflow=True)
-                underflow_any[i] |= underflow
-                for label in classes:
-                    prob_sum[label][i] += probs[label]
+            probs, underflow = posterior(classifier, scores, return_underflow=True)
+            underflow_any |= underflow
+            for label in classes:
+                prob_sum[label] += probs[label]
             n_used += 1
 
         if n_used == 0:

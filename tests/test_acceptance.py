@@ -260,8 +260,7 @@ def test_criterion_04_synthetic_recovery():
     recovery_nmae = float(np.mean(nmaes))
     noise_floor = float(np.mean(floors))
 
-    ensemble = run_bootstraps(train, config, n_bootstraps=10, threads=2,
-                              progress=False)
+    ensemble = run_bootstraps(train, config, n_bootstraps=10, progress=False)
     om = ordering_matrix(ensemble)
     mean_rank = om.matrix @ np.arange(1, len(om.biomarkers) + 1)
     consensus = [om.biomarkers[i] for i in np.argsort(mean_rank)]
@@ -553,8 +552,7 @@ def test_criterion_09_ensemble_staging_separates_well_spaced_classes():
     train, test = partition_train_test(cohort, test_fraction=0.25, seed=9)
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC,
                        l_min=2, l_max=6, inner_solver_tol=1e-8, seed=9)
-    ensemble = run_bootstraps(train, config, n_bootstraps=10, threads=2,
-                              progress=False)
+    ensemble = run_bootstraps(train, config, n_bootstraps=10, progress=False)
     members = [
         (model, fit_classifier(collect_class_scores(model, train)))
         for model in ensemble.models

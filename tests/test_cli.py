@@ -357,6 +357,36 @@ def test_predict_with_ensemble_reports_spread(pipeline, tmp_path):
     assert metrics["nmae"] > 0.0
 
 
+def test_predict_spread_ignores_skipped_subjects(pipeline, tmp_path):
+    # A subject holding an absurd value is skipped; its value must not enter
+    # the spread that normalizes the error of the cells that were predicted.
+    with open(pipeline / "split" / "test.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    culprit = rows[0][0]
+    rows[0][header.index("up")] = "1e308"
+    poisoned, clean = tmp_path / "poisoned.csv", tmp_path / "clean.csv"
+    for path, kept in ((poisoned, rows), (clean, [r for r in rows if r[0] != culprit])):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + kept)
+
+    def predict(cohort, out):
+        assert main([
+            "predict",
+            "--cohort", str(cohort),
+            "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+            "--model", str(pipeline / "ens" / "model_000.json"),
+            "--out", str(out),
+            "--quiet",
+        ]) == 0
+        return json.loads((out / "metrics.json").read_text())
+
+    with_culprit = predict(poisoned, tmp_path / "a")
+    without = predict(clean, tmp_path / "b")
+    assert culprit in with_culprit["skipped_subjects"]
+    assert with_culprit["mae"] == without["mae"]
+    assert with_culprit["nmae"] == without["nmae"]
+
+
 # ----------------------------------------------------------------------
 # staging, ordering, reporting
 # ----------------------------------------------------------------------

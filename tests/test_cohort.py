@@ -128,6 +128,17 @@ def test_parse_assigns_visit_indices_in_time_order(tmp_path):
     assert [v.visit_index for v in ordered] == [0, 1, 2]
     assert [v.values["MMSE"] for v in ordered] == [29.0, 28.0, 27.0]
 
+    shuffled = Cohort(
+        [visit("s2", 1, 66.0), visit("s1", 2, 72.0), visit("s2", 0, 65.0),
+         visit("s1", 0, 70.0), visit("s1", 1, 71.0)],
+        specs_for("MMSE"),
+    )
+    groups = shuffled.by_subject()
+    assert list(groups) == ["s1", "s2"]
+    assert [[v.visit_index for v in vs] for vs in groups.values()] == [[0, 1, 2], [0, 1]]
+    assert [v.age for v in shuffled.visits_of("s2")] == [65.0, 66.0]
+    assert shuffled.visits_of("s3") == []
+
 
 def test_cohort_csv_round_trip(tmp_path):
     cohort = Cohort(

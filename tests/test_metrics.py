@@ -94,6 +94,8 @@ def test_nmae_validation():
         nmae({"m": 1.0}, {})
     with pytest.raises(MetricError, match="spread"):
         nmae({"m": 1.0}, {"m": 0.0})
+    with pytest.raises(MetricError, match="biomarker 'm': non-finite spread"):
+        nmae({"m": 1.0}, {"m": float("inf")})
 
 
 # ----------------------------------------------------------------------

@@ -194,6 +194,11 @@ def test_posterior_underflow_returns_priors_with_flag():
     assert probs == {CN: 0.7, AD: 0.3}
     probs, underflow = posterior(clf, 0.5, return_underflow=True)
     assert not underflow
+    # An array of scores gives, element by element, what each scalar gives.
+    many, flags = posterior(clf, np.array([1e6, 0.5]), return_underflow=True)
+    assert flags.tolist() == [True, False]
+    assert [many[CN][0], many[AD][0]] == [0.7, 0.3]
+    assert [many[CN][1], many[AD][1]] == [probs[CN], probs[AD]]
 
 
 def test_classifier_validation():
