@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import DomainError
 __all__ = [
     "LogisticKind",
     "CurveParams",
+    "CurveArrays",
     "evaluate",
     "dps_gradient",
     "param_gradient",
@@ -105,6 +107,38 @@ class CurveParams:
         return dataclasses.replace(self, **kwargs)
 
 
+class CurveArrays(NamedTuple):
+    """Parameters of curves of one kind, one array entry per curve.
+
+    :func:`value_and_slope` takes it in place of a :class:`CurveParams`
+    and evaluates score ``s[n]`` on entry ``n``, so one call serves points
+    of many curves.  Build it with :meth:`stack`, then :meth:`take` the
+    entry of every point.
+    """
+
+    kind: LogisticKind
+    a: np.ndarray
+    d: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def stack(cls, curve_list: Sequence[CurveParams]) -> "CurveArrays":
+        """One entry per curve of ``curve_list``, which share one kind."""
+        kinds = {p.kind for p in curve_list}
+        if len(kinds) > 1:
+            raise DomainError("curves stacked together must share one kind")
+        # An empty table evaluates no point, so its kind does not matter.
+        kind = kinds.pop() if kinds else LogisticKind.VERHULST
+        table = np.array([[p.a, p.d, p.b, p.c, p.gamma] for p in curve_list], dtype=float)
+        return cls(kind, *table.reshape(-1, 5).T.copy())
+
+    def take(self, index: np.ndarray) -> "CurveArrays":
+        """The entries at ``index``, e.g. each point's curve."""
+        return CurveArrays(self.kind, *(v[index] for v in self[1:]))
+
+
 def _as_array(s) -> tuple[np.ndarray, bool]:
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -112,7 +146,7 @@ def _as_array(s) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _growth(p: CurveParams, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the unit-range curve ``g`` and its score derivative.
 
     Returns ``(g, dgds, w, q)`` where ``w`` is the clamped exponential term
@@ -194,8 +228,12 @@ def inflection_point(p: CurveParams) -> float:
 # internal fast paths used by the fitting code
 # ----------------------------------------------------------------------
 
-def value_and_slope(p: CurveParams, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(f(s), df/ds)`` without the parameter gradients; assumes finite s."""
+def value_and_slope(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(s), df/ds)`` without the parameter gradients; assumes finite s.
+
+    With :class:`CurveArrays` for ``p``, point ``n`` is evaluated on entry
+    ``n``, bit for bit as a call with that entry's :class:`CurveParams`.
+    """
     g, dgds, _, _ = _growth(p, s)
     span = p.a - p.d
     return span * g + p.d, span * dgds

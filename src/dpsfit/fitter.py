@@ -225,8 +225,8 @@ def _objective_flat(state: FitState, flat: _Flat, loss: LossKind) -> float:
 
     x = _subject_matrix(flat, state.subjects)
     s = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
-    curve_list = [state.curves[n] for n in flat.biomarker_names]
-    pred, _ = _eval_flat(curve_list, flat, s, np.arange(s.size))
+    table = curves_mod.CurveArrays.stack([state.curves[n] for n in flat.biomarker_names])
+    pred, _ = _eval_flat(table, flat, s, np.arange(s.size))
     r = (flat.y - pred) / _sigma_per_measurement(flat, state.sigma)
     return float(np.dot(flat.omega, rho(loss, r)))
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError
-from .robust_loss import LossKind, psi, rho, weight
+from .robust_loss import LossKind, loss_terms, psi, rho, weight
 
 __all__ = ["RobustFitResult", "minimize_robust", "minimize_subjects"]
 
@@ -263,8 +263,7 @@ def minimize_subjects(
         sr = sub[rows]
         r_l = r[rows]
         finite_r = np.where(np.isfinite(r_l), r_l, 0.0)
-        psi_n = psi(loss, finite_r)
-        wt_n = weight(loss, finite_r)
+        psi_n, wt_n = loss_terms(loss, finite_r)
         db = dfds[rows]
         da = db * alpha[rows] * t[rows]  # d prediction / d log alpha
         gscale = omega[rows] * psi_n / sigma[rows]

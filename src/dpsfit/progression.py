@@ -255,16 +255,11 @@ def _sigma_per_measurement(flat: _Flat, sigma: Mapping[str, float]) -> np.ndarra
     return np.array([sigma[n] for n in flat.biomarker_names])[flat.bm]
 
 
-def _eval_flat(curve_list: list[CurveParams], flat: _Flat, s: np.ndarray, rows: np.ndarray):
-    """Curve values and slopes at scores ``s`` of the sorted measurement
-    indices ``rows``; cut points split them by biomarker."""
-    pred = np.empty_like(s)
-    dfds = np.empty_like(s)
-    cuts = np.searchsorted(rows, flat.bm_bounds)
-    for p, lo, hi in zip(curve_list, cuts[:-1], cuts[1:]):
-        if hi > lo:
-            pred[lo:hi], dfds[lo:hi] = curves.value_and_slope(p, s[lo:hi])
-    return pred, dfds
+def _eval_flat(table: curves.CurveArrays, flat: _Flat, s: np.ndarray, rows: np.ndarray):
+    """Curve values and slopes at scores ``s`` of the measurement indices
+    ``rows``, in one call over every biomarker; ``table`` holds one entry
+    per biomarker of ``flat``."""
+    return curves.value_and_slope(table.take(flat.bm[rows]), s)
 
 
 def _subject_bounds(curve_list: list[CurveParams], flat: _Flat, tc: np.ndarray):
@@ -314,9 +309,10 @@ def _solve_subjects(
         x0[:, 1] = float(np.median([p.c for p in curve_list]))
     tc = flat.t - flat.mean_age[flat.sub]
     offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat, tc)
+    table = curves.CurveArrays.stack(curve_list)
 
     def eval_fn(s: np.ndarray, rows: np.ndarray):
-        return _eval_flat(curve_list, flat, s, rows)
+        return _eval_flat(table, flat, s, rows)
 
     return minimize_subjects(
         eval_fn,

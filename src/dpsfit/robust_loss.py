@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["LossKind", "rho", "psi", "weight"]
+__all__ = ["LossKind", "rho", "psi", "weight", "loss_terms"]
 
 _HALF_PI = math.pi / 2.0
 _LN2 = math.log(2.0)
@@ -94,20 +94,7 @@ def psi(kind: LossKind, r):
     """Influence function ``d rho / d r``, an odd function of ``r``."""
     kind = LossKind(kind)
     arr, scalar = _as_array(r)
-    tau = kind.tau
-    u = arr / tau
-    if kind is LossKind.L2:
-        out = 2.0 * arr
-    elif kind is LossKind.L1L2:
-        out = 2.0 * arr / np.sqrt(1.0 + u * u)
-    elif kind is LossKind.LOGISTIC:
-        out = tau * np.tanh(u)
-    elif kind is LossKind.MODIFIED_HUBER:
-        # The sine branch saturates into a constant-magnitude tail at
-        # |u| = pi/2, where both branches equal tau * sign(u).
-        out = np.where(np.abs(u) <= _HALF_PI, tau * np.sin(u), tau * np.sign(u))
-    else:  # Cauchy-Lorentz
-        out = 2.0 * arr / (1.0 + u * u)
+    out = _psi(kind, arr, arr / kind.tau)
     return float(out) if scalar else out
 
 
@@ -119,23 +106,54 @@ def weight(kind: LossKind, r):
     """
     kind = LossKind(kind)
     arr, scalar = _as_array(r)
-    tau = kind.tau
-    u = arr / tau
+    out = _weight(kind, arr / kind.tau)
+    return float(out) if scalar else out
+
+
+def loss_terms(kind: LossKind, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(psi(r), weight(r))`` in one call, for solver inner loops.
+
+    Unchecked: ``kind`` must already be a :class:`LossKind` and ``r`` a
+    finite float array.  The values are those of :func:`psi` and
+    :func:`weight`, bit for bit.
+    """
+    u = r / _TAU[kind]
+    return _psi(kind, r, u), _weight(kind, u)
+
+
+def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`psi` of residuals ``r`` whose scaled values are ``u``."""
+    tau = _TAU[kind]
     if kind is LossKind.L2:
-        out = np.full_like(u, 2.0)
-    elif kind is LossKind.L1L2:
-        out = 2.0 / np.sqrt(1.0 + u * u)
-    elif kind is LossKind.LOGISTIC:
+        return 2.0 * r
+    if kind is LossKind.L1L2:
+        return 2.0 * r / np.sqrt(1.0 + u * u)
+    if kind is LossKind.LOGISTIC:
+        return tau * np.tanh(u)
+    if kind is LossKind.MODIFIED_HUBER:
+        # The sine branch saturates into a constant-magnitude tail at
+        # |u| = pi/2, where both branches equal tau * sign(u).
+        return np.where(np.abs(u) <= _HALF_PI, tau * np.sin(u), tau * np.sign(u))
+    # Cauchy-Lorentz
+    return 2.0 * r / (1.0 + u * u)
+
+
+def _weight(kind: LossKind, u: np.ndarray) -> np.ndarray:
+    """:func:`weight` at scaled residuals ``u``."""
+    if kind is LossKind.L2:
+        return np.full_like(u, 2.0)
+    if kind is LossKind.L1L2:
+        return 2.0 / np.sqrt(1.0 + u * u)
+    if kind is LossKind.LOGISTIC:
         small = np.abs(u) < 1e-8
         safe = np.where(small, 1.0, u)
-        out = np.where(small, 1.0 - u * u / 3.0, np.tanh(safe) / safe)
-    elif kind is LossKind.MODIFIED_HUBER:
+        return np.where(small, 1.0 - u * u / 3.0, np.tanh(safe) / safe)
+    if kind is LossKind.MODIFIED_HUBER:
         au = np.abs(u)
         small = au < 1e-8
         safe = np.where(small, 1.0, u)
         sine = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
         tail = 1.0 / np.maximum(au, 1e-300)
-        out = np.where(au <= _HALF_PI, sine, tail)
-    else:  # Cauchy-Lorentz
-        out = 2.0 / (1.0 + u * u)
-    return float(out) if scalar else out
+        return np.where(au <= _HALF_PI, sine, tail)
+    # Cauchy-Lorentz
+    return 2.0 / (1.0 + u * u)

@@ -429,3 +429,48 @@ def test_model_requires_matching_sigma_keys():
             sigma={},
             subjects={},
         )
+
+
+# ----------------------------------------------------------------------
+# one curve call over every biomarker
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(LogisticKind))
+def test_eval_flat_equals_one_call_per_biomarker_bitwise(kind):
+    from dpsfit.curves import CurveArrays, value_and_slope
+    from dpsfit.progression import _eval_flat, _flat_from
+
+    rng = np.random.default_rng(3)
+    curve_list = [
+        CurveParams(kind=kind, a=1.0, d=0.0, b=1.2, c=-2.0, gamma=0.6),
+        CurveParams(kind=kind, a=0.0, d=3.0, b=0.4, c=0.5, gamma=1.0),
+        CurveParams(kind=kind, a=-1.5, d=2.0, b=2.5, c=1.0, gamma=2.3),
+    ]
+    names = ["b0", "b1", "b2"]
+    sids = [f"s{i}" for i in range(7)]
+    measurements = [
+        (sid, name, float(age), 0.0)
+        for sid in sids for age in rng.uniform(60.0, 80.0, 3) for name in names
+    ]
+    flat = _flat_from(sids, names, measurements)
+    table = CurveArrays.stack(curve_list)
+    s_all = np.concatenate([[-1e4, 1e4, 0.0], rng.normal(0.0, 6.0, flat.y.size - 3)])
+    for rows in (np.arange(flat.y.size), np.sort(rng.choice(flat.y.size, 20, replace=False)),
+                 np.nonzero(flat.bm == 1)[0], np.arange(0)):
+        s = s_all[rows]
+        pred, dfds = _eval_flat(table, flat, s, rows)
+        bm = flat.bm[rows]
+        for k, p in enumerate(curve_list):
+            want_pred, want_dfds = value_and_slope(p, s[bm == k])
+            assert np.array_equal(pred[bm == k], want_pred)
+            assert np.array_equal(dfds[bm == k], want_dfds)
+
+
+def test_curve_table_rejects_mixed_kinds():
+    from dpsfit.curves import CurveArrays
+
+    with pytest.raises(DomainError):
+        CurveArrays.stack([
+            CurveParams(kind=VER, a=1.0, d=0.0, b=1.0, c=0.0),
+            CurveParams(kind=LogisticKind.GOMPERTZ, a=1.0, d=0.0, b=1.0, c=0.0),
+        ])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsfit.errors import DomainError
-from dpsfit.robust_loss import LossKind, psi, rho, weight
+from dpsfit.robust_loss import LossKind, loss_terms, psi, rho, weight
 
 ALL_KINDS = list(LossKind)
 
@@ -184,3 +184,16 @@ def test_vectorized_shapes():
 def test_accepts_string_kind():
     assert rho("l2", 2.0) == 4.0
     assert psi("logistic", 0.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_loss_terms_equal_psi_and_weight_bitwise(kind):
+    r = np.concatenate([
+        [0.0, 1e-9, -1e-9, 1e6, -1e6, 1e-300, -1e-300],
+        np.linspace(-40.0, 40.0, 801),
+        np.geomspace(1e-12, 1e5, 200),
+        -np.geomspace(1e-12, 1e5, 200),
+    ])
+    psi_r, wt = loss_terms(kind, r)
+    assert np.array_equal(psi_r, psi(kind, r))
+    assert np.array_equal(wt, weight(kind, r))
