@@ -8,8 +8,9 @@ set, ``fit`` trains one model, ``bootstrap`` trains an ensemble,
 and plot data.
 
 Every run writes ``run_manifest.json`` into its output directory: the
-command, the effective configuration, SHA-256 hashes of the inputs and the
-list of files produced.  Numeric outputs are byte-identical across reruns
+command, the effective configuration, SHA-256 hashes of the inputs, the
+list of files produced and the Python, numpy and platform versions that
+produced them.  Numeric outputs are byte-identical across reruns
 with the same inputs and seed.  ``bootstrap`` fits its replicates one after
 another; it still accepts the old ``--threads`` flag and ignores it.
 
@@ -25,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import warnings
 
@@ -93,12 +95,20 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: list[str]) -> None:
+    # uname rather than platform.platform(), which reads the whole
+    # interpreter binary to find the libc version.
+    host = platform.uname()
     manifest = {
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(outputs),
         "version": __version__,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{host.system}-{host.release}-{host.machine}",
+        },
     }
     with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -236,7 +236,10 @@ def minimize_subjects(
         alpha = np.exp(params[sr, 0])
         s = alpha * t[rows] + params[sr, 1]
         pred, dfds = eval_fn(s, rows)
-        r = (y[rows] - pred) / sigma[rows]
+        # An absurd value overflows to an infinite residual, which the
+        # objective reports; no warning is needed on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (y[rows] - pred) / sigma[rows]
         finite = np.isfinite(r)
         obj_n = np.where(finite, rho(loss, np.where(finite, r, 0.0)), np.inf)
         obj = np.bincount(sr, weights=omega[rows] * obj_n, minlength=n_subjects)

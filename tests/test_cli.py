@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,12 @@ def test_simulate_outputs_and_manifest(pipeline):
         "biomarker_specs.json", "cohort.csv", "truth_model.json",
     ]
     assert all(len(h) == 64 for h in manifest["inputs"].values())
+    host = platform.uname()
+    assert manifest["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{host.system}-{host.release}-{host.machine}",
+    }
 
 
 def test_split_roles_cover_all_subjects(pipeline):
@@ -380,7 +388,11 @@ def test_predict_spread_ignores_skipped_subjects(pipeline, tmp_path):
         ]) == 0
         return json.loads((out / "metrics.json").read_text())
 
-    with_culprit = predict(poisoned, tmp_path / "a")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with_culprit = predict(poisoned, tmp_path / "a")
+    # The skip is reported by name, not by a raw numpy overflow warning.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     without = predict(clean, tmp_path / "b")
     assert culprit in with_culprit["skipped_subjects"]
     assert with_culprit["mae"] == without["mae"]
