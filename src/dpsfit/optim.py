@@ -19,7 +19,12 @@ Two things keep its iterations cheap: each one touches only the
 measurements of subjects that are still being solved, and a subject held
 on its box takes a projected Newton step (Bertsekas 1982, "Projected
 Newton methods for optimization problems with simple constraints") in the
-free coordinate instead of creeping along the bound.
+free coordinate instead of creeping along the bound.  Two more keep them
+few: it steers each subject's damping by the gain ratio, the actual
+decrease over the decrease the undamped Gauss-Newton model predicts (More
+1978, "The Levenberg-Marquardt algorithm: implementation and theory"), so
+a subject on the curve plateaus, where that model overshoots, no longer
+zigzags to ``max_steps``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 1.0 / 3.0
+# Gain ratios (actual over predicted decrease) below _GAIN_LOW raise the
+# subject solver's damping on an accepted step, above _GAIN_HIGH lower it.
+_GAIN_LOW = 0.25
+_GAIN_HIGH = 0.75
 # Relative objective decrease below which an accepted step counts as
 # converged.  Without this, points sitting on a curve's flat tail chase the
 # asymptote in ever-growing steps, since their objective keeps decreasing
@@ -210,6 +219,15 @@ def minimize_subjects(
     put or is drawn in by a strictly improving step; the objective never
     rises either way.
 
+    Each subject keeps its own damping ``lambda``.  A rejected step raises
+    it.  An accepted step whose box took nothing from it, with no pinned
+    coordinate, is judged by its gain ratio: the actual decrease over the
+    decrease ``-(g.d + d.H.d / 2)`` that the undamped Gauss-Newton model
+    predicts for the step ``d``.  Below ``_GAIN_LOW`` it raises the
+    damping, above ``_GAIN_HIGH`` it lowers it, and in between the damping
+    stays.  Any other accepted step lowers it, so a subject pinned at its
+    box still reaches the bound in a few steps.
+
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
     subjects whose rate hit the log-alpha box.  Subjects marked ``frozen``
@@ -310,13 +328,34 @@ def minimize_subjects(
         x_cand[solvable, 0] = np.clip(x[solvable, 0] + p0[solvable], la_lo[solvable], la_hi[solvable])
         x_cand[solvable, 1] = np.clip(x[solvable, 1] + p1[solvable], w_lo[solvable], w_hi[solvable])
         finite_step = solvable & np.all(np.isfinite(x_cand), axis=1)
+        clipped = (x_cand[:, 0] != x[:, 0] + p0) | (x_cand[:, 1] != x[:, 1] + p1)
 
         cand_rows = rows[active[sr]]
         obj_cand, r_cand, dfds_cand, alpha_cand = evaluate(x_cand, cand_rows)
         improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
 
+        # An improving step lowers the damping.  When the box took nothing
+        # from it and nothing was pinned, the gain ratio decides instead
+        # (More 1978): the actual decrease against the one the undamped
+        # Gauss-Newton model predicts for the step taken.  On the curve
+        # plateaus that model overshoots, so a step that only just improves
+        # raises the damping rather than zigzagging on.
+        new_lam = np.maximum(lam * _LAMBDA_DOWN, 1e-7)
+        steered = np.nonzero(improved & ~clipped & ~pin0 & ~pin1)[0]
+        d0 = x_cand[steered, 0] - x[steered, 0]
+        d1 = x_cand[steered, 1] - x[steered, 1]
+        predicted = -(g0[steered] * d0 + g1[steered] * d1) - 0.5 * (
+            h00[steered] * d0 * d0 + 2.0 * h01[steered] * d0 * d1 + h11[steered] * d1 * d1
+        )
+        actual = obj[steered] - obj_cand[steered]
+        new_lam[steered] = np.where(
+            actual < _GAIN_LOW * predicted,
+            lam[steered] * _LAMBDA_UP,
+            np.where(actual > _GAIN_HIGH * predicted, new_lam[steered], lam[steered]),
+        )
+
         x[improved] = x_cand[improved]
-        lam[improved] = np.maximum(lam[improved] * _LAMBDA_DOWN, 1e-7)
+        lam[improved] = new_lam[improved]
         done = done | (improved & (obj - obj_cand <= _FTOL * np.maximum(1.0, np.abs(obj))))
         rejected = active & ~improved
         lam[rejected] *= _LAMBDA_UP

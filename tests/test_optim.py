@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsfit.curves import CurveParams, LogisticKind, value_and_slope
+from dpsfit.curves import CurveArrays, CurveParams, LogisticKind, value_and_slope
 from dpsfit.errors import SolverError
 from dpsfit.optim import minimize_subjects
 from dpsfit.robust_loss import LossKind, psi, rho, weight
@@ -171,3 +171,67 @@ def test_non_finite_start_names_the_first_bad_subject():
     with pytest.raises(SolverError) as info:
         solve_all(P)
     assert info.value.subject == 4
+
+
+@pytest.fixture
+def plateau_subject():
+    """One subject of the first subject step of the benchmark's seed-0 fit
+    (``perfbench`` fit-baseline): six modified-Stannard curves and the
+    subject's 36 measurements, in its mean-centred time frame.  Its optimum
+    lies at a score near -17.8, past every inflection, where the curves are
+    flat; there the reweighted curvature makes each undamped step overshoot."""
+    ages = np.array([-2.51728012289054, -1.4946828639852896, -0.5458427273753301,
+                     0.5689898804790658, 1.5004522062087915, 2.4883636275633165])
+    sigma = np.array([0.3640220373566043, 0.41072374882038676, 0.6577423912105441,
+                      1.4550232954048394, 1.3032970624960405, 0.46763128532096077])
+    y = np.array([
+        [0.019470924019867778, 0.013471242493994269, 0.032510941998053204,
+         0.02715618806306228, 0.017134105639006594, -0.06275080352538594],
+        [0.9382257625190396, 0.9484337886292392, 1.1261441089120094,
+         1.041499951417738, 1.0384089886533105, 1.0836582387564784],
+        [0.434275782462456, 0.4661788519150622, 0.5100931203229583,
+         0.5415210097923997, 0.6087454637627523, 0.47197716455692196],
+        [1.0156578307804143, 0.9273851459206123, 1.0205817912591109,
+         1.1083124252612029, 0.7267522575059218, 1.2645938489732018],
+        [2.967216853548635, 3.184369719508651, 3.0596264420727377,
+         2.9341803782055083, 2.9452039296189443, 3.15447924540575],
+        [-0.004333967161320519, -0.029206126279483297, 0.10327773733898488,
+         -0.0950312940940796, -0.02673500153257185, 0.005815761410430185],
+    ])
+    # (a, d, b, c, gamma) of each biomarker's curve.
+    params = [
+        (1.0122604705260225, 0.06338002298718014, 1589.3367272093888, -6.6697915378546435, 6035.142573136006),
+        (-0.015347132565090939, 0.9368801595492299, 0.7072744233082312, -4.120909610625914, 2.202806229975057),
+        (1.9848694565844314, 0.5626717648906021, 0.45004440247479294, -2.5095138962049486, 1.1679057513587299),
+        (5.00217786642289, 0.8664459963896315, 0.18799560109514035, 0.44790275221624437, 0.5905329593573517),
+        (0.03682987084042957, 2.992321342357339, 0.3022446630778454, 1.0115051103476356, 0.6552733670727073),
+        (0.9736762441816075, 0.01681403048022752, 0.4117696812685539, 1.443098215928941, 0.7725179523210013),
+    ]
+    table = CurveArrays.stack([CurveParams(LogisticKind.MODIFIED_STANNARD, *p) for p in params])
+    bm = np.repeat(np.arange(6), 6)
+    return dict(
+        table=table, bm=bm, t=np.tile(ages, 6), y=y.ravel(), sigma=np.repeat(sigma, 6),
+        omega=np.full(36, 1.0 / 36.0), x0=np.array([[0.0, -3.6850023770728484]]),
+        log_alpha_bounds=(-27.631, 2.8333594111303673),
+        offset_bounds=(-42.10628443832009, 43.002089942752576),
+    )
+
+
+def test_plateau_subject_converges_without_zigzag(plateau_subject):
+    P = plateau_subject
+    calls = [0]
+
+    def eval_fn(s, rows):
+        calls[0] += 1
+        return value_and_slope(P["table"].take(P["bm"][rows]), s)
+
+    x, obj, _ = minimize_subjects(
+        eval_fn, P["x0"], t=P["t"], y=P["y"], sub=np.zeros(36, dtype=np.intp),
+        sigma=P["sigma"], omega=P["omega"], n_subjects=1, loss=LOSS,
+        log_alpha_bounds=P["log_alpha_bounds"], offset_bounds=P["offset_bounds"],
+    )
+    # Without gain-ratio damping every step was accepted and the iterate
+    # zigzagged for all 200 steps, ending at this objective.
+    assert calls[0] <= 40
+    assert obj[0] <= 0.013577975011452177
+    assert -18.5 < x[0, 1] < -17.0
