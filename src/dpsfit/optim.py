@@ -334,12 +334,9 @@ def minimize_subjects(
         obj_cand, r_cand, dfds_cand, alpha_cand = evaluate(x_cand, cand_rows)
         improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
 
-        # An improving step lowers the damping.  When the box took nothing
-        # from it and nothing was pinned, the gain ratio decides instead
-        # (More 1978): the actual decrease against the one the undamped
-        # Gauss-Newton model predicts for the step taken.  On the curve
-        # plateaus that model overshoots, so a step that only just improves
-        # raises the damping rather than zigzagging on.
+        # Gain ratio (see the docstring).  On the curve plateaus the model
+        # overshoots, so a step that only just improves raises the damping
+        # instead of zigzagging on with every step accepted.
         new_lam = np.maximum(lam * _LAMBDA_DOWN, 1e-7)
         steered = np.nonzero(improved & ~clipped & ~pin0 & ~pin1)[0]
         d0 = x_cand[steered, 0] - x[steered, 0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpsfit.cohort import BiomarkerSpec, Cohort, ConstraintPolicy, MeasurementRecord, Visit
-from dpsfit.curves import CurveParams, LogisticKind, evaluate
+from dpsfit.curves import CurveArrays, CurveParams, LogisticKind, evaluate, value_and_slope
 from dpsfit.errors import (
     DomainError,
     IncompatibleModelError,
@@ -16,6 +16,8 @@ from dpsfit.errors import (
 from dpsfit.progression import (
     FittedModel,
     SubjectParams,
+    _eval_flat,
+    _flat_from,
     compute_dps,
     degrees_of_freedom,
     estimate_subject,
@@ -437,9 +439,6 @@ def test_model_requires_matching_sigma_keys():
 
 @pytest.mark.parametrize("kind", list(LogisticKind))
 def test_eval_flat_equals_one_call_per_biomarker_bitwise(kind):
-    from dpsfit.curves import CurveArrays, value_and_slope
-    from dpsfit.progression import _eval_flat, _flat_from
-
     rng = np.random.default_rng(3)
     curve_list = [
         CurveParams(kind=kind, a=1.0, d=0.0, b=1.2, c=-2.0, gamma=0.6),
@@ -467,8 +466,6 @@ def test_eval_flat_equals_one_call_per_biomarker_bitwise(kind):
 
 
 def test_curve_table_rejects_mixed_kinds():
-    from dpsfit.curves import CurveArrays
-
     with pytest.raises(DomainError):
         CurveArrays.stack([
             CurveParams(kind=VER, a=1.0, d=0.0, b=1.0, c=0.0),
