@@ -239,8 +239,13 @@ def value_and_slope(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.nda
     return span * g + p.d, span * dgds
 
 
-def value_and_gradients(p: CurveParams, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(f(s), df/dparams)`` with gradients of shape ``(n, 5)``."""
+def value_and_gradients(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(s), df/dparams)`` with gradients of shape ``(n, 5)``.
+
+    Like :func:`value_and_slope`, it takes a :class:`CurveArrays` for
+    ``p``; one whose fields are floats is a single unchecked curve,
+    evaluated bit for bit as the matching :class:`CurveParams`.
+    """
     g, dgds, w, q = _growth(p, s)
     span = p.a - p.d
     f = span * g + p.d

@@ -14,7 +14,10 @@ non-increasing across iterations.  Because the alternation has no global
 convergence guarantee, the returned model is the snapshot with the lowest
 validation loss over a trailing iteration window; validation subjects are
 re-estimated from scratch against each iteration's curves so their scores
-never leak into training.
+never leak into training.  The subject step and that re-estimation share
+one batched solve per iteration: training subjects start warm from their
+current timelines, validation subjects still start cold, and no subject's
+result depends on the others in the batch.
 
 Each measurement contributes ``rho(residual / sigma_k) / N_i``: the
 per-biomarker scale ``sigma_k`` is frozen at the sample standard deviation
@@ -41,6 +44,7 @@ from .progression import (
     Standardization,
     SubjectParams,
     _eval_flat,
+    _concat_flats,
     _Flat,
     _flatten,
     _sigma_per_measurement,
@@ -140,9 +144,9 @@ def _constant_data(flat: _Flat) -> np.ndarray:
     return has_multi & ~has_spread
 
 
-def _subject_matrix(flat: _Flat, subjects: dict[str, SubjectParams]) -> np.ndarray:
-    x = np.empty((len(flat.subject_ids), 2))
-    for i, sid in enumerate(flat.subject_ids):
+def _subject_matrix(sids: list[str], subjects: dict[str, SubjectParams]) -> np.ndarray:
+    x = np.empty((len(sids), 2))
+    for i, sid in enumerate(sids):
         sp = subjects[sid]
         x[i, 0] = np.log(sp.alpha)
         x[i, 1] = sp.beta
@@ -180,14 +184,22 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
         if len(values) < 2:
             raise InitializationError(f"biomarker {name!r}: fewer than 2 values")
         arr = np.array(values)
-        sd = float(arr.std(ddof=1))
+        # An absurd value overflows these statistics; the checks below
+        # name its biomarker instead of letting numpy warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = float(arr.std(ddof=1))
+            means = (np.mean(cn_values), np.mean(ad_values)) if cn_values and ad_values else None
+        if not np.isfinite(sd):
+            raise InitializationError(
+                f"biomarker {name!r}: values are too large to scale (standard deviation {sd})"
+            )
         if not sd > 0:
             raise InitializationError(f"biomarker {name!r}: values have no spread")
         sigma[name] = sd
 
         spec = cohort.specs[name]
-        if cn_values and ad_values:
-            lam = 1.0 if float(np.mean(cn_values)) < float(np.mean(ad_values)) else -1.0
+        if means is not None:
+            lam = 1.0 if means[0] < means[1] else -1.0
         elif spec.direction_hint is Direction.INCREASING:
             lam = 1.0
         elif spec.direction_hint is Direction.DECREASING:
@@ -203,13 +215,14 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
         else:
             lo, hi = float(arr.min()), float(arr.max())
         d0, a0 = (lo, hi) if lam > 0 else (hi, lo)
+        b0 = 4.0 * lam / (a0 - d0)
+        if not (np.isfinite(a0) and np.isfinite(d0) and 0.0 < b0 < np.inf):
+            raise InitializationError(
+                f"biomarker {name!r}: values are too large to start a curve from "
+                f"(asymptotes {d0} and {a0}, growth rate {b0})"
+            )
         state_curves[name] = CurveParams(
-            kind=config.curve_kind,
-            a=a0,
-            d=d0,
-            b=4.0 * lam / (a0 - d0),
-            c=0.0,
-            gamma=1.0,
+            kind=config.curve_kind, a=a0, d=d0, b=b0, c=0.0, gamma=1.0
         )
 
     subjects = {sid: SubjectParams(alpha=1.0, beta=0.0) for sid in cohort.subject_ids()}
@@ -223,7 +236,7 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
 def _objective_flat(state: FitState, flat: _Flat, loss: LossKind) -> float:
     from .robust_loss import rho
 
-    x = _subject_matrix(flat, state.subjects)
+    x = _subject_matrix(flat.subject_ids, state.subjects)
     s = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
     table = curves_mod.CurveArrays.stack([state.curves[n] for n in flat.biomarker_names])
     pred, _ = _eval_flat(table, flat, s, np.arange(s.size))
@@ -281,10 +294,15 @@ def _fit_one_biomarker(
     x0 = np.array([getattr(current, n) for n in free])
     lower = np.array([_param_bounds(n, policy)[0] for n in free])
     upper = np.array([_param_bounds(n, policy)[1] for n in free])
+    row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
 
     def model_fn(x: np.ndarray):
-        p = current.replace(**{n: v for n, v in zip(free, x)})
-        f, grads = curves_mod.value_and_gradients(p, s)
+        # The solver keeps x finite and inside the box, so the checks of
+        # CurveParams.replace would only cost time: evaluate the current
+        # curve's entry with its free columns overwritten instead.
+        row[cols] = x
+        entry = curves_mod.CurveArrays(current.kind, *row.tolist())
+        f, grads = curves_mod.value_and_gradients(entry, s)
         return f, grads[:, cols]
 
     try:
@@ -325,7 +343,7 @@ def _fit_biomarker_step_flat(
     config: FitConfig,
     iteration: int,
 ) -> None:
-    x = _subject_matrix(flat, state.subjects)
+    x = _subject_matrix(flat.subject_ids, state.subjects)
     s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
     for name in flat.biomarker_names:
         policy = cohort.specs[name].constraint_policy
@@ -353,8 +371,20 @@ def _fit_subject_step_flat(
     config: FitConfig,
     iteration: int,
     trace: FitTrace | None = None,
-) -> None:
-    sparse = flat.n_points < 2
+    n_train: int | None = None,
+) -> np.ndarray:
+    """Refit the timelines of the first ``n_train`` subjects of ``flat``
+    (all of them by default), warm-started from ``state``, and estimate the
+    others from a cold start in the same batched solve.
+
+    The others are validation subjects: they stay out of ``state``, and
+    their per-subject objective values are returned.
+    """
+    if n_train is None:
+        n_train = len(flat.subject_ids)
+    train_ids = flat.subject_ids[:n_train]
+    n_points = flat.n_points[:n_train]
+    sparse = n_points < 2
 
     def emit(message: str) -> None:
         if trace is None:
@@ -363,49 +393,48 @@ def _fit_subject_step_flat(
             trace.warnings.append(message)
             warnings.warn(message)
 
-    for i in np.nonzero(sparse & (flat.n_points > 0))[0]:
+    for i in np.nonzero(sparse & (n_points > 0))[0]:
         emit(
-            f"subject {flat.subject_ids[i]!r} has fewer than 2 points; "
+            f"subject {train_ids[i]!r} has fewer than 2 points; "
             f"its timeline is left at its current value"
         )
-    for i in np.nonzero(~sparse & _constant_data(flat))[0]:
+    for i in np.nonzero(~sparse & _constant_data(flat)[:n_train])[0]:
         emit(
-            f"subject {flat.subject_ids[i]!r}: measurements are constant across "
+            f"subject {train_ids[i]!r}: measurements are constant across "
             f"visits; its progression rate collapses toward zero (kept finite "
             f"by the log-alpha bound)"
         )
-    x0 = _subject_matrix(flat, state.subjects)
+    x0 = _subject_matrix(train_ids, state.subjects)
     # Optimize (log alpha, score at the subject's mean age) instead of
     # (log alpha, onset): per-subject centered times make the offset the
     # quantity the score box constrains.
     alpha0 = np.exp(x0[:, 0])
-    x0[:, 1] = alpha0 * flat.mean_age + x0[:, 1]
+    x0[:, 1] = alpha0 * flat.mean_age[:n_train] + x0[:, 1]
     try:
-        x, _, at_bound = _solve_subjects(
+        x, obj, at_bound = _solve_subjects(
             state.curves, state.sigma, flat, config.loss_kind,
             config.inner_solver_tol, config.inner_max_steps, x0,
         )
     except SolverError as exc:
-        raise _subject_fit_error("subject step", iteration, flat, exc) from exc
+        validation = exc.subject is not None and exc.subject >= n_train
+        phase = "validation re-estimation" if validation else "subject step"
+        who = "" if exc.subject is None else f", subject {flat.subject_ids[exc.subject]!r}"
+        raise FitError(f"{phase}, iteration {iteration}{who}: {exc}") from exc
     if trace is not None:
-        for i in np.nonzero(at_bound)[0]:
+        for i in np.nonzero(at_bound[:n_train])[0]:
             message = (
-                f"subject {flat.subject_ids[i]!r}: progression rate pinned at "
+                f"subject {train_ids[i]!r}: progression rate pinned at "
                 f"the log-alpha bound"
             )
             if message not in trace.warnings:
                 trace.warnings.append(message)
-    for i, sid in enumerate(flat.subject_ids):
+    for i, sid in enumerate(train_ids):
         if x[i, 0] == x0[i, 0] and x[i, 1] == x0[i, 1]:
             continue  # unchanged rows keep their exact previous parameters
         alpha = float(np.exp(x[i, 0]))
         beta = float(x[i, 1] - alpha * flat.mean_age[i])
         state.subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
-
-
-def _subject_fit_error(phase: str, iteration: int, flat: _Flat, exc: SolverError) -> FitError:
-    who = "" if exc.subject is None else f", subject {flat.subject_ids[exc.subject]!r}"
-    return FitError(f"{phase}, iteration {iteration}{who}: {exc}")
+    return obj[n_train:]
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +461,11 @@ def fit(
 
     Alternates the biomarker and subject steps for ``l_max`` iterations,
     evaluating a validation loss after each one by re-estimating the
-    validation subjects' timelines against the current curves.  The
-    returned model is the snapshot from the iteration in
+    validation subjects' timelines against the current curves.  That
+    re-estimation shares the subject step's batched solve, in which the
+    validation subjects start cold every iteration and the training
+    subjects start warm; the two cohorts must declare the same biomarkers.
+    The returned model is the snapshot from the iteration in
     ``[l_min, l_max]`` with the lowest validation loss (earliest on ties),
     standardized to the training cohort's cognitively normal visits when
     any exist.  One progress line per iteration goes to standard error when
@@ -445,6 +477,11 @@ def fit(
         raise FitError("training cohort has no measurements")
     if flat_valid.y.size == 0:
         raise FitError("validation cohort has no measurements")
+    if flat_valid.biomarker_names != flat_train.biomarker_names:
+        raise FitError(
+            f"validation cohort declares biomarkers {flat_valid.biomarker_names}, "
+            f"training cohort {flat_train.biomarker_names}"
+        )
 
     # Optimize in a mean-centered time frame.  Scores are an affine map of
     # age, so this only reparameterizes the starting point; it keeps the
@@ -455,6 +492,9 @@ def fit(
     flat_train.mean_age = flat_train.mean_age - t_shift
     flat_valid.t = flat_valid.t - t_shift
     flat_valid.mean_age = flat_valid.mean_age - t_shift
+    # Training subjects first, so the subject step's rows of x are 0..n_train-1.
+    flat_all = _concat_flats(flat_train, flat_valid)
+    n_train = len(flat_train.subject_ids)
 
     points_per_bm = {
         name: int(flat_train.bm_bounds[i + 1] - flat_train.bm_bounds[i])
@@ -478,15 +518,8 @@ def fit(
 
     for iteration in range(1, config.l_max + 1):
         _fit_biomarker_step_flat(state, flat_train, train, config, iteration)
-        _fit_subject_step_flat(state, flat_train, config, iteration, trace)
+        valid_obj = _fit_subject_step_flat(state, flat_all, config, iteration, trace, n_train)
         e_train = _objective_flat(state, flat_train, config.loss_kind)
-        try:
-            _, valid_obj, _ = _solve_subjects(
-                state.curves, state.sigma, flat_valid, config.loss_kind,
-                config.inner_solver_tol, config.inner_max_steps,
-            )
-        except SolverError as exc:
-            raise _subject_fit_error("validation re-estimation", iteration, flat_valid, exc) from exc
         e_valid = float(valid_obj.sum())
         trace.e_train.append(e_train)
         trace.e_valid.append(e_valid)

@@ -25,6 +25,12 @@ decrease over the decrease the undamped Gauss-Newton model predicts (More
 1978, "The Levenberg-Marquardt algorithm: implementation and theory"), so
 a subject on the curve plateaus, where that model overshoots, no longer
 zigzags to ``max_steps``.
+
+The loops evaluate the loss through the unchecked kernels of
+:mod:`~dpsfit.robust_loss` (``_rho`` and the fused ``loss_terms``), not
+the public ``rho``, ``psi`` and ``weight``, whose input checks would rerun
+on every evaluation: each solver checks its residuals for finiteness once,
+where they are computed.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError
-from .robust_loss import LossKind, loss_terms, psi, rho, weight
+from .robust_loss import LossKind, _rho, loss_terms
 
 __all__ = ["RobustFitResult", "minimize_robust", "minimize_subjects"]
 
@@ -65,7 +71,7 @@ class RobustFitResult:
 
 
 def _objective(loss: LossKind, r: np.ndarray, omega: np.ndarray) -> float:
-    return float(np.dot(omega, rho(loss, r)))
+    return float(np.dot(omega, _rho(loss, r)))
 
 
 def minimize_robust(
@@ -125,8 +131,7 @@ def minimize_robust(
     n_steps = 0
     for _ in range(max_steps):
         n_steps += 1
-        psi_r = psi(loss, r)
-        wt = weight(loss, r)
+        psi_r, wt = loss_terms(loss, r)
         # d r / d x = -J / sigma
         scale = omega / sigma
         grad = -(jac.T @ (psi_r * scale))
@@ -259,7 +264,7 @@ def minimize_subjects(
         with np.errstate(over="ignore", invalid="ignore"):
             r = (y[rows] - pred) / sigma[rows]
         finite = np.isfinite(r)
-        obj_n = np.where(finite, rho(loss, np.where(finite, r, 0.0)), np.inf)
+        obj_n = np.where(finite, _rho(loss, np.where(finite, r, 0.0)), np.inf)
         obj = np.bincount(sr, weights=omega[rows] * obj_n, minlength=n_subjects)
         return obj, r, dfds, alpha
 

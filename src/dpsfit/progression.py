@@ -251,6 +251,35 @@ def _flat_from(sids: list[str], names: list[str], measurements) -> _Flat:
     )
 
 
+def _concat_flats(first: _Flat, second: _Flat) -> _Flat:
+    """The measurements of ``first`` and ``second`` as one :class:`_Flat`,
+    the subjects of ``second`` numbered after those of ``first``.
+
+    Both must list the same biomarkers.  Every subject keeps its rows in
+    their order, so a per-subject sum over the result adds the same terms
+    in the same order as over the subject's own :class:`_Flat`.
+    """
+    order = np.argsort(np.concatenate([first.bm, second.bm]), kind="stable")
+
+    def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([a, b])[order]
+
+    bm = rows(first.bm, second.bm)
+    return _Flat(
+        subject_ids=first.subject_ids + second.subject_ids,
+        biomarker_names=first.biomarker_names,
+        t=rows(first.t, second.t),
+        y=rows(first.y, second.y),
+        sub=rows(first.sub, second.sub + len(first.subject_ids)),
+        bm=bm,
+        bm_bounds=np.searchsorted(bm, np.arange(len(first.biomarker_names) + 1)),
+        omega=rows(first.omega, second.omega),
+        n_points=np.concatenate([first.n_points, second.n_points]),
+        mean_age=np.concatenate([first.mean_age, second.mean_age]),
+        age_span=np.concatenate([first.age_span, second.age_span]),
+    )
+
+
 def _sigma_per_measurement(flat: _Flat, sigma: Mapping[str, float]) -> np.ndarray:
     return np.array([sigma[n] for n in flat.biomarker_names])[flat.bm]
 
@@ -297,16 +326,20 @@ def _solve_subjects(
     """Fit every subject of ``flat`` against fixed curves in one batch.
 
     Works in each subject's mean-centered time frame, where the parameters
-    are ``(log alpha, score at the mean age)``.  ``x0`` warm-starts the
-    solve; without it every subject starts cold at unit rate with its mean
-    age on the median inflection.  Subjects with fewer than 2 points stay
-    at their start.  Returns ``(x, objective, at_bound)`` as
-    :func:`~dpsfit.optim.minimize_subjects` does.
+    are ``(log alpha, score at the mean age)``.  The rows of ``x0``
+    warm-start the first ``len(x0)`` subjects; the others start cold at
+    unit rate with their mean age on the median inflection.  Subjects with
+    fewer than 2 points stay at their start.  Returns ``(x, objective,
+    at_bound)`` as :func:`~dpsfit.optim.minimize_subjects` does.
     """
     curve_list = [curve_map[n] for n in flat.biomarker_names]
-    if x0 is None:
-        x0 = np.zeros((len(flat.subject_ids), 2))
-        x0[:, 1] = float(np.median([p.c for p in curve_list]))
+    start = np.zeros((len(flat.subject_ids), 2))
+    n_warm = 0
+    if x0 is not None:
+        n_warm = len(x0)
+        start[:n_warm] = x0
+    if n_warm < len(start):
+        start[n_warm:, 1] = float(np.median([p.c for p in curve_list]))
     tc = flat.t - flat.mean_age[flat.sub]
     offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat, tc)
     table = curves.CurveArrays.stack(curve_list)
@@ -316,7 +349,7 @@ def _solve_subjects(
 
     return minimize_subjects(
         eval_fn,
-        x0,
+        start,
         t=tc,
         y=flat.y,
         sub=flat.sub,

@@ -73,20 +73,7 @@ def rho(kind: LossKind, r):
     """Scaled loss ``tau^2 rho_base(r / tau)`` at residual(s) ``r``."""
     kind = LossKind(kind)
     arr, scalar = _as_array(r)
-    tau = kind.tau
-    u = arr / tau
-    if kind is LossKind.L2:
-        base = u * u
-    elif kind is LossKind.L1L2:
-        base = 2.0 * (np.sqrt(1.0 + u * u) - 1.0)
-    elif kind is LossKind.LOGISTIC:
-        base = _logcosh(u)
-    elif kind is LossKind.MODIFIED_HUBER:
-        au = np.abs(u)
-        base = np.where(au <= _HALF_PI, 1.0 - np.cos(au), au + 1.0 - _HALF_PI)
-    else:  # Cauchy-Lorentz
-        base = np.log1p(u * u)
-    out = tau * tau * base
+    out = _rho(kind, arr)
     return float(out) if scalar else out
 
 
@@ -119,6 +106,25 @@ def loss_terms(kind: LossKind, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     u = r / _TAU[kind]
     return _psi(kind, r, u), _weight(kind, u)
+
+
+def _rho(kind: LossKind, r: np.ndarray) -> np.ndarray:
+    """:func:`rho` without its checks, for solver inner loops: ``kind`` must
+    already be a :class:`LossKind` and ``r`` a finite float array."""
+    tau = _TAU[kind]
+    u = r / tau
+    if kind is LossKind.L2:
+        base = u * u
+    elif kind is LossKind.L1L2:
+        base = 2.0 * (np.sqrt(1.0 + u * u) - 1.0)
+    elif kind is LossKind.LOGISTIC:
+        base = _logcosh(u)
+    elif kind is LossKind.MODIFIED_HUBER:
+        au = np.abs(u)
+        base = np.where(au <= _HALF_PI, 1.0 - np.cos(au), au + 1.0 - _HALF_PI)
+    else:  # Cauchy-Lorentz
+        base = np.log1p(u * u)
+    return tau * tau * base
 
 
 def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray) -> np.ndarray:

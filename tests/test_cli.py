@@ -145,6 +145,33 @@ def test_failed_validation_solve_names_the_subject(pipeline, tmp_path, capsys):
     assert f"validation re-estimation, iteration 1, subject {rows[0]['subject_id']!r}" in err
 
 
+def test_absurd_training_value_exits_with_two(pipeline, tmp_path, capsys):
+    with open(pipeline / "split" / "train.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0]["up"] = "1e308"
+    train = tmp_path / "train.csv"
+    with open(train, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "fit",
+            "--cohort", str(train),
+            "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+            "--valid", str(pipeline / "split" / "test.csv"),
+            "--out", str(tmp_path / "fit"),
+            "--quiet",
+        ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'up'" in err
+    assert "RuntimeWarning" not in err
+    assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+    assert not (tmp_path / "fit" / "model.json").exists()
+
+
 def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text('{"l-max": 3,')

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsfit.curves import (
+    CurveArrays,
     CurveParams,
     LogisticKind,
     dps_gradient,
     evaluate,
     inflection_point,
     param_gradient,
+    value_and_gradients,
 )
 from dpsfit.errors import DomainError
 
@@ -292,3 +294,21 @@ def test_rejects_nonfinite_scores():
             evaluate(p, bad)
         with pytest.raises(DomainError):
             dps_gradient(p, bad)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gradients_of_an_overwritten_entry_equal_those_of_curve_params(kind):
+    # The curve solver evaluates a parameter row with its free columns
+    # overwritten in place of a checked CurveParams.
+    base = make(kind, a=2.0, d=-0.5, b=0.8, c=1.0, gamma=1.0)
+    free = np.array([2.75, -0.25, 1.3, -0.7, 0.35])
+    cols = [0, 1, 2, 3, 4] if kind.has_symmetry_param else [0, 1, 2, 3]
+    row = np.array([getattr(base, n) for n in PARAM_NAMES])
+    row[cols] = free[cols]
+    entry = CurveArrays(kind, *row.tolist())
+    p = base.replace(**{PARAM_NAMES[j]: free[j] for j in cols})
+    s = np.concatenate([np.linspace(-30.0, 30.0, 241), [1e-9, -1e6, 1e6]])
+    f_entry, g_entry = value_and_gradients(entry, s)
+    f_params, g_params = value_and_gradients(p, s)
+    assert np.array_equal(f_entry, f_params)
+    assert np.array_equal(g_entry, g_params)

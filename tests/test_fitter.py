@@ -10,6 +10,7 @@ from dpsfit.cohort import (
     Visit,
 )
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
+from dpsfit import fitter
 from dpsfit.errors import FitError, InitializationError
 from dpsfit.fitter import (
     FitConfig,
@@ -419,6 +420,36 @@ def test_fit_rejects_underdetermined_cohort():
     train = Cohort(visits, {"m": BiomarkerSpec(name="m")})
     valid = Cohort([v.clone() for v in visits], dict(train.specs))
     with pytest.raises(FitError, match="degrees of freedom"):
+        fit(train, valid, FitConfig(curve_kind=VER), progress=False)
+
+
+def test_failed_training_subject_is_named_by_the_subject_step(monkeypatch):
+    # The subject step and the validation re-estimation share one solve; a
+    # training subject that fails at its start must still be reported by
+    # the subject step.  The biomarker step evaluates every training
+    # residual before that solve, so no input data gets a training subject
+    # that far: a residual scale shrunk after the biomarker step does.
+    train, valid, _ = noisy_split(n_subjects=10)
+    real_step = fitter._fit_biomarker_step_flat
+
+    def shrinking_step(state, *args):
+        real_step(state, *args)
+        state.sigma["up"] = 5e-324
+
+    monkeypatch.setattr(fitter, "_fit_biomarker_step_flat", shrinking_step)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=1)
+    first = train.subject_ids()[0]
+    with pytest.raises(FitError, match=f"^subject step, iteration 1, subject {first!r}: "):
+        fit(train, valid, config, progress=False)
+
+
+def test_fit_rejects_validation_cohort_with_other_biomarkers():
+    train, valid, _ = noisy_split(n_subjects=10)
+    visits = [v.clone() for v in valid.visits]
+    for v in visits:
+        v.values.pop("down", None)
+    valid = Cohort(visits, {"up": valid.specs["up"]})
+    with pytest.raises(FitError, match="validation cohort declares biomarkers"):
         fit(train, valid, FitConfig(curve_kind=VER), progress=False)
 
 

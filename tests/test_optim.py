@@ -65,9 +65,9 @@ def cohort_problem(seed=4):
                 n_subjects=n_subjects, w_lo=w_lo, w_hi=w_hi, frozen=frozen)
 
 
-def solve_all(P, **kwargs):
+def solve_all(P, x0=None, **kwargs):
     return minimize_subjects(
-        make_eval(P["bm"]), P["x0"], t=P["t"], y=P["y"], sub=P["sub"],
+        make_eval(P["bm"]), P["x0"] if x0 is None else x0, t=P["t"], y=P["y"], sub=P["sub"],
         sigma=P["sigma"], omega=P["omega"], n_subjects=P["n_subjects"], loss=LOSS,
         offset_bounds=(P["w_lo"], P["w_hi"]), frozen=P["frozen"], **kwargs,
     )
@@ -100,6 +100,37 @@ def test_batched_solve_matches_solving_each_subject_alone():
     g1 = -np.bincount(sub, weights=gscale * dfds, minlength=P["n_subjects"])
     g1[3] = max(g1[3], 0.0)  # pushing past the upper offset bound
     assert np.all(np.abs(np.delete(np.column_stack([g0, g1]), 6, axis=0)) < 1e-7)
+
+
+def solve_subset(P, ids, x0):
+    """Solve the subjects ``ids`` of problem ``P`` on their own."""
+    rows = np.nonzero(np.isin(P["sub"], ids))[0]
+    renumber = np.full(P["n_subjects"], -1)
+    renumber[ids] = np.arange(len(ids))
+    return minimize_subjects(
+        make_eval(P["bm"][rows]), x0, t=P["t"][rows], y=P["y"][rows],
+        sub=renumber[P["sub"][rows]], sigma=P["sigma"][rows], omega=P["omega"][rows],
+        n_subjects=len(ids), loss=LOSS, offset_bounds=(P["w_lo"][ids], P["w_hi"][ids]),
+        frozen=P["frozen"][ids],
+    )
+
+
+def test_one_call_over_two_subject_sets_matches_two_calls():
+    # The fit solves its warm-started training subjects and its cold-started
+    # validation subjects in one call, their rows interleaved by biomarker.
+    P = cohort_problem()
+    warm_ids, cold_ids = [0, 1, 2, 3], [4, 5, 6, 7]
+    partway, _, _ = solve_all(P, max_steps=2)
+    x0 = np.concatenate([partway[warm_ids], P["x0"][cold_ids]])
+    order = np.argsort(P["bm"], kind="stable")
+    merged = dict(P, **{k: P[k][order] for k in ("t", "y", "sub", "bm", "sigma", "omega")})
+    x, obj, at_bound = solve_all(merged, x0=x0)
+    assert not np.array_equal(x0[warm_ids], P["x0"][warm_ids])  # a real warm start
+    for ids in (warm_ids, cold_ids):
+        x_alone, obj_alone, at_bound_alone = solve_subset(P, ids, x0[ids])
+        assert np.array_equal(x[ids], x_alone)
+        assert np.array_equal(obj[ids], obj_alone)
+        assert np.array_equal(at_bound[ids], at_bound_alone)
 
 
 def test_objective_never_rises_across_steps():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsfit.errors import DomainError
-from dpsfit.robust_loss import LossKind, loss_terms, psi, rho, weight
+from dpsfit.robust_loss import LossKind, _rho, loss_terms, psi, rho, weight
 
 ALL_KINDS = list(LossKind)
 
@@ -186,14 +186,24 @@ def test_accepts_string_kind():
     assert psi("logistic", 0.0) == 0.0
 
 
+# Residuals on which the unchecked solver kernels must match the public
+# functions bit for bit.
+BITWISE_GRID = np.concatenate([
+    [0.0, 1e-9, -1e-9, 1e6, -1e6, 1e-300, -1e-300],
+    np.linspace(-40.0, 40.0, 801),
+    np.geomspace(1e-12, 1e5, 200),
+    -np.geomspace(1e-12, 1e5, 200),
+])
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_loss_terms_equal_psi_and_weight_bitwise(kind):
-    r = np.concatenate([
-        [0.0, 1e-9, -1e-9, 1e6, -1e6, 1e-300, -1e-300],
-        np.linspace(-40.0, 40.0, 801),
-        np.geomspace(1e-12, 1e5, 200),
-        -np.geomspace(1e-12, 1e5, 200),
-    ])
+    r = BITWISE_GRID
     psi_r, wt = loss_terms(kind, r)
     assert np.array_equal(psi_r, psi(kind, r))
     assert np.array_equal(wt, weight(kind, r))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_unchecked_rho_equals_rho_bitwise(kind):
+    assert np.array_equal(_rho(kind, BITWISE_GRID), rho(kind, BITWISE_GRID))
