@@ -291,10 +291,10 @@ def _fit_one_biomarker(
     current = state.curves[name]
     free = _free_param_names(config.curve_kind, policy)
     cols = [_PARAM_COLUMN[n] for n in free]
-    x0 = np.array([getattr(current, n) for n in free])
+    row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
+    x0 = row[cols]
     lower = np.array([_param_bounds(n, policy)[0] for n in free])
     upper = np.array([_param_bounds(n, policy)[1] for n in free])
-    row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
 
     def model_fn(x: np.ndarray):
         # The solver keeps x finite and inside the box, so the checks of
