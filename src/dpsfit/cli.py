@@ -115,8 +115,11 @@ def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: l
         fh.write("\n")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file, if one was given."""
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill the flags of the subcommand ``parser`` left unset from the JSON
+    config file, if one was given.  A key names a flag without its dashes
+    (``"l-max"`` or ``"l_max"``); its value passes the flag's type and
+    choices checks."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -128,14 +131,26 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if not isinstance(data, dict):
         raise DpsFitError(f"{path}: config file must hold a JSON object")
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        # argparse has no public lookup of an action by its option string.
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or value is None or getattr(args, action.dest, False) is not None:
+            continue  # no such flag, or one the command line set
+        try:
+            value = (action.type or str)(value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"choose from {', '.join(action.choices)}")
+        except (TypeError, ValueError) as exc:
+            raise DpsFitError(f"{path}: {key}: invalid value {data[key]!r} ({exc})") from None
+        setattr(args, action.dest, value)
 
 
 def _resolve(args, name, fallback):
     value = getattr(args, name, None)
     return fallback if value is None else value
+
+
+# Score grid of the curve tables and charts, as lo:hi:n.
+_DEFAULT_GRID = "-10:10:201"
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -405,15 +420,8 @@ def _cmd_split(args) -> int:
 
 
 def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(
-        curve_kind=LogisticKind(_resolve(args, "curve", "modified_stannard")),
-        loss_kind=LossKind(_resolve(args, "loss", "logistic")),
-        l_min=int(_resolve(args, "l_min", 10)),
-        l_max=int(_resolve(args, "l_max", 50)),
-        inner_solver_tol=float(_resolve(args, "inner_tol", 1e-8)),
-        inner_max_steps=int(_resolve(args, "inner_max_steps", 200)),
-        seed=int(_resolve(args, "seed", 0)),
-    )
+    names = (f.name for f in dataclasses.fields(FitConfig))
+    return FitConfig(**{n: getattr(args, n) for n in names if getattr(args, n) is not None})
 
 
 def _config_dict(config: FitConfig) -> dict:
@@ -452,7 +460,8 @@ def _cmd_bootstrap(args) -> int:
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
     n = int(_resolve(args, "n", 100))
-    grid = _parse_grid(_resolve(args, "grid", "-10:10:201"))
+    grid_text = _resolve(args, "grid", _DEFAULT_GRID)
+    grid = _parse_grid(grid_text)
     ensemble = run_bootstraps(cohort, config, n_bootstraps=n, progress=not args.quiet)
     os.makedirs(args.out, exist_ok=True)
     outputs = _save_ensemble(ensemble, args.out)
@@ -476,7 +485,7 @@ def _cmd_bootstrap(args) -> int:
 
     config_data = _config_dict(config)
     config_data["n_bootstraps"] = n
-    config_data["grid"] = _resolve(args, "grid", "-10:10:201")
+    config_data["grid"] = grid_text
     _write_manifest(args.out, "bootstrap", config_data, [args.cohort, args.specs], outputs)
     print(f"{len(ensemble.models)} of {n} bootstraps succeeded")
     return 0
@@ -617,7 +626,8 @@ def _cmd_report(args) -> int:
     train = _load_inputs(args)
     test = parse_cohort_csv(args.test, train.specs)
     ensemble = _load_ensemble(args.ensemble)
-    grid = _parse_grid(_resolve(args, "grid", "-10:10:201"))
+    grid_text = _resolve(args, "grid", _DEFAULT_GRID)
+    grid = _parse_grid(grid_text)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
@@ -732,7 +742,7 @@ def _cmd_report(args) -> int:
         args.out,
         "report",
         {"ensemble": args.ensemble, "compare": args.compare,
-         "grid": _resolve(args, "grid", "-10:10:201"), "svg": bool(args.svg)},
+         "grid": grid_text, "svg": bool(args.svg)},
         [args.cohort, args.test, args.specs,
          os.path.join(args.ensemble, "ensemble.json")],
         outputs,
@@ -751,6 +761,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dpsfit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dpsfit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    # The parser of each subcommand, which _apply_config_file checks against.
+    parser.commands = sub.choices
 
     def common(p: argparse.ArgumentParser, *, cohort=True, specs=True):
         if cohort:
@@ -762,11 +774,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     def fit_flags(p: argparse.ArgumentParser):
-        p.add_argument("--curve", choices=[k.value for k in LogisticKind])
-        p.add_argument("--loss", choices=[k.value for k in LossKind])
+        # Each dest names the FitConfig field the flag sets; unset flags
+        # leave that field's default.
+        p.add_argument("--curve", choices=[k.value for k in LogisticKind], dest="curve_kind")
+        p.add_argument("--loss", choices=[k.value for k in LossKind], dest="loss_kind")
         p.add_argument("--l-min", type=int, dest="l_min")
         p.add_argument("--l-max", type=int, dest="l_max")
-        p.add_argument("--inner-tol", type=float, dest="inner_tol")
+        p.add_argument("--inner-tol", type=float, dest="inner_solver_tol")
         p.add_argument("--inner-max-steps", type=int, dest="inner_max_steps")
         p.add_argument("--seed", type=int)
 
@@ -846,7 +860,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser.commands[args.command])
         return args.func(args)
     except DpsFitError as exc:
         print(f"dpsfit: error: {exc}", file=sys.stderr)

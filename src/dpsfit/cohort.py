@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 RESERVED_COLUMNS = ("subject_id", "visit_date", "age", "diagnosis", "cohort_tag", "icv")
+REPLICATE_SEPARATOR = "#"  # joins a subject id to its copy number in a bootstrap replicate
+_MIN_VISITS = 2  # measured visits that constrain a subject's rate
+_MIN_CONTROLS = 3  # control records a covariate-adjustment stratum needs
 
 # Alias merging used at parse time: early/late MCI fold into MCI, subjective
 # memory complaints and plain "normal" fold into CN, dementia into AD.
@@ -313,8 +316,8 @@ def parse_cohort_csv(
             sid = cells[col["subject_id"]].strip()
             if not sid:
                 raise ParseError(f"line {lineno}: empty subject_id")
-            if "#" in sid:
-                raise ParseError(f"line {lineno}: subject_id may not contain '#'")
+            if REPLICATE_SEPARATOR in sid:
+                raise ParseError(f"line {lineno}: subject_id may not contain {REPLICATE_SEPARATOR!r}")
             age = _parse_float(cells[col["age"]], lineno, "age")
             if age is None or age <= 0:
                 raise ParseError(f"line {lineno}: age must be a positive number")
@@ -573,8 +576,8 @@ def match_visits(cohort: Cohort, *, window_days: float = 92.0) -> Cohort:
     return Cohort(new_visits, dict(out.specs))
 
 
-def drop_sparse_subjects(cohort: Cohort, *, min_visits: int = 2) -> Cohort:
-    """Remove subjects with fewer than ``min_visits`` measured visits.
+def drop_sparse_subjects(cohort: Cohort) -> Cohort:
+    """Remove subjects with fewer than two measured visits.
 
     A visit counts when it carries at least one non-missing value; a single
     visit cannot constrain a subject's rate, however many biomarkers it
@@ -584,16 +587,11 @@ def drop_sparse_subjects(cohort: Cohort, *, min_visits: int = 2) -> Cohort:
     for v in cohort.visits:
         if v.n_present() > 0:
             counts[v.subject_id] = counts.get(v.subject_id, 0) + 1
-    keep = {sid for sid, n in counts.items() if n >= min_visits}
+    keep = {sid for sid, n in counts.items() if n >= _MIN_VISITS}
     return cohort.subset(keep)
 
 
-def ancova_residuals(
-    cohort: Cohort,
-    volumetric: list[str],
-    *,
-    min_controls: int = 3,
-) -> Cohort:
+def ancova_residuals(cohort: Cohort, volumetric: list[str]) -> Cohort:
     """Replace volumetric values by covariate-adjusted standardized residuals.
 
     For each (biomarker, cohort_tag) stratum, an ordinary least squares line
@@ -621,10 +619,10 @@ def ancova_residuals(
                         f"biomarker {name!r}, cohort {tag!r}: record without ICV"
                     )
             controls = [v for v in stratum if v.diagnosis is Diagnosis.CN]
-            if len(controls) < min_controls:
+            if len(controls) < _MIN_CONTROLS:
                 raise PreprocessingError(
                     f"biomarker {name!r}, cohort {tag!r}: "
-                    f"{len(controls)} control records, need >= {min_controls}"
+                    f"{len(controls)} control records, need >= {_MIN_CONTROLS}"
                 )
             icv_cn = np.array([v.icv for v in controls])
             val_cn = np.array([v.values[name] for v in controls])

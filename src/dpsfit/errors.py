@@ -59,15 +59,7 @@ class InitializationError(DpsFitError):
 
 
 class SolverError(DpsFitError):
-    """The inner optimizer could not evaluate or reduce its objective.
-
-    ``subject`` holds the index of the first offending subject when a
-    batched subject solve failed, and is ``None`` otherwise.
-    """
-
-    def __init__(self, message: str, subject: int | None = None) -> None:
-        super().__init__(message)
-        self.subject = subject
+    """The inner optimizer could not evaluate or reduce its objective."""
 
 
 class FitError(DpsFitError):

@@ -23,6 +23,11 @@ Each measurement contributes ``rho(residual / sigma_k) / N_i``: the
 per-biomarker scale ``sigma_k`` is frozen at the sample standard deviation
 of that biomarker's training values, and the ``1 / N_i`` weight stops
 heavily sampled subjects from dominating.
+
+Warnings about training subjects measured once or without change depend
+only on the data, so :func:`fit` emits them once, before the first
+iteration, into :attr:`FitTrace.warnings`; each subject step adds the
+training subjects whose rate it leaves on the log-alpha bound.
 """
 
 from __future__ import annotations
@@ -122,11 +127,12 @@ class FitState:
 # flat measurement arrays
 # ----------------------------------------------------------------------
 
-def _constant_data(flat: _Flat) -> np.ndarray:
-    """Per-subject flag: repeated measurements exist but none show spread.
+def _data_warnings(flat: _Flat) -> list[str]:
+    """Warnings about the subjects whose own data limit their timelines.
 
-    Biomarkers measured only once for a subject say nothing about change,
-    so they neither establish nor refute constancy.
+    A subject measured once keeps its timeline.  One whose repeated
+    measurements never change has its rate driven toward zero; biomarkers
+    measured only once for a subject neither establish nor refute that.
     """
     n_subjects = len(flat.subject_ids)
     n_bm = len(flat.biomarker_names)
@@ -137,11 +143,21 @@ def _constant_data(flat: _Flat) -> np.ndarray:
     if flat.y.size:
         np.minimum.at(vmin, key, flat.y)
         np.maximum.at(vmax, key, flat.y)
-    has_multi = np.zeros(n_subjects, dtype=bool)
-    has_multi[np.nonzero(counts >= 2)[0] // n_bm] = True
-    has_spread = np.zeros(n_subjects, dtype=bool)
-    has_spread[np.nonzero(vmax > vmin)[0] // n_bm] = True
-    return has_multi & ~has_spread
+    constant = np.zeros(n_subjects, dtype=bool)
+    constant[np.nonzero(counts >= 2)[0] // n_bm] = True
+    constant[np.nonzero(vmax > vmin)[0] // n_bm] = False
+    messages = [
+        f"subject {flat.subject_ids[i]!r} has fewer than 2 points; "
+        f"its timeline is left at its current value"
+        for i in np.nonzero(flat.n_points == 1)[0]
+    ]
+    messages += [
+        f"subject {flat.subject_ids[i]!r}: measurements are constant across "
+        f"visits; its progression rate collapses toward zero (kept finite "
+        f"by the log-alpha bound)"
+        for i in np.nonzero(constant)[0]
+    ]
+    return messages
 
 
 def _subject_matrix(sids: list[str], subjects: dict[str, SubjectParams]) -> np.ndarray:
@@ -361,6 +377,8 @@ def fit_subject_step(
 ) -> FitState:
     """Refit every subject timeline with curves held fixed."""
     flat = _flatten(cohort)
+    for message in _data_warnings(flat):
+        warnings.warn(message)
     _fit_subject_step_flat(state, flat, config, iteration)
     return state
 
@@ -370,71 +388,43 @@ def _fit_subject_step_flat(
     flat: _Flat,
     config: FitConfig,
     iteration: int,
-    trace: FitTrace | None = None,
     n_train: int | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Refit the timelines of the first ``n_train`` subjects of ``flat``
     (all of them by default), warm-started from ``state``, and estimate the
     others from a cold start in the same batched solve.
 
-    The others are validation subjects: they stay out of ``state``, and
-    their per-subject objective values are returned.
+    The others are validation subjects: they stay out of ``state``.
+    Returns their per-subject objective values, and which training
+    subjects have their rate on the log-alpha bound.
     """
     if n_train is None:
         n_train = len(flat.subject_ids)
     train_ids = flat.subject_ids[:n_train]
-    n_points = flat.n_points[:n_train]
-    sparse = n_points < 2
-
-    def emit(message: str) -> None:
-        if trace is None:
-            warnings.warn(message)
-        elif message not in trace.warnings:
-            trace.warnings.append(message)
-            warnings.warn(message)
-
-    for i in np.nonzero(sparse & (n_points > 0))[0]:
-        emit(
-            f"subject {train_ids[i]!r} has fewer than 2 points; "
-            f"its timeline is left at its current value"
-        )
-    for i in np.nonzero(~sparse & _constant_data(flat)[:n_train])[0]:
-        emit(
-            f"subject {train_ids[i]!r}: measurements are constant across "
-            f"visits; its progression rate collapses toward zero (kept finite "
-            f"by the log-alpha bound)"
-        )
     x0 = _subject_matrix(train_ids, state.subjects)
     # Optimize (log alpha, score at the subject's mean age) instead of
     # (log alpha, onset): per-subject centered times make the offset the
     # quantity the score box constrains.
     alpha0 = np.exp(x0[:, 0])
     x0[:, 1] = alpha0 * flat.mean_age[:n_train] + x0[:, 1]
-    try:
-        x, obj, at_bound = _solve_subjects(
-            state.curves, state.sigma, flat, config.loss_kind,
-            config.inner_solver_tol, config.inner_max_steps, x0,
+    x, obj, at_bound = _solve_subjects(
+        state.curves, state.sigma, flat, config.loss_kind,
+        config.inner_solver_tol, config.inner_max_steps, x0,
+    )
+    bad = np.nonzero(~np.isfinite(obj))[0]
+    if bad.size:
+        phase = "subject step" if bad[0] < n_train else "validation re-estimation"
+        raise FitError(
+            f"{phase}, iteration {iteration}, subject {flat.subject_ids[bad[0]]!r}: "
+            f"subject objective is not finite at the starting point"
         )
-    except SolverError as exc:
-        validation = exc.subject is not None and exc.subject >= n_train
-        phase = "validation re-estimation" if validation else "subject step"
-        who = "" if exc.subject is None else f", subject {flat.subject_ids[exc.subject]!r}"
-        raise FitError(f"{phase}, iteration {iteration}{who}: {exc}") from exc
-    if trace is not None:
-        for i in np.nonzero(at_bound[:n_train])[0]:
-            message = (
-                f"subject {train_ids[i]!r}: progression rate pinned at "
-                f"the log-alpha bound"
-            )
-            if message not in trace.warnings:
-                trace.warnings.append(message)
     for i, sid in enumerate(train_ids):
         if x[i, 0] == x0[i, 0] and x[i, 1] == x0[i, 1]:
             continue  # unchanged rows keep their exact previous parameters
         alpha = float(np.exp(x[i, 0]))
         beta = float(x[i, 1] - alpha * flat.mean_age[i])
         state.subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
-    return obj[n_train:]
+    return obj[n_train:], at_bound[:n_train]
 
 
 # ----------------------------------------------------------------------
@@ -513,12 +503,21 @@ def fit(
         )
 
     state = initialize(train, config)
-    trace = FitTrace()
+    trace = FitTrace(warnings=_data_warnings(flat_train))
+    for message in trace.warnings:
+        warnings.warn(message)
     best: tuple[float, int, dict, dict] | None = None
 
     for iteration in range(1, config.l_max + 1):
         _fit_biomarker_step_flat(state, flat_train, train, config, iteration)
-        valid_obj = _fit_subject_step_flat(state, flat_all, config, iteration, trace, n_train)
+        valid_obj, pinned = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
+        for i in np.nonzero(pinned)[0]:
+            message = (
+                f"subject {flat_train.subject_ids[i]!r}: progression rate pinned at "
+                f"the log-alpha bound"
+            )
+            if message not in trace.warnings:
+                trace.warnings.append(message)
         e_train = _objective_flat(state, flat_train, config.loss_kind)
         e_valid = float(valid_obj.sum())
         trace.e_train.append(e_train)

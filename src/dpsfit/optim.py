@@ -236,13 +236,10 @@ def minimize_subjects(
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
     subjects whose rate hit the log-alpha box.  Subjects marked ``frozen``
-    (or owning no measurements) are left untouched.
-
-    Raises
-    ------
-    SolverError
-        If some subject's objective is not finite at the starting point;
-        its ``subject`` attribute holds the first such subject's index.
+    (or owning no measurements) are left untouched.  So is a subject whose
+    objective is not finite at the starting point: it keeps its start and
+    its non-finite objective, which is how the caller learns of it, and
+    the other subjects are solved as if it were absent.
     """
     loss = LossKind(loss)
     x = np.array(x0, dtype=float)
@@ -270,16 +267,8 @@ def minimize_subjects(
 
     rows = np.arange(sub.size)
     obj, r, dfds, alpha = evaluate(x, rows)
-    bad = np.nonzero(~np.isfinite(obj))[0]
-    if bad.size:
-        raise SolverError(
-            "subject objective is not finite at the starting point", subject=int(bad[0])
-        )
 
-    n_points = np.bincount(sub, minlength=n_subjects)
-    done = n_points == 0
-    if frozen is not None:
-        done = done | frozen
+    done = ~movable | (np.bincount(sub, minlength=n_subjects) == 0) | ~np.isfinite(obj)
     lam = np.full(n_subjects, _LAMBDA_INIT)
 
     for _ in range(max_steps):
@@ -337,7 +326,10 @@ def minimize_subjects(
 
         cand_rows = rows[active[sr]]
         obj_cand, r_cand, dfds_cand, alpha_cand = evaluate(x_cand, cand_rows)
-        improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
+        # A subject parked at a non-finite start makes ``inf - inf`` here;
+        # it is never ``finite_step``, so the NaN decides nothing.
+        with np.errstate(invalid="ignore"):
+            improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
 
         # Gain ratio (see the docstring).  On the curve plateaus the model
         # overshoots, so a step that only just improves raises the damping

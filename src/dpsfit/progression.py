@@ -182,6 +182,9 @@ def predict_biomarkers(
 # Scores further than _SCORE_PAD exponent units past every inflection sit on
 # the curve plateaus.
 _SCORE_PAD = 8.0
+# Projected-gradient tolerance and step cap of subject estimation at inference.
+_SUBJECT_TOL = 1e-8
+_SUBJECT_MAX_STEPS = 200
 
 
 @dataclass
@@ -377,29 +380,26 @@ def estimate_subjects(
     Returns the estimates by subject id, and for every subject that cannot
     be estimated the error saying why: fewer than two usable points, no
     biomarker shared with the model, or a non-finite objective at the
-    start.  One such subject does not stop the others.
+    start.  The first two are found from the data before the solve; the
+    solve leaves a subject of the third kind at its start and reports it
+    through its objective, so one such subject does not stop the others
+    and every cohort takes exactly one solve.
     """
     return _estimate(model, cohort.subject_ids(), _measurements(cohort))
 
 
-def estimate_subject(
-    model: FittedModel,
-    records: Iterable[MeasurementRecord],
-    *,
-    tol: float = 1e-8,
-    max_steps: int = 200,
-) -> SubjectParams:
+def estimate_subject(model: FittedModel, records: Iterable[MeasurementRecord]) -> SubjectParams:
     """Estimate one new subject's ``(alpha, beta)`` from their records; see
     :func:`estimate_subjects`, whose skip reasons are raised here."""
     measurements = (("", r.biomarker, r.age, r.value) for r in records)
-    estimates, failures = _estimate(model, [""], measurements, tol, max_steps)
+    estimates, failures = _estimate(model, [""], measurements)
     if failures:
         raise failures[""]
     return estimates[""]
 
 
 def _estimate(
-    model: FittedModel, sids: list[str], measurements, tol: float = 1e-8, max_steps: int = 200
+    model: FittedModel, sids: list[str], measurements
 ) -> tuple[dict[str, SubjectParams], dict[str, DpsFitError]]:
     """:func:`estimate_subjects` over ``(subject_id, biomarker, age, value)``
     measurements of the subjects ``sids``."""
@@ -420,22 +420,19 @@ def _estimate(
             failures[sid] = InsufficientDataError(
                 f"need at least 2 measurement points, got {len(rows)}"
             )
-    while True:
-        keep = [sid for sid in sids if sid not in failures]
-        flat = _flat_from(keep, model.biomarker_names(), (m for sid in keep for m in usable[sid]))
-        try:
-            x, _, _ = _solve_subjects(
-                model.curves, model.sigma, flat, model.loss_kind, tol, max_steps
-            )
-            break
-        except SolverError as exc:
-            # Set the subject aside and solve the rest again.
-            failures[keep[exc.subject]] = exc
+    keep = [sid for sid in sids if sid not in failures]
+    flat = _flat_from(keep, model.biomarker_names(), (m for sid in keep for m in usable[sid]))
+    x, obj, _ = _solve_subjects(
+        model.curves, model.sigma, flat, model.loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS
+    )
     alpha = np.exp(x[:, 0])
     beta = x[:, 1] - alpha * flat.mean_age
-    estimates = {
-        sid: SubjectParams(alpha=float(a), beta=float(b)) for sid, a, b in zip(keep, alpha, beta)
-    }
+    estimates = {}
+    for sid, a, b, f in zip(keep, alpha, beta, obj):
+        if np.isfinite(f):
+            estimates[sid] = SubjectParams(alpha=float(a), beta=float(b))
+        else:
+            failures[sid] = SolverError("subject objective is not finite at the starting point")
     return estimates, failures
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import Cohort, Diagnosis, Visit
+from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, Visit
 from .errors import DpsFitError, EnsembleError
 from .fitter import FitConfig, FitTrace, fit
 from .progression import FittedModel
@@ -41,8 +41,6 @@ __all__ = [
     "CurveAggregate",
     "aggregate_curves",
 ]
-
-REPLICATE_SEPARATOR = "#"
 
 
 def _rng(entropy) -> np.random.Generator:

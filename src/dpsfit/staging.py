@@ -21,11 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import Cohort, Diagnosis, MeasurementRecord
+from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, MeasurementRecord
 from .curves import CurveParams
 from .errors import DomainError, DpsFitError, MappingError, StagingError
 from .progression import FittedModel, SubjectParams, _estimate
-from .resampling import REPLICATE_SEPARATOR
 
 __all__ = [
     "KdeDensity",

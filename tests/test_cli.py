@@ -190,6 +190,25 @@ def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("key, value", [("l-max", "three"), ("curve", "bogus")])
+def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({key: value}))
+    code = main([
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "fit"),
+        "--config", str(config),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"dpsfit: error: {config}: {key}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit" / "model.json").exists()
+
+
 def test_module_invocation_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(

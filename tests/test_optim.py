@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dpsfit.curves import CurveArrays, CurveParams, LogisticKind, value_and_slope
-from dpsfit.errors import SolverError
 from dpsfit.optim import minimize_subjects
 from dpsfit.robust_loss import LossKind, psi, rho, weight
 
@@ -194,14 +195,21 @@ def test_subject_past_the_offset_box_lands_on_the_bound_quickly():
     assert obj[0] <= f_clip
 
 
-def test_non_finite_start_names_the_first_bad_subject():
+def test_non_finite_start_parks_the_subject_and_solves_the_rest():
+    clean = solve_all(cohort_problem())
     P = cohort_problem()
     P["y"] = P["y"].copy()
     P["y"][P["sub"] == 4] = np.inf
     P["y"][P["sub"] == 7] = np.nan
-    with pytest.raises(SolverError) as info:
-        solve_all(P)
-    assert info.value.subject == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, obj, at_bound = solve_all(P)
+    bad = np.array([4, 7])
+    assert np.array_equal(x[bad], P["x0"][bad])
+    assert not np.any(np.isfinite(obj[bad]))
+    rest = np.setdiff1d(np.arange(P["n_subjects"]), bad)
+    for got, want in zip((x, obj, at_bound), clean):
+        assert np.array_equal(got[rest], want[rest])
 
 
 @pytest.fixture

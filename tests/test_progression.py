@@ -13,6 +13,7 @@ from dpsfit.errors import (
     SolverError,
     StandardizationError,
 )
+from dpsfit import progression
 from dpsfit.progression import (
     FittedModel,
     SubjectParams,
@@ -357,6 +358,38 @@ def test_estimate_subjects_skips_bad_subjects_and_keeps_the_rest():
         single = estimate_subject(model, records)
         assert estimates[sid].alpha == pytest.approx(single.alpha, rel=0, abs=1e-12)
         assert estimates[sid].beta == pytest.approx(single.beta, rel=0, abs=1e-12)
+
+
+def test_estimate_subjects_solves_once_around_absurd_subjects(monkeypatch):
+    model = toy_model()
+    good = [
+        relabel(records_from(model, SubjectParams(1.3, -89.0), [68.0, 70.0, 72.0]), "good"),
+        relabel(records_from(model, SubjectParams(0.9, -60.0), [65.0, 68.0, 71.0]), "other"),
+    ]
+    absurd = []
+    for sid in ("absurd1", "absurd2", "absurd3"):
+        records = relabel(records_from(model, SubjectParams(1.0, -70.0), [69.0, 71.0]), sid)
+        records[0] = MeasurementRecord(sid, 0, 69.0, records[0].biomarker, 1e308)
+        absurd.append(records)
+    clean_estimates, _ = estimate_subjects(model, cohort_of([r for g in good for r in g]))
+
+    calls = [0]
+    real = progression.minimize_subjects
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(progression, "minimize_subjects", counted)
+    cohort = cohort_of([r for g in (absurd[0], good[0], absurd[1], good[1], absurd[2]) for r in g])
+    with np.errstate(over="ignore"):
+        estimates, failures = estimate_subjects(model, cohort)
+    assert calls[0] == 1
+    assert estimates == clean_estimates
+    assert sorted(failures) == ["absurd1", "absurd2", "absurd3"]
+    for exc in failures.values():
+        assert isinstance(exc, SolverError)
+        assert str(exc) == "subject objective is not finite at the starting point"
 
 
 # ----------------------------------------------------------------------
