@@ -119,7 +119,8 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     """Fill the flags of the subcommand ``parser`` left unset from the JSON
     config file, if one was given.  A key names a flag without its dashes
     (``"l-max"`` or ``"l_max"``); its value passes the flag's type and
-    choices checks."""
+    choices checks, and a switch such as ``quiet`` takes a JSON boolean.
+    A key that names no flag of the subcommand is an error."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -133,12 +134,18 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     for key, value in data.items():
         # argparse has no public lookup of an action by its option string.
         action = parser._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None or value is None or getattr(args, action.dest, False) is not None:
-            continue  # no such flag, or one the command line set
+        if not isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction)):
+            raise DpsFitError(f"{path}: {key}: no such flag for {parser.prog}")
+        if value is None or getattr(args, action.dest) != action.default:
+            continue  # left unset, or set on the command line
         try:
-            value = (action.type or str)(value)
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"choose from {', '.join(action.choices)}")
+            if isinstance(action, argparse._StoreTrueAction):
+                if not isinstance(value, bool):
+                    raise ValueError("expected true or false")
+            else:
+                value = (action.type or str)(value)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"choose from {', '.join(action.choices)}")
         except (TypeError, ValueError) as exc:
             raise DpsFitError(f"{path}: {key}: invalid value {data[key]!r} ({exc})") from None
         setattr(args, action.dest, value)

@@ -155,7 +155,8 @@ def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np
     """
     kind = p.kind
     if kind is LogisticKind.MODIFIED_STANNARD:
-        expo = -(p.b / p.gamma) * (s - p.c)
+        rate = p.b / p.gamma
+        expo = -rate * (s - p.c)
     else:
         expo = -p.b * (s - p.c)
     w = np.exp(np.clip(expo, -_EXP_CLAMP, _EXP_CLAMP))
@@ -173,9 +174,10 @@ def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np
         q = w / (1.0 + p.gamma * w)
         dgds = p.b * q * g
     else:  # modified Stannard
-        g = np.exp(-p.gamma * np.log1p(w / p.gamma))
-        q = w / (1.0 + w / p.gamma)
-        dgds = (p.b / p.gamma) * q * g
+        w_gamma = w / p.gamma
+        g = np.exp(-p.gamma * np.log1p(w_gamma))
+        q = w / (1.0 + w_gamma)
+        dgds = rate * q * g
     return g, dgds, w, q
 
 

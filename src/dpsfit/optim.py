@@ -15,9 +15,11 @@ damping instead of aborting.
 subproblems).  :func:`minimize_subjects` solves many independent
 two-parameter ``(log alpha, beta)`` problems simultaneously with per-subject
 damping, which is how the per-subject subproblems stay cheap in pure numpy.
-Two things keep its iterations cheap: each one touches only the
-measurements of subjects that are still being solved, and a subject held
-on its box takes a projected Newton step (Bertsekas 1982, "Projected
+Two things keep its iterations cheap: it holds arrays only for the
+subjects still being solved and their measurements, grouped by subject and
+compacted as subjects finish, so an iteration's numpy calls are sized to
+the live subjects rather than the whole batch; and a subject held on its
+box takes a projected Newton step (Bertsekas 1982, "Projected
 Newton methods for optimization problems with simple constraints") in the
 free coordinate instead of creeping along the bound.  Two more keep them
 few: it steers each subject's damping by the gain ratio, the actual
@@ -182,6 +184,29 @@ def minimize_robust(
     return RobustFitResult(x, fval, n_steps, False)
 
 
+def _subject_sums(loss: LossKind, loc, n_live: int, t, sigma, omega, r, dfds, alpha):
+    """Each subject's gradient ``G`` and reweighted Gauss-Newton curvature,
+    its diagonal ``H`` and its coupling ``h01``, over the rows ``loc``
+    assigns it; ``G`` and ``H`` are coordinate-major ``(2, n_live)``.
+
+    ``np.bincount`` adds a subject's terms in row order, so the sums do not
+    depend on the other subjects' rows.  The row temporaries end with the
+    call, which keeps them out of the solver's memory peak.
+    """
+    psi_n, wt_n = loss_terms(loss, r)
+    da = dfds * alpha * t  # d prediction / d log alpha
+    gscale = omega * psi_n / sigma
+    hscale = omega * wt_n / (sigma * sigma)
+    hda = hscale * da
+
+    def total(weights):
+        return np.bincount(loc, weights=weights, minlength=n_live)
+
+    G = -np.array([total(gscale * da), total(gscale * dfds)])
+    H = np.array([total(hda * da), total(hscale * dfds * dfds)])
+    return G, H, total(hda * dfds)
+
+
 def minimize_subjects(
     eval_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
@@ -205,10 +230,13 @@ def minimize_subjects(
     ``omega_n * rho((y_n - f(exp(u) t_n + w)) / sigma_n)`` to that
     subject's objective, where ``(u, w)`` is the subject's row of ``x``.
     ``eval_fn(s, rows)`` maps the scores ``s`` of the measurements with
-    sorted indices ``rows`` to ``(predictions, d prediction / d score)`` at
-    those measurements, dispatching internally over biomarkers.  Each
-    iteration evaluates only the rows of subjects still being solved, and
-    per-subject sums keep the order of a sum over every row, so the result
+    indices ``rows`` to ``(predictions, d prediction / d score)`` at those
+    measurements, dispatching internally over biomarkers.  The first call
+    passes every measurement in its given order; later calls pass only the
+    rows of subjects still being solved, grouped by subject (each
+    subject's rows in their given order), so ``eval_fn`` must work row by
+    row.  Subjects leave the solve as they finish, and every per-subject
+    sum adds its terms in the order of a sum over every row, so the result
     does not depend on which other subjects share the call.
     The meaning of ``w`` follows from the caller's ``t``: with raw ages it
     is the onset, with per-subject mean-centered ages it is the subject's
@@ -231,7 +259,10 @@ def minimize_subjects(
     predicts for the step ``d``.  Below ``_GAIN_LOW`` it raises the
     damping, above ``_GAIN_HIGH`` it lowers it, and in between the damping
     stays.  Any other accepted step lowers it, so a subject pinned at its
-    box still reaches the bound in a few steps.
+    box still reaches the bound in a few steps.  A subject finishes when
+    its projected gradient is within ``tol``, its damping passes
+    ``_LAMBDA_MAX``, or its last accepted step gained less than ``_FTOL``
+    relative.
 
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
@@ -249,120 +280,111 @@ def minimize_subjects(
     w_hi = np.broadcast_to(np.asarray(offset_bounds[1], dtype=float), (n_subjects,))
     movable = np.ones(n_subjects, dtype=bool) if frozen is None else ~np.asarray(frozen, dtype=bool)
 
-    def evaluate(params: np.ndarray, rows: np.ndarray):
-        # Per-subject sums over ``rows`` add each subject's terms in the
-        # same order as a sum over every row would.
-        sr = sub[rows]
-        alpha = np.exp(params[sr, 0])
-        s = alpha * t[rows] + params[sr, 1]
+    def evaluate(params, loc, rows, t, y, sigma, omega):
+        # ``params`` holds one column per subject and ``loc`` the column of
+        # each row.  An absurd value overflows to an infinite residual,
+        # which the objective reports; no warning is needed on the way.
+        alpha = np.exp(params[0][loc])
+        s = alpha * t + params[1][loc]
         pred, dfds = eval_fn(s, rows)
-        # An absurd value overflows to an infinite residual, which the
-        # objective reports; no warning is needed on the way.
         with np.errstate(over="ignore", invalid="ignore"):
-            r = (y[rows] - pred) / sigma[rows]
+            r = (y - pred) / sigma
         finite = np.isfinite(r)
         obj_n = np.where(finite, _rho(loss, np.where(finite, r, 0.0)), np.inf)
-        obj = np.bincount(sr, weights=omega[rows] * obj_n, minlength=n_subjects)
+        obj = np.bincount(loc, weights=omega * obj_n, minlength=params.shape[1])
         return obj, r, dfds, alpha
 
-    rows = np.arange(sub.size)
-    obj, r, dfds, alpha = evaluate(x, rows)
+    obj, r, dfds, alpha = evaluate(x.T, sub, np.arange(sub.size), t, y, sigma, omega)
 
-    done = ~movable | (np.bincount(sub, minlength=n_subjects) == 0) | ~np.isfinite(obj)
-    lam = np.full(n_subjects, _LAMBDA_INIT)
+    # The state of the live subjects, the ones still being solved: one
+    # column per subject (coordinate-major, so one expression covers both
+    # coordinates) and one entry per row of theirs, grouped by subject.
+    # A live subject's objective is finite, so its residuals are too: a
+    # non-finite one would make its term infinite or NaN.
+    live = movable & (np.bincount(sub, minlength=n_subjects) > 0) & np.isfinite(obj)
+    ids = np.flatnonzero(live)
+    rows = np.flatnonzero(live[sub])
+    rows = rows[np.argsort(sub[rows], kind="stable")]
+    loc = (live.cumsum() - 1)[sub[rows]]
+    t, y, sigma, omega, r, dfds, alpha = (v[rows] for v in (t, y, sigma, omega, r, dfds, alpha))
+    X = x[ids].T
+    lower = np.stack([la_lo, w_lo])[:, ids]
+    upper = np.stack([la_hi, w_hi])[:, ids]
+    F = obj[ids]
+    lam = np.full(ids.size, _LAMBDA_INIT)
+    converged = np.zeros(ids.size, dtype=bool)  # last step gained below _FTOL
 
     for _ in range(max_steps):
-        # Only rows of subjects still being solved take part below; ``r``,
-        # ``dfds`` and ``alpha`` stay full length and are updated in place.
-        rows = rows[~done[sub[rows]]]
-        sr = sub[rows]
-        r_l = r[rows]
-        finite_r = np.where(np.isfinite(r_l), r_l, 0.0)
-        psi_n, wt_n = loss_terms(loss, finite_r)
-        db = dfds[rows]
-        da = db * alpha[rows] * t[rows]  # d prediction / d log alpha
-        gscale = omega[rows] * psi_n / sigma[rows]
-        g0 = -np.bincount(sr, weights=gscale * da, minlength=n_subjects)
-        g1 = -np.bincount(sr, weights=gscale * db, minlength=n_subjects)
-        hscale = omega[rows] * wt_n / (sigma[rows] * sigma[rows])
-        h00 = np.bincount(sr, weights=hscale * da * da, minlength=n_subjects)
-        h01 = np.bincount(sr, weights=hscale * da * db, minlength=n_subjects)
-        h11 = np.bincount(sr, weights=hscale * db * db, minlength=n_subjects)
-
+        G, H, h01 = _subject_sums(loss, loc, ids.size, t, sigma, omega, r, dfds, alpha)
         # A coordinate on its bound with the gradient pushing outward is
         # pinned: it leaves the projected gradient and the Newton system.
-        pin0 = ((x[:, 0] <= la_lo) & (g0 > 0)) | ((x[:, 0] >= la_hi) & (g0 < 0))
-        pin1 = ((x[:, 1] <= w_lo) & (g1 > 0)) | ((x[:, 1] >= w_hi) & (g1 < 0))
-        g0p = np.where(pin0, 0.0, g0)
-        g1p = np.where(pin1, 0.0, g1)
-        gnorm = np.maximum(np.abs(g0p), np.abs(g1p))
-        done = done | (gnorm <= tol) | (lam > _LAMBDA_MAX)
-        active = ~done
-        if not np.any(active):
+        pinned = ((X <= lower) & (G > 0)) | ((X >= upper) & (G < 0))
+        GP = np.where(pinned, 0.0, G)
+        finished = (np.abs(GP).max(axis=0) <= tol) | (lam > _LAMBDA_MAX) | converged
+        if finished.any():
+            x[ids[finished]] = X[:, finished].T
+            obj[ids[finished]] = F[finished]
+            keep = ~finished
+            ids, F, lam, h01, X, lower, upper, G, H, pinned, GP = (
+                v.compress(keep, axis=-1)
+                for v in (ids, F, lam, h01, X, lower, upper, G, H, pinned, GP)
+            )
+            kept = np.flatnonzero(keep[loc])
+            loc = (keep.cumsum() - 1)[loc[kept]]
+            rows, t, y, sigma, omega, r, dfds, alpha = (
+                v[kept] for v in (rows, t, y, sigma, omega, r, dfds, alpha)
+            )
+        if not ids.size:
             break
 
         # Same damping floor logic as the dense solver: flat directions
         # borrow the dominant curvature scale instead of staying free.
-        floor = np.maximum(1e-6 * np.maximum(h00, h11), 1e-12)
-        a00 = h00 + lam * np.maximum(h00, floor)
-        a11 = h11 + lam * np.maximum(h11, floor)
+        floor = np.maximum(1e-6 * np.maximum(H[0], H[1]), 1e-12)
+        AD = H + lam * np.maximum(H, floor)
         # Projected Newton step (Bertsekas 1982): without its coupling a
         # pinned coordinate stays put and the free one takes the 1-D damped
         # step -g / a.  Clipping the coupled step instead creeps along the
         # bound for many steps.
-        h01 = np.where(pin0 | pin1, 0.0, h01)
-        det = a00 * a11 - h01 * h01
-        solvable = active & np.isfinite(det) & (det > 1e-300)
-        p0 = np.zeros(n_subjects)
-        p1 = np.zeros(n_subjects)
-        p0[solvable] = (-g0p[solvable] * a11[solvable] + h01[solvable] * g1p[solvable]) / det[solvable]
-        p1[solvable] = (-g1p[solvable] * a00[solvable] + h01[solvable] * g0p[solvable]) / det[solvable]
+        free = ~(pinned[0] | pinned[1])
+        h01 = np.where(free, h01, 0.0)
+        det = AD[0] * AD[1] - h01 * h01
+        solvable = np.isfinite(det) & (det > 1e-300)
+        # An unsolvable subject's step is never taken: it is evaluated
+        # where it stands and cannot improve.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (-GP * AD[::-1] + h01 * GP[::-1]) / np.where(solvable, det, 1.0)
+            X_step = X + step
+            X_cand = np.where(solvable, np.clip(X_step, lower, upper), X)
+        finite_step = solvable & np.isfinite(X_cand).all(axis=0)
+        clipped = (X_cand != X_step).any(axis=0)
 
-        x_cand = x.copy()
-        x_cand[solvable, 0] = np.clip(x[solvable, 0] + p0[solvable], la_lo[solvable], la_hi[solvable])
-        x_cand[solvable, 1] = np.clip(x[solvable, 1] + p1[solvable], w_lo[solvable], w_hi[solvable])
-        finite_step = solvable & np.all(np.isfinite(x_cand), axis=1)
-        clipped = (x_cand[:, 0] != x[:, 0] + p0) | (x_cand[:, 1] != x[:, 1] + p1)
-
-        cand_rows = rows[active[sr]]
-        obj_cand, r_cand, dfds_cand, alpha_cand = evaluate(x_cand, cand_rows)
-        # A subject parked at a non-finite start makes ``inf - inf`` here;
-        # it is never ``finite_step``, so the NaN decides nothing.
-        with np.errstate(invalid="ignore"):
-            improved = finite_step & (obj_cand < obj - 1e-15 * (1.0 + np.abs(obj)))
+        F_cand, r_cand, dfds_cand, alpha_cand = evaluate(X_cand, loc, rows, t, y, sigma, omega)
+        improved = finite_step & (F_cand < F - 1e-15 * (1.0 + np.abs(F)))
+        actual = F - F_cand
 
         # Gain ratio (see the docstring).  On the curve plateaus the model
         # overshoots, so a step that only just improves raises the damping
         # instead of zigzagging on with every step accepted.
-        new_lam = np.maximum(lam * _LAMBDA_DOWN, 1e-7)
-        steered = np.nonzero(improved & ~clipped & ~pin0 & ~pin1)[0]
-        d0 = x_cand[steered, 0] - x[steered, 0]
-        d1 = x_cand[steered, 1] - x[steered, 1]
-        predicted = -(g0[steered] * d0 + g1[steered] * d1) - 0.5 * (
-            h00[steered] * d0 * d0 + 2.0 * h01[steered] * d0 * d1 + h11[steered] * d1 * d1
-        )
-        actual = obj[steered] - obj_cand[steered]
-        new_lam[steered] = np.where(
-            actual < _GAIN_LOW * predicted,
-            lam[steered] * _LAMBDA_UP,
-            np.where(actual > _GAIN_HIGH * predicted, new_lam[steered], lam[steered]),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = X_cand - X
+            GD = G * D
+            HDD = H * D * D
+            predicted = -(GD[0] + GD[1]) - 0.5 * (HDD[0] + 2.0 * h01 * D[0] * D[1] + HDD[1])
+        up = lam * _LAMBDA_UP
+        down = np.maximum(lam * _LAMBDA_DOWN, 1e-7)
+        gain = np.where(actual < _GAIN_LOW * predicted, up,
+                        np.where(actual > _GAIN_HIGH * predicted, down, lam))
+        lam = np.where(improved, np.where(free & ~clipped, gain, down), up)
+        converged = improved & (actual <= _FTOL * np.maximum(1.0, np.abs(F)))
 
-        x[improved] = x_cand[improved]
-        lam[improved] = new_lam[improved]
-        done = done | (improved & (obj - obj_cand <= _FTOL * np.maximum(1.0, np.abs(obj))))
-        rejected = active & ~improved
-        lam[rejected] *= _LAMBDA_UP
+        X = np.where(improved, X_cand, X)
+        F = np.where(improved, F_cand, F)
+        moved = improved[loc]
+        r = np.where(moved, r_cand, r)
+        dfds = np.where(moved, dfds_cand, dfds)
+        alpha = np.where(moved, alpha_cand, alpha)
 
-        if np.any(improved):
-            keep = improved[sub[cand_rows]]
-            moved = cand_rows[keep]
-            r[moved] = r_cand[keep]
-            dfds[moved] = dfds_cand[keep]
-            alpha[moved] = alpha_cand[keep]
-            obj[improved] = obj_cand[improved]
-        if not np.any(improved) and np.all(lam[active] > _LAMBDA_MAX):
-            break
-
+    x[ids] = X.T
+    obj[ids] = F
     at_bound = movable & ((x[:, 0] <= la_lo) | (x[:, 0] >= la_hi))
     return x, obj, at_bound

@@ -105,7 +105,9 @@ def loss_terms(kind: LossKind, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`weight`, bit for bit.
     """
     u = r / _TAU[kind]
-    return _psi(kind, r, u), _weight(kind, u)
+    # The logistic psi and weight share tanh(u); compute it once.
+    tanh_u = np.tanh(u) if kind is LossKind.LOGISTIC else None
+    return _psi(kind, r, u, tanh_u), _weight(kind, u, tanh_u)
 
 
 def _rho(kind: LossKind, r: np.ndarray) -> np.ndarray:
@@ -127,15 +129,16 @@ def _rho(kind: LossKind, r: np.ndarray) -> np.ndarray:
     return tau * tau * base
 
 
-def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`psi` of residuals ``r`` whose scaled values are ``u``."""
+def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
+    """:func:`psi` of residuals ``r`` whose scaled values are ``u``; the
+    logistic kind takes ``tanh(u)`` from ``tanh_u`` when given."""
     tau = _TAU[kind]
     if kind is LossKind.L2:
         return 2.0 * r
     if kind is LossKind.L1L2:
         return 2.0 * r / np.sqrt(1.0 + u * u)
     if kind is LossKind.LOGISTIC:
-        return tau * np.tanh(u)
+        return tau * (np.tanh(u) if tanh_u is None else tanh_u)
     if kind is LossKind.MODIFIED_HUBER:
         # The sine branch saturates into a constant-magnitude tail at
         # |u| = pi/2, where both branches equal tau * sign(u).
@@ -144,16 +147,20 @@ def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 2.0 * r / (1.0 + u * u)
 
 
-def _weight(kind: LossKind, u: np.ndarray) -> np.ndarray:
-    """:func:`weight` at scaled residuals ``u``."""
+def _weight(kind: LossKind, u: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
+    """:func:`weight` at scaled residuals ``u``; the logistic kind takes
+    ``tanh(u)`` from ``tanh_u`` when given."""
     if kind is LossKind.L2:
         return np.full_like(u, 2.0)
     if kind is LossKind.L1L2:
         return 2.0 / np.sqrt(1.0 + u * u)
     if kind is LossKind.LOGISTIC:
+        if tanh_u is None:
+            tanh_u = np.tanh(u)
+        # Where u is not small, safe is u; elsewhere the quotient is unused.
         small = np.abs(u) < 1e-8
         safe = np.where(small, 1.0, u)
-        return np.where(small, 1.0 - u * u / 3.0, np.tanh(safe) / safe)
+        return np.where(small, 1.0 - u * u / 3.0, tanh_u / safe)
     if kind is LossKind.MODIFIED_HUBER:
         au = np.abs(u)
         small = au < 1e-8

@@ -209,6 +209,57 @@ def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value)
     assert not (tmp_path / "fit" / "model.json").exists()
 
 
+def test_unknown_config_key_exits_with_two(pipeline, tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"tset-fraction": 0.5}))
+    code = main([
+        "split",
+        "--cohort", str(pipeline / "sim" / "cohort.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "split"),
+        "--config", str(config),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"dpsfit: error: {config}: tset-fraction: " in err
+    assert not (tmp_path / "split").exists()
+
+
+def test_config_file_sets_quiet(pipeline, tmp_path, capsys):
+    config = tmp_path / "quiet.json"
+    config.write_text(json.dumps({"quiet": True, "l-max": 1, "l-min": 1}))
+    assert main([
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "fit"),
+        "--config", str(config),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "iter " not in captured.err
+    assert "selected iteration 1 of 1" in captured.out
+
+
+def test_config_file_sets_svg(pipeline, tmp_path, capsys):
+    config = tmp_path / "svg.json"
+    argv = [
+        "report",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--test", str(pipeline / "split" / "test.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--ensemble", str(pipeline / "ens"),
+        "--out", str(tmp_path / "rep"),
+        "--config", str(config),
+    ]
+    config.write_text(json.dumps({"svg": "yes", "quiet": True}))
+    assert main(argv) == 2  # a switch takes a JSON boolean only
+    assert f"dpsfit: error: {config}: svg: " in capsys.readouterr().err
+    config.write_text(json.dumps({"svg": True, "quiet": True}))
+    assert main(argv) == 0
+    assert (tmp_path / "rep" / "trajectories.svg").exists()
+    assert read_manifest(tmp_path / "rep")["config"]["svg"] is True
+
+
 def test_module_invocation_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(

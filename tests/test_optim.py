@@ -15,12 +15,15 @@ CURVES = (
 )
 
 
-def make_eval(bm, counter=None):
-    """``eval_fn(s, rows)`` over measurements whose curve index is ``bm``."""
+def make_eval(bm, counter=None, seen=None):
+    """``eval_fn(s, rows)`` over measurements whose curve index is ``bm``;
+    ``counter[0]`` counts its calls and ``seen`` collects their ``rows``."""
 
     def eval_fn(s, rows):
         if counter is not None:
             counter[0] += 1
+        if seen is not None:
+            seen.append(rows.copy())
         bm_rows = bm[rows]
         pred = np.empty_like(s)
         dfds = np.empty_like(s)
@@ -66,9 +69,9 @@ def cohort_problem(seed=4):
                 n_subjects=n_subjects, w_lo=w_lo, w_hi=w_hi, frozen=frozen)
 
 
-def solve_all(P, x0=None, **kwargs):
+def solve_all(P, x0=None, seen=None, **kwargs):
     return minimize_subjects(
-        make_eval(P["bm"]), P["x0"] if x0 is None else x0, t=P["t"], y=P["y"], sub=P["sub"],
+        make_eval(P["bm"], seen=seen), P["x0"] if x0 is None else x0, t=P["t"], y=P["y"], sub=P["sub"],
         sigma=P["sigma"], omega=P["omega"], n_subjects=P["n_subjects"], loss=LOSS,
         offset_bounds=(P["w_lo"], P["w_hi"]), frozen=P["frozen"], **kwargs,
     )
@@ -103,17 +106,65 @@ def test_batched_solve_matches_solving_each_subject_alone():
     assert np.all(np.abs(np.delete(np.column_stack([g0, g1]), 6, axis=0)) < 1e-7)
 
 
-def solve_subset(P, ids, x0):
+def solve_subset(P, ids, x0, counter=None, **kwargs):
     """Solve the subjects ``ids`` of problem ``P`` on their own."""
     rows = np.nonzero(np.isin(P["sub"], ids))[0]
     renumber = np.full(P["n_subjects"], -1)
     renumber[ids] = np.arange(len(ids))
     return minimize_subjects(
-        make_eval(P["bm"][rows]), x0, t=P["t"][rows], y=P["y"][rows],
+        make_eval(P["bm"][rows], counter), x0, t=P["t"][rows], y=P["y"][rows],
         sub=renumber[P["sub"][rows]], sigma=P["sigma"][rows], omega=P["omega"][rows],
         n_subjects=len(ids), loss=LOSS, offset_bounds=(P["w_lo"][ids], P["w_hi"][ids]),
-        frozen=P["frozen"][ids],
+        frozen=P["frozen"][ids], **kwargs,
     )
+
+
+# A rate box that pins five subjects of ``cohort_problem``, and a step cap
+# that one of them runs to while the others finish after 0 to 21 steps.
+STAGGERED = dict(log_alpha_bounds=(-0.3, 0.3), max_steps=23)
+
+
+def evaluations_alone(P):
+    """How many ``eval_fn`` calls each subject of ``P`` takes on its own."""
+    counts = []
+    for i in range(P["n_subjects"]):
+        calls = [0]
+        solve_subset(P, [i], P["x0"][[i]], calls, **STAGGERED)
+        counts.append(calls[0])
+    return np.array(counts)
+
+
+def test_subjects_finishing_far_apart_match_solving_each_alone():
+    P = cohort_problem()
+    x, obj, at_bound = solve_all(P, **STAGGERED)
+    evals = evaluations_alone(P)
+    assert evals.max() == STAGGERED["max_steps"] + 1  # one subject runs to the cap
+    assert np.count_nonzero(evals[evals > 1] <= 10) >= 3
+    assert at_bound.any() and not at_bound[P["frozen"] == 0].all()
+    for i in range(P["n_subjects"]):
+        xi, obji, at_bound_i = solve_subset(P, [i], P["x0"][[i]], **STAGGERED)
+        assert x[i].tobytes() == xi[0].tobytes(), i
+        assert obj[i].tobytes() == obji[0].tobytes(), i
+        assert at_bound[i] == at_bound_i[0], i
+
+
+def test_each_evaluation_covers_only_the_live_subjects():
+    P = cohort_problem()
+    evals = evaluations_alone(P)
+    # Interleave the subjects' rows, as the fit's biomarker-major rows do.
+    order = np.argsort(P["bm"], kind="stable")
+    P = dict(P, **{k: P[k][order] for k in ("t", "y", "sub", "bm", "sigma", "omega")})
+    seen = []
+    solve_all(P, seen=seen, **STAGGERED)
+    assert len(seen) == evals.max()
+    assert np.array_equal(seen[0], np.arange(P["sub"].size))
+    for call in range(1, len(seen)):
+        # Subject i takes part in its first evals[i] calls, as it would
+        # alone; its rows come grouped, in their given order.
+        live = np.flatnonzero(evals > call)
+        expected = np.concatenate([np.flatnonzero(P["sub"] == i) for i in live])
+        assert np.array_equal(seen[call], expected), call
+        assert seen[call].size <= seen[call - 1].size
 
 
 def test_one_call_over_two_subject_sets_matches_two_calls():
