@@ -154,12 +154,14 @@ def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np
     Products are ordered so that extreme ``w`` never meets an infinity.
     """
     kind = p.kind
+    # ``w`` first holds the exponent, so that no dead temporary adds to
+    # the peak memory of a call over many points.
     if kind is LogisticKind.MODIFIED_STANNARD:
         rate = p.b / p.gamma
-        expo = -rate * (s - p.c)
+        w = -rate * (s - p.c)
     else:
-        expo = -p.b * (s - p.c)
-    w = np.exp(np.clip(expo, -_EXP_CLAMP, _EXP_CLAMP))
+        w = -p.b * (s - p.c)
+    w = np.exp(np.clip(w, -_EXP_CLAMP, _EXP_CLAMP))
 
     if kind is LogisticKind.VERHULST:
         g = 1.0 / (1.0 + w)
