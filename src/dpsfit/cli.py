@@ -110,9 +110,7 @@ def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: l
             "platform": f"{host.system}-{host.release}-{host.machine}",
         },
     }
-    with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "run_manifest.json"), manifest)
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -142,6 +140,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             if isinstance(action, argparse._StoreTrueAction):
                 if not isinstance(value, bool):
                     raise ValueError("expected true or false")
+            elif isinstance(value, bool):
+                # int(True) is 1: a boolean must not pass for a number.
+                raise ValueError("expected a value, not true or false")
             else:
                 value = (action.type or str)(value)
                 if action.choices is not None and value not in action.choices:
@@ -793,9 +794,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort")
     p.add_argument("--spec", required=True, help="simulation spec JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file with defaults for unset flags")
-    p.add_argument("--quiet", action="store_true")
+    common(p, cohort=False, specs=False)
     p.add_argument("--outlier-fraction", type=float, dest="outlier_fraction")
     p.add_argument("--outlier-magnitude", type=float, dest="outlier_magnitude")
     p.set_defaults(func=_cmd_simulate)
@@ -843,9 +842,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("order", help="summarize biomarker ordering")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file with defaults for unset flags")
-    p.add_argument("--quiet", action="store_true")
+    common(p, cohort=False, specs=False)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("report", help="metrics and plot data for an ensemble")

@@ -17,7 +17,10 @@ re-estimated from scratch against each iteration's curves so their scores
 never leak into training.  The subject step and that re-estimation share
 one batched solve per iteration: training subjects start warm from their
 current timelines, validation subjects still start cold, and no subject's
-result depends on the others in the batch.
+result depends on the others in the batch.  That solve returns every
+subject's objective at its solution; their training and validation sums
+are the iteration's ``E_train`` and ``E_valid``, so no curve is evaluated
+again to report them.
 
 Each measurement contributes ``rho(residual / sigma_k) / N_i``: the
 per-biomarker scale ``sigma_k`` is frozen at the sample standard deviation
@@ -52,13 +55,13 @@ from .progression import (
     _concat_flats,
     _Flat,
     _flatten,
+    _free_params,
     _sigma_per_measurement,
     _solve_subjects,
-    degrees_of_freedom,
     param_count,
     standardize,
 )
-from .robust_loss import LossKind
+from .robust_loss import LossKind, rho
 
 __all__ = [
     "FitConfig",
@@ -249,28 +252,15 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
 # objective and alternation steps
 # ----------------------------------------------------------------------
 
-def _objective_flat(state: FitState, flat: _Flat, loss: LossKind) -> float:
-    from .robust_loss import rho
-
+def objective(state: FitState, cohort: Cohort, loss: LossKind) -> float:
+    """Robust training objective of a parameter state on a cohort."""
+    flat = _flatten(cohort)
     x = _subject_matrix(flat.subject_ids, state.subjects)
     s = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
     table = curves_mod.CurveArrays.stack([state.curves[n] for n in flat.biomarker_names])
     pred, _ = _eval_flat(table, flat, s, np.arange(s.size))
     r = (flat.y - pred) / _sigma_per_measurement(flat, state.sigma)
     return float(np.dot(flat.omega, rho(loss, r)))
-
-
-def objective(state: FitState, cohort: Cohort, loss: LossKind) -> float:
-    """Robust training objective of a parameter state on a cohort."""
-    return _objective_flat(state, _flatten(cohort), loss)
-
-
-def _free_param_names(kind: LogisticKind, policy: ConstraintPolicy) -> list[str]:
-    names = [] if policy is ConstraintPolicy.FIXED_RANGE else ["a", "d"]
-    names += ["b", "c"]
-    if kind.has_symmetry_param:
-        names.append("gamma")
-    return names
 
 
 _PARAM_COLUMN = {name: i for i, name in enumerate(curves_mod.PARAM_NAMES)}
@@ -285,58 +275,6 @@ def _param_bounds(name: str, policy: ConstraintPolicy) -> tuple[float, float]:
     if name == "c":
         return (-np.inf, np.inf)
     return _GAMMA_BOUNDS
-
-
-def _fit_one_biomarker(
-    name: str,
-    state: FitState,
-    flat: _Flat,
-    policy: ConstraintPolicy,
-    config: FitConfig,
-    s_all: np.ndarray,
-    iteration: int,
-) -> CurveParams:
-    k = flat.biomarker_names.index(name)
-    lo, hi = flat.bm_bounds[k], flat.bm_bounds[k + 1]
-    if hi == lo:
-        return state.curves[name]
-    idx = slice(lo, hi)
-    s = s_all[idx]
-    y = flat.y[idx]
-    omega = flat.omega[idx]
-    current = state.curves[name]
-    free = _free_param_names(config.curve_kind, policy)
-    cols = [_PARAM_COLUMN[n] for n in free]
-    row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
-    x0 = row[cols]
-    lower = np.array([_param_bounds(n, policy)[0] for n in free])
-    upper = np.array([_param_bounds(n, policy)[1] for n in free])
-
-    def model_fn(x: np.ndarray):
-        # The solver keeps x finite and inside the box, so the checks of
-        # CurveParams.replace would only cost time: evaluate the current
-        # curve's entry with its free columns overwritten instead.
-        row[cols] = x
-        entry = curves_mod.CurveArrays(current.kind, *row.tolist())
-        f, grads = curves_mod.value_and_gradients(entry, s)
-        return f, grads[:, cols]
-
-    try:
-        result = minimize_robust(
-            model_fn,
-            x0,
-            y=y,
-            sigma=state.sigma[name],
-            omega=omega,
-            loss=config.loss_kind,
-            lower=lower,
-            upper=upper,
-            tol=config.inner_solver_tol,
-            max_steps=config.inner_max_steps,
-        )
-    except SolverError as exc:
-        raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
-    return current.replace(**{n: v for n, v in zip(free, result.x)})
 
 
 def fit_biomarker_step(
@@ -361,11 +299,43 @@ def _fit_biomarker_step_flat(
 ) -> None:
     x = _subject_matrix(flat.subject_ids, state.subjects)
     s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
-    for name in flat.biomarker_names:
+    for k, name in enumerate(flat.biomarker_names):
+        idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
+        if idx.stop == idx.start:
+            continue
+        s = s_all[idx]
         policy = cohort.specs[name].constraint_policy
-        state.curves[name] = _fit_one_biomarker(
-            name, state, flat, policy, config, s_all, iteration
-        )
+        current = state.curves[name]
+        free = _free_params(config.curve_kind, policy)
+        cols = [_PARAM_COLUMN[n] for n in free]
+        row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
+        bounds = [_param_bounds(n, policy) for n in free]
+
+        def model_fn(x: np.ndarray):
+            # The solver keeps x finite and inside the box, so the checks of
+            # CurveParams.replace would only cost time: evaluate the current
+            # curve's entry with its free columns overwritten instead.
+            row[cols] = x
+            entry = curves_mod.CurveArrays(current.kind, *row.tolist())
+            f, grads = curves_mod.value_and_gradients(entry, s)
+            return f, grads[:, cols]
+
+        try:
+            result = minimize_robust(
+                model_fn,
+                row[cols],
+                y=flat.y[idx],
+                sigma=state.sigma[name],
+                omega=flat.omega[idx],
+                loss=config.loss_kind,
+                lower=np.array([lo for lo, _ in bounds]),
+                upper=np.array([hi for _, hi in bounds]),
+                tol=config.inner_solver_tol,
+                max_steps=config.inner_max_steps,
+            )
+        except SolverError as exc:
+            raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
+        state.curves[name] = current.replace(**dict(zip(free, result.x)))
 
 
 def fit_subject_step(
@@ -379,7 +349,7 @@ def fit_subject_step(
     flat = _flatten(cohort)
     for message in _data_warnings(flat):
         warnings.warn(message)
-    _fit_subject_step_flat(state, flat, config, iteration)
+    _fit_subject_step_flat(state, flat, config, iteration, len(flat.subject_ids))
     return state
 
 
@@ -388,18 +358,18 @@ def _fit_subject_step_flat(
     flat: _Flat,
     config: FitConfig,
     iteration: int,
-    n_train: int | None = None,
+    n_train: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refit the timelines of the first ``n_train`` subjects of ``flat``
-    (all of them by default), warm-started from ``state``, and estimate the
-    others from a cold start in the same batched solve.
+    """Refit the timelines of the first ``n_train`` subjects of ``flat``,
+    warm-started from ``state``, and estimate the others from a cold start
+    in the same batched solve.
 
     The others are validation subjects: they stay out of ``state``.
-    Returns their per-subject objective values, and which training
-    subjects have their rate on the log-alpha bound.
+    Returns every subject's objective at its solution, training subjects
+    first, so the first ``n_train`` sum to the training loss and the rest
+    to the validation loss; and which training subjects have their rate on
+    the log-alpha bound.
     """
-    if n_train is None:
-        n_train = len(flat.subject_ids)
     train_ids = flat.subject_ids[:n_train]
     x0 = _subject_matrix(train_ids, state.subjects)
     # Optimize (log alpha, score at the subject's mean age) instead of
@@ -424,7 +394,7 @@ def _fit_subject_step_flat(
         alpha = float(np.exp(x[i, 0]))
         beta = float(x[i, 1] - alpha * flat.mean_age[i])
         state.subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
-    return obj[n_train:], at_bound[:n_train]
+    return obj, at_bound[:n_train]
 
 
 # ----------------------------------------------------------------------
@@ -486,20 +456,15 @@ def fit(
     flat_all = _concat_flats(flat_train, flat_valid)
     n_train = len(flat_train.subject_ids)
 
-    points_per_bm = {
-        name: int(flat_train.bm_bounds[i + 1] - flat_train.bm_bounds[i])
-        for i, name in enumerate(flat_train.biomarker_names)
-    }
-    params_per_bm = {
-        name: param_count(config.curve_kind, train.specs[name].constraint_policy)
+    # Every curve spends its free parameters and every subject two.
+    q_params = 2 * n_train + sum(
+        param_count(config.curve_kind, train.specs[name].constraint_policy)
         for name in flat_train.biomarker_names
-    }
-    dof = degrees_of_freedom(points_per_bm, params_per_bm, len(flat_train.subject_ids))
-    if dof <= 0:
-        needed = sum(params_per_bm.values()) + 2 * len(flat_train.subject_ids)
+    )
+    if flat_train.y.size <= q_params:
         raise FitError(
             f"model is not estimable: {flat_train.y.size} measurements for "
-            f"{needed} parameters (degrees of freedom {dof})"
+            f"{q_params} parameters (degrees of freedom {flat_train.y.size - q_params})"
         )
 
     state = initialize(train, config)
@@ -510,7 +475,7 @@ def fit(
 
     for iteration in range(1, config.l_max + 1):
         _fit_biomarker_step_flat(state, flat_train, train, config, iteration)
-        valid_obj, pinned = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
+        obj, pinned = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
         for i in np.nonzero(pinned)[0]:
             message = (
                 f"subject {flat_train.subject_ids[i]!r}: progression rate pinned at "
@@ -518,8 +483,8 @@ def fit(
             )
             if message not in trace.warnings:
                 trace.warnings.append(message)
-        e_train = _objective_flat(state, flat_train, config.loss_kind)
-        e_valid = float(valid_obj.sum())
+        e_train = float(obj[:n_train].sum())
+        e_valid = float(obj[n_train:].sum())
         trace.e_train.append(e_train)
         trace.e_valid.append(e_valid)
         if iteration >= config.l_min and (best is None or e_valid < best[0]):
@@ -552,8 +517,8 @@ def fit(
             "e_train_opt": trace.e_train[l_opt - 1],
             "e_valid_opt": e_valid_opt,
             "n_measurements": int(flat_train.y.size),
-            "n_subjects": len(flat_train.subject_ids),
-            "q_params": int(sum(params_per_bm.values()) + 2 * len(flat_train.subject_ids)),
+            "n_subjects": n_train,
+            "q_params": q_params,
         },
     )
 

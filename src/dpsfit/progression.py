@@ -43,7 +43,6 @@ __all__ = [
     "estimate_subject",
     "estimate_subjects",
     "param_count",
-    "degrees_of_freedom",
     "save_model",
     "load_model",
 ]
@@ -440,33 +439,19 @@ def _estimate(
 # model complexity accounting
 # ----------------------------------------------------------------------
 
+def _free_params(kind: LogisticKind, policy: ConstraintPolicy) -> list[str]:
+    """Names of the fitted parameters of one biomarker's curve, in
+    :data:`~dpsfit.curves.PARAM_NAMES` order."""
+    names = [] if policy is ConstraintPolicy.FIXED_RANGE else ["a", "d"]
+    names += ["b", "c"]
+    if kind.has_symmetry_param:
+        names.append("gamma")
+    return names
+
+
 def param_count(kind: LogisticKind, policy: ConstraintPolicy) -> int:
     """Number of free parameters of one biomarker's curve."""
-    kind = LogisticKind(kind)
-    policy = ConstraintPolicy(policy)
-    n = 3 if kind.has_symmetry_param else 2  # b, c and optionally gamma
-    if policy is not ConstraintPolicy.FIXED_RANGE:
-        n += 2  # a and d are fitted too
-    return n
-
-
-def degrees_of_freedom(
-    points_per_biomarker: Mapping[str, int],
-    params_per_biomarker: Mapping[str, int],
-    n_subjects: int,
-) -> int:
-    """Residual degrees of freedom of a fitted model.
-
-    Every biomarker spends its own parameters and every subject spends two.
-    A non-positive result means the model is not estimable from the data.
-    """
-    if set(points_per_biomarker) != set(params_per_biomarker):
-        raise SchemaError("point and parameter counts must cover the same biomarkers")
-    total = sum(
-        points_per_biomarker[name] - params_per_biomarker[name]
-        for name in points_per_biomarker
-    )
-    return total - 2 * n_subjects
+    return len(_free_params(LogisticKind(kind), ConstraintPolicy(policy)))
 
 
 # ----------------------------------------------------------------------

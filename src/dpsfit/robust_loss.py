@@ -81,7 +81,7 @@ def psi(kind: LossKind, r):
     """Influence function ``d rho / d r``, an odd function of ``r``."""
     kind = LossKind(kind)
     arr, scalar = _as_array(r)
-    out = _psi(kind, arr, arr / kind.tau)
+    out = loss_terms(kind, arr)[0]
     return float(out) if scalar else out
 
 
@@ -93,7 +93,7 @@ def weight(kind: LossKind, r):
     """
     kind = LossKind(kind)
     arr, scalar = _as_array(r)
-    out = _weight(kind, arr / kind.tau)
+    out = loss_terms(kind, arr)[1]
     return float(out) if scalar else out
 
 
@@ -101,13 +101,34 @@ def loss_terms(kind: LossKind, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(psi(r), weight(r))`` in one call, for solver inner loops.
 
     Unchecked: ``kind`` must already be a :class:`LossKind` and ``r`` a
-    finite float array.  The values are those of :func:`psi` and
-    :func:`weight`, bit for bit.
+    finite float array.  :func:`psi` and :func:`weight` return its values.
     """
-    u = r / _TAU[kind]
-    # The logistic psi and weight share tanh(u); compute it once.
-    tanh_u = np.tanh(u) if kind is LossKind.LOGISTIC else None
-    return _psi(kind, r, u, tanh_u), _weight(kind, u, tanh_u)
+    tau = _TAU[kind]
+    u = r / tau
+    if kind is LossKind.L2:
+        return 2.0 * r, np.full_like(u, 2.0)
+    if kind is LossKind.L1L2:
+        root = np.sqrt(1.0 + u * u)
+        return 2.0 * r / root, 2.0 / root
+    if kind is LossKind.LOGISTIC:
+        tanh_u = np.tanh(u)
+        # Where u is not small, safe is u; elsewhere the quotient is unused.
+        small = np.abs(u) < 1e-8
+        safe = np.where(small, 1.0, u)
+        return tau * tanh_u, np.where(small, 1.0 - u * u / 3.0, tanh_u / safe)
+    if kind is LossKind.MODIFIED_HUBER:
+        au = np.abs(u)
+        inner = au <= _HALF_PI
+        # The sine branch saturates into a constant-magnitude tail at
+        # |u| = pi/2, where both branches equal tau * sign(u).
+        psi_u = np.where(inner, tau * np.sin(u), tau * np.sign(u))
+        small = au < 1e-8
+        safe = np.where(small, 1.0, u)
+        sine = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
+        return psi_u, np.where(inner, sine, 1.0 / np.maximum(au, 1e-300))
+    # Cauchy-Lorentz
+    denom = 1.0 + u * u
+    return 2.0 * r / denom, 2.0 / denom
 
 
 def _rho(kind: LossKind, r: np.ndarray) -> np.ndarray:
@@ -127,46 +148,3 @@ def _rho(kind: LossKind, r: np.ndarray) -> np.ndarray:
     else:  # Cauchy-Lorentz
         base = np.log1p(u * u)
     return tau * tau * base
-
-
-def _psi(kind: LossKind, r: np.ndarray, u: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
-    """:func:`psi` of residuals ``r`` whose scaled values are ``u``; the
-    logistic kind takes ``tanh(u)`` from ``tanh_u`` when given."""
-    tau = _TAU[kind]
-    if kind is LossKind.L2:
-        return 2.0 * r
-    if kind is LossKind.L1L2:
-        return 2.0 * r / np.sqrt(1.0 + u * u)
-    if kind is LossKind.LOGISTIC:
-        return tau * (np.tanh(u) if tanh_u is None else tanh_u)
-    if kind is LossKind.MODIFIED_HUBER:
-        # The sine branch saturates into a constant-magnitude tail at
-        # |u| = pi/2, where both branches equal tau * sign(u).
-        return np.where(np.abs(u) <= _HALF_PI, tau * np.sin(u), tau * np.sign(u))
-    # Cauchy-Lorentz
-    return 2.0 * r / (1.0 + u * u)
-
-
-def _weight(kind: LossKind, u: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
-    """:func:`weight` at scaled residuals ``u``; the logistic kind takes
-    ``tanh(u)`` from ``tanh_u`` when given."""
-    if kind is LossKind.L2:
-        return np.full_like(u, 2.0)
-    if kind is LossKind.L1L2:
-        return 2.0 / np.sqrt(1.0 + u * u)
-    if kind is LossKind.LOGISTIC:
-        if tanh_u is None:
-            tanh_u = np.tanh(u)
-        # Where u is not small, safe is u; elsewhere the quotient is unused.
-        small = np.abs(u) < 1e-8
-        safe = np.where(small, 1.0, u)
-        return np.where(small, 1.0 - u * u / 3.0, tanh_u / safe)
-    if kind is LossKind.MODIFIED_HUBER:
-        au = np.abs(u)
-        small = au < 1e-8
-        safe = np.where(small, 1.0, u)
-        sine = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-        tail = 1.0 / np.maximum(au, 1e-300)
-        return np.where(au <= _HALF_PI, sine, tail)
-    # Cauchy-Lorentz
-    return 2.0 / (1.0 + u * u)

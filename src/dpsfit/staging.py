@@ -283,17 +283,14 @@ def stage_subjects(
 def ensemble_posterior(
     members: Sequence[tuple[FittedModel, StagingClassifier]],
     records: Iterable[MeasurementRecord],
-    *,
-    visits: Sequence[tuple[int, float]] | None = None,
 ) -> list[StagedVisit]:
-    """Fused staging of one subject's visits (by default those in
-    ``records``); see :func:`stage_subjects`, whose failure is raised here."""
+    """Fused staging of the visits in one subject's ``records``; see
+    :func:`stage_subjects`, whose failure is raised here."""
     records = list(records)
-    if visits is None:
-        visits = sorted({r.visit_index: r.age for r in reversed(records)}.items())
+    visits = sorted({r.visit_index: r.age for r in reversed(records)}.items())
     if not visits:
         raise StagingError("no visits to stage")
-    subject_id = records[0].subject_id if records else ""
+    subject_id = records[0].subject_id
     measurements = [(subject_id, r.biomarker, r.age, r.value) for r in records]
     estimates = [_estimate(model, [subject_id], measurements) for model, _ in members]
     staged, failures = stage_subjects(members, estimates, {subject_id: visits})

@@ -190,7 +190,9 @@ def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
-@pytest.mark.parametrize("key, value", [("l-max", "three"), ("curve", "bogus")])
+@pytest.mark.parametrize(
+    "key, value", [("l-max", "three"), ("curve", "bogus"), ("l-max", True), ("seed", False)]
+)
 def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({key: value}))

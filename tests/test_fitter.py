@@ -10,7 +10,7 @@ from dpsfit.cohort import (
     Visit,
 )
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
-from dpsfit import fitter
+from dpsfit import fitter, progression
 from dpsfit.errors import FitError, InitializationError
 from dpsfit.fitter import (
     FitConfig,
@@ -273,6 +273,23 @@ def test_subject_step_descends():
     assert objective(state, cohort, config.loss_kind) <= before + 1e-12
 
 
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_subject_step_objectives_sum_to_the_training_objective(loss):
+    # fit takes E_train from the objectives its subject step returns, so
+    # their training part must be the objective of the state it leaves.
+    cohort, _ = generate(small_frame_spec(seed=9))
+    train, valid = partition_train_test(cohort, test_fraction=0.25, seed=11)
+    config = tight_config(loss_kind=loss)
+    state = initialize(train, config)
+    flat = progression._concat_flats(progression._flatten(train), progression._flatten(valid))
+    n_train = len(train.subject_ids())
+    obj, _ = fitter._fit_subject_step_flat(state, flat, config, 1, n_train)
+    assert obj.shape == (n_train + len(valid.subject_ids()),)
+    want = objective(state, train, loss)
+    assert want > 0
+    assert float(obj[:n_train].sum()) == pytest.approx(want, rel=1e-13)
+
+
 def test_subject_step_warns_and_freezes_sparse_subject():
     cohort, truth = generate(small_frame_spec(n_subjects=6))
     lone = visit("zz_lone", 0, 3.0, MISSING, {"up": 0.6})
@@ -420,6 +437,18 @@ def test_fit_rejects_underdetermined_cohort():
     train = Cohort(visits, {"m": BiomarkerSpec(name="m")})
     valid = Cohort([v.clone() for v in visits], dict(train.specs))
     with pytest.raises(FitError, match="degrees of freedom"):
+        fit(train, valid, FitConfig(curve_kind=VER), progress=False)
+
+    # At the boundary: 6 measurements for 2 fixed-range curve parameters
+    # and 2 per subject leave no degree of freedom.
+    visits.append(visit("s1", 2, 72.0, CN, {"m": 3.0}))
+    visits.append(visit("s2", 2, 74.0, AD, {"m": 7.0}))
+    spec = BiomarkerSpec(
+        name="m", valid_range=(0.0, 10.0), constraint_policy=ConstraintPolicy.FIXED_RANGE
+    )
+    train = Cohort(visits, {"m": spec})
+    valid = Cohort([v.clone() for v in visits], {"m": spec})
+    with pytest.raises(FitError, match=r"6 measurements for 6 parameters \(degrees of freedom 0\)"):
         fit(train, valid, FitConfig(curve_kind=VER), progress=False)
 
 

@@ -20,7 +20,6 @@ from dpsfit.progression import (
     _eval_flat,
     _flat_from,
     compute_dps,
-    degrees_of_freedom,
     estimate_subject,
     estimate_subjects,
     load_model,
@@ -397,20 +396,21 @@ def test_estimate_subjects_solves_once_around_absurd_subjects(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_param_count_by_kind_and_policy():
-    fixed, free = ConstraintPolicy.FIXED_RANGE, ConstraintPolicy.FREE
-    assert param_count(LogisticKind.MODIFIED_STANNARD, fixed) == 3
-    assert param_count(LogisticKind.MODIFIED_STANNARD, free) == 5
-    assert param_count(LogisticKind.RICHARDS, ConstraintPolicy.NONNEGATIVE) == 5
-    assert param_count(VER, fixed) == 2
-    assert param_count(LogisticKind.GOMPERTZ, free) == 4
-
-
-def test_degrees_of_freedom_arithmetic():
-    dof = degrees_of_freedom({"a": 100, "b": 100}, {"a": 5, "b": 5}, 20)
-    assert dof == 150
-    assert degrees_of_freedom({"a": 12}, {"a": 2}, 5) == 0
-    with pytest.raises(SchemaError):
-        degrees_of_freedom({"a": 10}, {"b": 2}, 1)
+    # b and c always; gamma for the kinds with a symmetry parameter; a and
+    # d unless the range is fixed.
+    fixed_range = {
+        LogisticKind.VERHULST: 2,
+        LogisticKind.GOMPERTZ: 2,
+        LogisticKind.RICHARDS: 3,
+        LogisticKind.MODIFIED_STANNARD: 3,
+    }
+    assert set(fixed_range) == set(LogisticKind)
+    for kind, n in fixed_range.items():
+        assert param_count(kind, ConstraintPolicy.FIXED_RANGE) == n
+        assert param_count(kind, ConstraintPolicy.NONNEGATIVE) == n + 2
+        assert param_count(kind, ConstraintPolicy.FREE) == n + 2
+        # Plain strings are coerced, as in a spec read from JSON.
+        assert param_count(kind.value, "fixed_range") == n
 
 
 # ----------------------------------------------------------------------
