@@ -11,8 +11,10 @@ Every run writes ``run_manifest.json`` into its output directory: the
 command, the effective configuration, SHA-256 hashes of the inputs, the
 list of files produced and the Python, numpy and platform versions that
 produced them.  Numeric outputs are byte-identical across reruns
-with the same inputs and seed.  ``bootstrap`` fits its replicates one after
-another; it still accepts the old ``--threads`` flag and ignores it.
+with the same inputs and seed.  ``bootstrap`` fits its replicates in forked
+worker processes on Linux, one per usable CPU up to ``--n``, and in this
+process on one CPU or another platform; memory grows by one fit per worker.
+It still accepts the old ``--threads`` flag and ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.
@@ -465,9 +467,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    n = int(_resolve(args, "n", 100))
+    if n < 1:
+        raise DpsFitError(f"bad --n {n}, need at least 1 bootstrap replicate")
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
-    n = int(_resolve(args, "n", 100))
     grid_text = _resolve(args, "grid", _DEFAULT_GRID)
     grid = _parse_grid(grid_text)
     ensemble = run_bootstraps(cohort, config, n_bootstraps=n, progress=not args.quiet)
@@ -821,7 +825,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bootstrap", help="fit a bootstrap ensemble")
     common(p)
     p.add_argument("--n", type=int, help="number of bootstrap replicates")
-    # Accepted for old command lines; replicates always run in one loop.
+    # Accepted for old command lines and ignored: the worker count comes
+    # from the CPUs this process may use.
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.add_argument("--grid", help="curve export grid lo:hi:n")
     fit_flags(p)

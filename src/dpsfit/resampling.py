@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -199,8 +201,18 @@ def run_bootstraps(
     failures aborts with an error.  Replicate ``b`` is seeded from
     ``(config.seed, b)`` alone, so it comes out the same whatever
     ``n_bootstraps`` is and whichever replicates precede it.
+
+    On Linux the replicates are fitted in worker processes started by
+    ``fork``, one per usable CPU up to ``n_bootstraps``, and each worker
+    holds one fit in memory at a time.  With one usable CPU, or on another
+    platform, where ``fork`` is not safe, they are fitted in this process.
+    Either way the ensemble, the progress lines and the warnings each fit
+    issues come out in replicate order, and an exception other than
+    :class:`DpsFitError` reaches the caller with its own type.
     """
-    strata = compute_strata(train)
+    if n_bootstraps < 1:
+        raise EnsembleError(f"need at least 1 bootstrap replicate, got {n_bootstraps}")
+    inputs = (train, config, compute_strata(train))
     ensemble = BootstrapEnsemble(
         models=[],
         traces=[],
@@ -209,37 +221,114 @@ def run_bootstraps(
         n_requested=n_bootstraps,
         seed=config.seed,
     )
-    for b in range(n_bootstraps):
-        try:
-            in_bag, oob = bootstrap_sample(train, [config.seed, b], strata=strata)
-            if not oob:
-                raise EnsembleError(f"bootstrap {b}: empty out-of-bag set")
-            model, trace = fit(
-                _replicate_cohort(train, in_bag), train.subset(oob), config, progress=False
+    workers = min(n_bootstraps, _usable_cpus())
+    pool = None
+    try:
+        if workers == 1 or sys.platform != "linux":
+            results = map(partial(_fit_replicate, *inputs), range(n_bootstraps))
+        else:
+            # Imported here: at module level the pool machinery would add
+            # about a tenth to `import dpsfit.cli`, which every command pays.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # The inputs reach the workers by fork; only results are pickled.
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=inputs,
             )
-        except DpsFitError as exc:
-            ensemble.failures.append((b, str(exc)))
+            results = _reissue_warnings(pool.map(_fit_in_worker, range(n_bootstraps)))
+        for b, result in enumerate(results):
+            if isinstance(result, str):
+                ensemble.failures.append((b, result))
+                if progress:
+                    print(f"bootstrap {b:3d}  FAILED: {result}", file=sys.stderr)
+                continue
+            model, trace, oob, in_bag = result
+            ensemble.models.append(model)
+            ensemble.traces.append(trace)
+            ensemble.oob_subjects.append(oob)
+            ensemble.in_bag_counts.append(in_bag)
             if progress:
-                print(f"bootstrap {b:3d}  FAILED: {exc}", file=sys.stderr)
-            continue
-        ensemble.models.append(
-            replace(model, provenance={**model.provenance, "bootstrap_id": b})
-        )
-        ensemble.traces.append(trace)
-        ensemble.oob_subjects.append(oob)
-        ensemble.in_bag_counts.append(in_bag)
-        if progress:
-            print(
-                f"bootstrap {b:3d}  l_opt={trace.l_opt}  "
-                f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
-                file=sys.stderr,
-            )
+                print(
+                    f"bootstrap {b:3d}  l_opt={trace.l_opt}  "
+                    f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
+                    file=sys.stderr,
+                )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     if len(ensemble.failures) > 0.1 * n_bootstraps:
         raise EnsembleError(
             f"{len(ensemble.failures)} of {n_bootstraps} bootstraps failed"
         )
     return ensemble
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fit_replicate(train: Cohort, config: FitConfig, strata: dict[str, Stratum], b: int):
+    """Fit replicate ``b``.
+
+    Returns ``(model, trace, oob, in_bag)``, or the message of the
+    :class:`DpsFitError` that stopped the replicate.
+    """
+    try:
+        in_bag, oob = bootstrap_sample(train, [config.seed, b], strata=strata)
+        if not oob:
+            raise EnsembleError(f"bootstrap {b}: empty out-of-bag set")
+        model, trace = fit(
+            _replicate_cohort(train, in_bag), train.subset(oob), config, progress=False
+        )
+    except DpsFitError as exc:
+        return str(exc)
+    model = replace(model, provenance={**model.provenance, "bootstrap_id": b})
+    return model, trace, oob, in_bag
+
+
+# Set in each worker process by ``_start_worker``, never in the parent.
+_worker_inputs: tuple = ()
+
+
+def _start_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fit_in_worker(b: int):
+    """``_fit_replicate`` in a worker, with the warnings it issued.
+
+    A worker's ``sys.stderr`` may be a copy of a stream the parent
+    redirected, so a warning shown there would be lost; every warning is
+    recorded instead and handed back for the parent to issue.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _fit_replicate(*_worker_inputs, b)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue_warnings(results):
+    """Issue each worker result's warnings here, then yield the result.
+
+    The warnings pass through this process's filters with one registry
+    for the run, so under the default filters a warning that several
+    replicates issue is shown once, as in this process.
+    """
+    registry: dict = {}
+    for result, caught in results:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        yield result
 
 
 # ----------------------------------------------------------------------

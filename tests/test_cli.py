@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpsfit import resampling
 from dpsfit.cli import main
 from dpsfit.curves import CurveParams, LogisticKind
 from dpsfit.synth import SynthBiomarker, SynthSpec, write_synth_spec
@@ -274,14 +275,17 @@ def test_module_invocation_runs_the_cli():
 
 
 def test_import_leaves_scipy_unloaded():
+    # The bootstrap's process pool is imported only when a bootstrap runs.
     src = str(Path(__file__).resolve().parent.parent / "src")
+    lazy = ["scipy", "multiprocessing", "concurrent.futures"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dpsfit.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, dpsfit.cli; print([m for m in {lazy!r} if m in sys.modules])"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def _edit_json(path, edit):
@@ -336,6 +340,21 @@ def test_bad_grid_exits_with_two(pipeline, tmp_path):
         "--quiet",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bootstrap_without_replicates_exits_with_two(pipeline, tmp_path, capsys, n):
+    code = main([
+        "bootstrap",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "e"),
+        "--n", n,
+        "--quiet",
+    ])
+    assert code == 2
+    assert "--n" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_simulate_outputs_and_manifest(pipeline):
@@ -429,7 +448,9 @@ def test_bootstrap_outputs(pipeline):
     assert "threads" not in manifest["config"]
 
 
-def test_bootstrap_runs_are_byte_identical_across_threads(pipeline, tmp_path):
+def test_bootstrap_runs_are_byte_identical_across_threads(pipeline, tmp_path, monkeypatch):
+    # One usable CPU fits the replicates in this process, two in a pool of
+    # forked workers; --threads is ignored either way.
     args = [
         "bootstrap",
         "--cohort", str(pipeline / "split" / "train.csv"),
@@ -444,7 +465,9 @@ def test_bootstrap_runs_are_byte_identical_across_threads(pipeline, tmp_path):
         "--quiet",
     ]
     out1, out2 = tmp_path / "one", tmp_path / "two"
+    monkeypatch.setattr(resampling, "_usable_cpus", lambda: 1)
     assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
+    monkeypatch.setattr(resampling, "_usable_cpus", lambda: 2)
     assert main(args + ["--out", str(out2), "--threads", "2"]) == 0
     assert tree_bytes(out1) == tree_bytes(out2)
 

@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+from dpsfit import resampling
 from dpsfit.cohort import BiomarkerSpec, Cohort, Diagnosis, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DpsFitError, EnsembleError
@@ -242,6 +248,54 @@ def test_run_bootstraps_aborts_when_too_many_replicates_fail():
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.L2, l_min=1, l_max=2)
     with pytest.raises(EnsembleError, match="failed"):
         run_bootstraps(cohort, config, n_bootstraps=5, progress=False)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_run_bootstraps_needs_a_replicate(n):
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    with pytest.raises(EnsembleError, match="at least 1"):
+        run_bootstraps(train, config, n_bootstraps=n, progress=False)
+
+
+def test_pooled_replicate_error_keeps_its_type_and_stops_the_pool(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise LookupError("not a fitting error")
+
+    # Workers are forked, so they inherit both patches.
+    monkeypatch.setattr(resampling, "fit", broken_fit)
+    monkeypatch.setattr(resampling, "_usable_cpus", lambda: 2)
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    with pytest.raises(LookupError, match="not a fitting error"):
+        run_bootstraps(train, config, n_bootstraps=4, progress=False)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="replicates are pooled only on Linux")
+def test_pooled_replicates_issue_their_warnings_here_in_order(monkeypatch):
+    real_fit = resampling.fit
+
+    def noisy_fit(train, valid, config, **kwargs):
+        warnings.warn(f"fit of {','.join(train.subject_ids())} in process {os.getpid()}")
+        return real_fit(train, valid, config, **kwargs)
+
+    monkeypatch.setattr(resampling, "fit", noisy_fit)
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    fits, pids = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(resampling, "_usable_cpus", lambda: cpus)
+        with pytest.warns(UserWarning, match="^fit of ") as record:
+            run_bootstraps(train, config, n_bootstraps=3, progress=False)
+        split = [str(w.message).split(" in process ") for w in record
+                 if str(w.message).startswith("fit of ")]
+        fits[cpus] = [subjects for subjects, _ in split]
+        pids[cpus] = {int(pid) for _, pid in split}
+    assert len(fits[1]) == 3
+    assert fits[3] == fits[1]
+    assert pids[1] == {os.getpid()}
+    assert os.getpid() not in pids[3]
 
 
 def test_bootstrap_ensemble_recovers_noiseless_truth():
