@@ -7,14 +7,19 @@ set, ``fit`` trains one model, ``bootstrap`` trains an ensemble,
 ``order`` summarizes biomarker orderings and ``report`` gathers metrics
 and plot data.
 
-Every run writes ``run_manifest.json`` into its output directory: the
-command, the effective configuration, SHA-256 hashes of the inputs, the
-list of files produced and the Python, numpy and platform versions that
-produced them.  Numeric outputs are byte-identical across reruns
-with the same inputs and seed.  ``bootstrap`` fits its replicates in forked
-worker processes on Linux, one per usable CPU up to ``--n``, and in this
-process on one CPU or another platform; memory grows by one fit per worker.
-It still accepts the old ``--threads`` flag and ignores it.
+Each subcommand does its work and returns its effective configuration,
+the files it wrote and a summary line; :func:`main` then writes
+``run_manifest.json`` into the output directory, prints the summary and
+turns any data or file error into exit code 2.  The manifest holds the
+command, that configuration, the SHA-256 hash of every input file a flag
+names (``--config`` and the ``ensemble.json`` index of an ensemble
+directory included), the list of files produced and the Python, numpy and
+platform versions that produced them.  Numeric outputs are byte-identical
+across reruns with the same inputs and seed.  ``bootstrap`` fits its
+replicates in forked worker processes on Linux, one per usable CPU up to
+``--n``, and in this process on one CPU or another platform; memory grows
+by one fit per worker.  It still accepts the old ``--threads`` flag and
+ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.
@@ -115,6 +120,23 @@ def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: l
     _write_json(os.path.join(outdir, "run_manifest.json"), manifest)
 
 
+# Flags that name an input file, and flags that name an ensemble directory
+# whose index is the input.
+_INPUT_FLAGS = ("spec", "cohort", "specs", "valid", "train", "test", "model", "config")
+_ENSEMBLE_FLAGS = ("ensemble", "compare")
+
+
+def _input_files(args) -> list[str]:
+    """Every input file the flags of a run name."""
+    files = [getattr(args, flag, None) for flag in _INPUT_FLAGS]
+    files += [
+        os.path.join(path, "ensemble.json")
+        for path in (getattr(args, flag, None) for flag in _ENSEMBLE_FLAGS)
+        if path
+    ]
+    return [path for path in files if path]
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill the flags of the subcommand ``parser`` left unset from the JSON
     config file, if one was given.  A key names a flag without its dashes
@@ -201,23 +223,20 @@ def _write_curve_table(path, grid: np.ndarray, columns: dict[str, np.ndarray]) -
 def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
     outputs = []
     model_files = []
-    for model, trace in zip(ensemble.models, ensemble.traces):
+    for model, trace, in_bag in zip(ensemble.models, ensemble.traces, ensemble.in_bag_counts):
         b = model.provenance["bootstrap_id"]
         model_file = f"model_{b:03d}.json"
-        save_model(model, os.path.join(outdir, model_file))
-        model_files.append(model_file)
         trace_file = f"trace_{b:03d}.csv"
-        trace.to_csv(os.path.join(outdir, trace_file))
-        outputs += [model_file, trace_file]
-    for in_bag, model in zip(ensemble.in_bag_counts, ensemble.models):
-        b = model.provenance["bootstrap_id"]
         bag_file = f"inbag_{b:03d}.csv"
+        save_model(model, os.path.join(outdir, model_file))
+        trace.to_csv(os.path.join(outdir, trace_file))
         with open(os.path.join(outdir, bag_file), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["subject_id", "count_in_bag"])
             for sid in sorted(in_bag):
                 writer.writerow([sid, in_bag[sid]])
-        outputs.append(bag_file)
+        model_files.append(model_file)
+        outputs += [model_file, trace_file, bag_file]
     index = {
         "n_requested": ensemble.n_requested,
         "seed": ensemble.seed,
@@ -351,10 +370,10 @@ def _write_mean_curves(outdir, grid: np.ndarray, aggregates) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (config, outputs, summary) for main
 # ----------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, list[str], str | None]:
     spec = load_synth_spec(args.spec)
     cohort, truth = generate(spec)
     if args.outlier_fraction:
@@ -368,17 +387,11 @@ def _cmd_simulate(args) -> int:
     write_cohort_csv(cohort, os.path.join(args.out, "cohort.csv"))
     write_biomarker_specs(cohort.specs, os.path.join(args.out, "biomarker_specs.json"))
     save_model(truth, os.path.join(args.out, "truth_model.json"))
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"spec": str(args.spec), "outlier_fraction": args.outlier_fraction or 0.0},
-        [args.spec],
-        ["cohort.csv", "biomarker_specs.json", "truth_model.json"],
-    )
-    return 0
+    config = {"spec": str(args.spec), "outlier_fraction": args.outlier_fraction or 0.0}
+    return config, ["cohort.csv", "biomarker_specs.json", "truth_model.json"], None
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> tuple[dict, list[str], str | None]:
     cohort = _load_inputs(args)
     window = _resolve(args, "window_days", 92.0)
     cohort, report = reject_out_of_range(cohort)
@@ -391,20 +404,15 @@ def _cmd_ingest(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_cohort_csv(cohort, os.path.join(args.out, "clean_cohort.csv"))
     report.to_csv(os.path.join(args.out, "rejection_report.csv"))
-    _write_manifest(
-        args.out,
-        "ingest",
+    return (
         {"window_days": float(window), "volumetric": volumetric},
-        [args.cohort, args.specs],
         ["clean_cohort.csv", "rejection_report.csv"],
+        f"{len(cohort.subject_ids())} subjects, {cohort.n_measurements()} measurements, "
+        f"{report.total()} values rejected",
     )
-    print(f"{len(cohort.subject_ids())} subjects, "
-          f"{cohort.n_measurements()} measurements, "
-          f"{report.total()} values rejected")
-    return 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> tuple[dict, list[str], str | None]:
     cohort = _load_inputs(args)
     seed = int(_resolve(args, "seed", 0))
     fraction = float(_resolve(args, "test_fraction", 0.2))
@@ -418,15 +426,11 @@ def _cmd_split(args) -> int:
         writer.writerow(["subject_id", "role"])
         for sid in cohort.subject_ids():
             writer.writerow([sid, "test" if sid in test_ids else "train"])
-    _write_manifest(
-        args.out,
-        "split",
+    return (
         {"test_fraction": fraction, "seed": seed},
-        [args.cohort, args.specs],
         ["train.csv", "test.csv", "split_manifest.csv"],
+        f"train {len(train.subject_ids())} subjects / test {len(test_ids)} subjects",
     )
-    print(f"train {len(train.subject_ids())} subjects / test {len(test_ids)} subjects")
-    return 0
 
 
 def _fit_config_from_args(args) -> FitConfig:
@@ -441,32 +445,29 @@ def _config_dict(config: FitConfig) -> dict:
     return data
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple[dict, list[str], str | None]:
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
-    inputs = [args.cohort, args.specs]
     if args.valid:
-        train = cohort
-        valid = parse_cohort_csv(args.valid, cohort.specs)
-        inputs.append(args.valid)
+        train, valid = cohort, parse_cohort_csv(args.valid, cohort.specs)
     else:
         fraction = float(_resolve(args, "valid_fraction", 0.2))
-        train, valid = partition_train_test(
-            cohort, test_fraction=fraction, seed=config.seed
-        )
+        if not 0.0 < fraction < 1.0:
+            raise DpsFitError(f"bad --valid-fraction {fraction}, need a value in (0, 1)")
+        train, valid = partition_train_test(cohort, test_fraction=fraction, seed=config.seed)
     model, trace = fit(train, valid, config, progress=not args.quiet)
     os.makedirs(args.out, exist_ok=True)
     save_model(model, os.path.join(args.out, "model.json"))
     trace.to_csv(os.path.join(args.out, "trace.csv"))
-    _write_manifest(
-        args.out, "fit", _config_dict(config), inputs, ["model.json", "trace.csv"]
+    return (
+        _config_dict(config),
+        ["model.json", "trace.csv"],
+        f"selected iteration {trace.l_opt} of {config.l_max}, "
+        f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
     )
-    print(f"selected iteration {trace.l_opt} of {config.l_max}, "
-          f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}")
-    return 0
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args) -> tuple[dict, list[str], str | None]:
     n = int(_resolve(args, "n", 100))
     if n < 1:
         raise DpsFitError(f"bad --n {n}, need at least 1 bootstrap replicate")
@@ -495,25 +496,14 @@ def _cmd_bootstrap(args) -> int:
         )
         outputs.append(file_name)
 
-    config_data = _config_dict(config)
-    config_data["n_bootstraps"] = n
-    config_data["grid"] = grid_text
-    _write_manifest(args.out, "bootstrap", config_data, [args.cohort, args.specs], outputs)
-    print(f"{len(ensemble.models)} of {n} bootstraps succeeded")
-    return 0
+    config_data = {**_config_dict(config), "n_bootstraps": n, "grid": grid_text}
+    return config_data, outputs, f"{len(ensemble.models)} of {n} bootstraps succeeded"
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
     cohort = _load_inputs(args)
     os.makedirs(args.out, exist_ok=True)
-    inputs = [args.cohort, args.specs]
-    if args.model:
-        models = [load_model(args.model)]
-        inputs.append(args.model)
-    else:
-        ensemble = _load_ensemble(args.ensemble)
-        models = ensemble.models
-        inputs.append(os.path.join(args.ensemble, "ensemble.json"))
+    models = [load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
 
     per_model_rows, per_model_nmae, skipped_all = _predict_models(
         models, cohort, [estimate_subjects(model, cohort) for model in models]
@@ -552,21 +542,16 @@ def _cmd_predict(args) -> int:
         "skipped_subjects": sorted({s for s, _ in skipped_all}),
     }
     _write_json(os.path.join(args.out, "metrics.json"), metrics_data)
-    _write_manifest(
-        args.out,
-        "predict",
+    return (
         {"model": args.model, "ensemble": args.ensemble},
-        inputs,
         ["predictions.csv", "metrics.json"],
+        f"NMAE {nmae_value:.4f} over {len(fused_rows)} measurements",
     )
-    print(f"NMAE {nmae_value:.4f} over {len(fused_rows)} measurements")
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, list[str], str | None]:
     test = _load_inputs(args)
-    specs = test.specs
-    train = parse_cohort_csv(args.train, specs)
+    train = parse_cohort_csv(args.train, test.specs)
     ensemble = _load_ensemble(args.ensemble)
     members, _ = _build_members(ensemble, train)
     estimates = [estimate_subjects(model, test) for model, _ in members]
@@ -604,37 +589,27 @@ def _cmd_classify(args) -> int:
         "skipped_subjects": sorted({s for s, _ in skipped}),
     }
     _write_json(os.path.join(args.out, "metrics.json"), metrics_data)
-    _write_manifest(
-        args.out,
-        "classify",
+    return (
         {"ensemble": args.ensemble},
-        [args.cohort, args.train, args.specs, os.path.join(args.ensemble, "ensemble.json")],
         ["classifications.csv", "metrics.json"],
+        f"staged {len(staged)} visits"
+        + (f", AUC {auc:.4f}" if auc is not None else ", AUC undefined"),
     )
-    print(f"staged {len(staged)} visits"
-          + (f", AUC {auc:.4f}" if auc is not None else ", AUC undefined"))
-    return 0
 
 
-def _cmd_order(args) -> int:
-    ensemble = _load_ensemble(args.ensemble)
-    ordering = ordering_matrix(ensemble)
+def _cmd_order(args) -> tuple[dict, list[str], str | None]:
+    ordering = ordering_matrix(_load_ensemble(args.ensemble))
     os.makedirs(args.out, exist_ok=True)
     ordering.to_csv(os.path.join(args.out, "ordering_matrix.csv"))
-    _write_manifest(
-        args.out,
-        "order",
-        {"ensemble": args.ensemble},
-        [os.path.join(args.ensemble, "ensemble.json")],
-        ["ordering_matrix.csv"],
-    )
-    for i, name in enumerate(ordering.biomarkers):
-        mean_rank = float(ordering.matrix[i] @ np.arange(len(ordering.biomarkers)))
-        print(f"{i + 1:2d}. {name}  (mean rank {mean_rank + 1:.2f})")
-    return 0
+    positions = np.arange(len(ordering.biomarkers))
+    lines = [
+        f"{i + 1:2d}. {name}  (mean rank {float(ordering.matrix[i] @ positions) + 1:.2f})"
+        for i, name in enumerate(ordering.biomarkers)
+    ]
+    return {"ensemble": args.ensemble}, ["ordering_matrix.csv"], "\n".join(lines)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[dict, list[str], str | None]:
     train = _load_inputs(args)
     test = parse_cohort_csv(args.test, train.specs)
     ensemble = _load_ensemble(args.ensemble)
@@ -643,13 +618,11 @@ def _cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
-    bic_values = []
-    for model in ensemble.models:
-        prov = model.provenance
-        if all(k in prov for k in ("e_train_opt", "q_params", "n_measurements")):
-            bic_values.append(
-                bic(prov["e_train_opt"], prov["q_params"], prov["n_measurements"])
-            )
+    bic_values = [
+        bic(prov["e_train_opt"], prov["q_params"], prov["n_measurements"])
+        for prov in (model.provenance for model in ensemble.models)
+        if all(k in prov for k in ("e_train_opt", "q_params", "n_measurements"))
+    ]
 
     # One estimate per model serves both prediction and staging.
     estimates = [estimate_subjects(model, test) for model in ensemble.models]
@@ -750,19 +723,11 @@ def _cmd_report(args) -> int:
             )
             outputs.append("likelihoods.svg")
 
-    _write_manifest(
-        args.out,
-        "report",
-        {"ensemble": args.ensemble, "compare": args.compare,
-         "grid": grid_text, "svg": bool(args.svg)},
-        [args.cohort, args.test, args.specs,
-         os.path.join(args.ensemble, "ensemble.json")],
-        outputs,
-    )
-    if report["nmae"]["mean"] is not None:
-        print(f"NMAE {report['nmae']['mean']:.4f}"
-              + (f", AUC {auc:.4f}" if auc is not None else ""))
-    return 0
+    config = {"ensemble": args.ensemble, "compare": args.compare,
+              "grid": grid_text, "svg": bool(args.svg)}
+    nmae_mean = report["nmae"]["mean"]
+    auc_text = f", AUC {auc:.4f}" if auc is not None else ""
+    return config, outputs, None if nmae_mean is None else f"NMAE {nmae_mean:.4f}{auc_text}"
 
 
 # ----------------------------------------------------------------------
@@ -870,13 +835,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config_file(args, parser.commands[args.command])
-        return args.func(args)
-    except DpsFitError as exc:
+        config, outputs, summary = args.func(args)
+        _write_manifest(args.out, args.command, config, _input_files(args), outputs)
+    except (DpsFitError, OSError) as exc:
         print(f"dpsfit: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"dpsfit: error: {exc}", file=sys.stderr)
-        return 2
+    if summary:
+        print(summary)
+    return 0
 
 
 def entrypoint() -> None:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParseError, PreprocessingError, SchemaError
+from .errors import DomainError, ParseError, PreprocessingError, SchemaError
 
 __all__ = [
     "Diagnosis",
@@ -551,6 +551,8 @@ def match_visits(cohort: Cohort, *, window_days: float = 92.0) -> Cohort:
     their own visit with a missing diagnosis.  Visit indices are compacted
     afterwards.
     """
+    if not window_days >= 0.0:
+        raise DomainError(f"window_days must be nonnegative, got {window_days}")
     out = cohort.clone()
     new_visits: list[Visit] = []
     for visits in out.by_subject().values():

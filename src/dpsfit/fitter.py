@@ -27,10 +27,13 @@ per-biomarker scale ``sigma_k`` is frozen at the sample standard deviation
 of that biomarker's training values, and the ``1 / N_i`` weight stops
 heavily sampled subjects from dominating.
 
-Warnings about training subjects measured once or without change depend
-only on the data, so :func:`fit` emits them once, before the first
-iteration, into :attr:`FitTrace.warnings`; each subject step adds the
-training subjects whose rate it leaves on the log-alpha bound.
+A subject with fewer than 2 measured points cannot fix its own timeline,
+so :func:`fit` leaves it out of training and validation alike, as
+estimation at inference does.  Warnings about those subjects and about
+training subjects measured without change depend only on the data, so
+:func:`fit` emits them once, before the first iteration, into
+:attr:`FitTrace.warnings`; each subject step adds the training subjects
+whose rate it leaves on the log-alpha bound.
 """
 
 from __future__ import annotations
@@ -98,6 +101,14 @@ class FitConfig:
                 f"iteration window must satisfy 1 <= l_min <= l_max, "
                 f"got ({self.l_min}, {self.l_max})"
             )
+        if self.inner_max_steps < 1:
+            raise FitError(f"inner_max_steps must be at least 1, got {self.inner_max_steps}")
+        if not 0.0 < self.inner_solver_tol < np.inf:
+            raise FitError(
+                f"inner_solver_tol must be positive and finite, got {self.inner_solver_tol}"
+            )
+        if self.seed < 0:
+            raise FitError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -410,6 +421,21 @@ def _cn_scores(cohort: Cohort, subjects: dict[str, SubjectParams]) -> list[float
     return scores
 
 
+def _without_sparse_subjects(cohort: Cohort, role: str, messages: list[str]):
+    """``cohort`` and its :class:`_Flat` without the subjects of fewer than 2
+    measured points; warns once per subject left out and appends the
+    message to ``messages``."""
+    flat = _flatten(cohort)
+    sparse = [sid for sid, n in zip(flat.subject_ids, flat.n_points) if n < 2]
+    if not sparse:
+        return cohort, flat
+    for sid in sparse:
+        messages.append(f"{role} subject {sid!r}: fewer than 2 measured points, left out of the fit")
+        warnings.warn(messages[-1])
+    cohort = cohort.subset(sorted(set(flat.subject_ids) - set(sparse)))
+    return cohort, _flatten(cohort)
+
+
 def fit(
     train: Cohort,
     valid: Cohort,
@@ -428,11 +454,13 @@ def fit(
     The returned model is the snapshot from the iteration in
     ``[l_min, l_max]`` with the lowest validation loss (earliest on ties),
     standardized to the training cohort's cognitively normal visits when
-    any exist.  One progress line per iteration goes to standard error when
-    ``progress`` is set.
+    any exist.  Subjects with fewer than 2 measured points are left out of
+    both cohorts, with a warning naming each.  One progress line per
+    iteration goes to standard error when ``progress`` is set.
     """
-    flat_train = _flatten(train)
-    flat_valid = _flatten(valid)
+    dropped: list[str] = []
+    train, flat_train = _without_sparse_subjects(train, "training", dropped)
+    valid, flat_valid = _without_sparse_subjects(valid, "validation", dropped)
     if flat_train.y.size == 0:
         raise FitError("training cohort has no measurements")
     if flat_valid.y.size == 0:
@@ -468,8 +496,8 @@ def fit(
         )
 
     state = initialize(train, config)
-    trace = FitTrace(warnings=_data_warnings(flat_train))
-    for message in trace.warnings:
+    trace = FitTrace(warnings=dropped + _data_warnings(flat_train))
+    for message in trace.warnings[len(dropped):]:
         warnings.warn(message)
     best: tuple[float, int, dict, dict] | None = None
 

@@ -222,7 +222,6 @@ def minimize_subjects(
     max_steps: int = 200,
     log_alpha_bounds=(-_LOG_ALPHA_LIMIT, _LOG_ALPHA_LIMIT),
     offset_bounds=(-np.inf, np.inf),
-    frozen: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every subject's ``(log alpha, offset)`` subproblem at once.
 
@@ -266,11 +265,12 @@ def minimize_subjects(
 
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
-    subjects whose rate hit the log-alpha box.  Subjects marked ``frozen``
-    (or owning no measurements) are left untouched.  So is a subject whose
-    objective is not finite at the starting point: it keeps its start and
-    its non-finite objective, which is how the caller learns of it, and
-    the other subjects are solved as if it were absent.
+    subjects whose rate hit the log-alpha box.  A subject with fewer than
+    2 measurements cannot fix both of its coordinates and is left at its
+    start.  So is a subject whose objective is not finite at the starting
+    point: it keeps its start and its non-finite objective, which is how
+    the caller learns of it, and the other subjects are solved as if it
+    were absent.
     """
     loss = LossKind(loss)
     x = np.array(x0, dtype=float)
@@ -278,7 +278,7 @@ def minimize_subjects(
     la_hi = np.broadcast_to(np.asarray(log_alpha_bounds[1], dtype=float), (n_subjects,))
     w_lo = np.broadcast_to(np.asarray(offset_bounds[0], dtype=float), (n_subjects,))
     w_hi = np.broadcast_to(np.asarray(offset_bounds[1], dtype=float), (n_subjects,))
-    movable = np.ones(n_subjects, dtype=bool) if frozen is None else ~np.asarray(frozen, dtype=bool)
+    enough_rows = np.bincount(sub, minlength=n_subjects) >= 2
 
     def evaluate(params, loc, rows, t, y, sigma, omega):
         # ``params`` holds one column per subject and ``loc`` the column of
@@ -301,7 +301,7 @@ def minimize_subjects(
     # coordinates) and one entry per row of theirs, grouped by subject.
     # A live subject's objective is finite, so its residuals are too: a
     # non-finite one would make its term infinite or NaN.
-    live = movable & (np.bincount(sub, minlength=n_subjects) > 0) & np.isfinite(obj)
+    live = enough_rows & np.isfinite(obj)
     ids = np.flatnonzero(live)
     rows = np.flatnonzero(live[sub])
     rows = rows[np.argsort(sub[rows], kind="stable")]
@@ -386,5 +386,5 @@ def minimize_subjects(
 
     x[ids] = X.T
     obj[ids] = F
-    at_bound = movable & ((x[:, 0] <= la_lo) | (x[:, 0] >= la_hi))
+    at_bound = enough_rows & ((x[:, 0] <= la_lo) | (x[:, 0] >= la_hi))
     return x, obj, at_bound

@@ -363,7 +363,6 @@ def _solve_subjects(
         max_steps=max_steps,
         log_alpha_bounds=(-_LOG_ALPHA_LIMIT, log_alpha_hi),
         offset_bounds=offset_bounds,
-        frozen=flat.n_points < 2,
     )
 
 
@@ -403,32 +402,30 @@ def _estimate(
     """:func:`estimate_subjects` over ``(subject_id, biomarker, age, value)``
     measurements of the subjects ``sids``."""
     measured = set()
-    usable: dict[str, list] = {sid: [] for sid in sids}
+    usable = []
     for m in measurements:
         if m[3] is not None:
             measured.add(m[0])
             if m[1] in model.curves:
-                usable[m[0]].append(m)
-    failures: dict[str, DpsFitError] = {}
-    for sid, rows in usable.items():
-        if not rows and sid in measured:
-            failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
-        elif not rows:
-            failures[sid] = InsufficientDataError("subject has no measured values")
-        elif len(rows) < 2:
-            failures[sid] = InsufficientDataError(
-                f"need at least 2 measurement points, got {len(rows)}"
-            )
-    keep = [sid for sid in sids if sid not in failures]
-    flat = _flat_from(keep, model.biomarker_names(), (m for sid in keep for m in usable[sid]))
+                usable.append(m)
+    flat = _flat_from(sids, model.biomarker_names(), usable)
     x, obj, _ = _solve_subjects(
         model.curves, model.sigma, flat, model.loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS
     )
     alpha = np.exp(x[:, 0])
     beta = x[:, 1] - alpha * flat.mean_age
-    estimates = {}
-    for sid, a, b, f in zip(keep, alpha, beta, obj):
-        if np.isfinite(f):
+    estimates: dict[str, SubjectParams] = {}
+    failures: dict[str, DpsFitError] = {}
+    for sid, n, a, b, f in zip(sids, flat.n_points, alpha, beta, obj):
+        if n == 0 and sid in measured:
+            failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
+        elif n == 0:
+            failures[sid] = InsufficientDataError("subject has no measured values")
+        elif n < 2:
+            failures[sid] = InsufficientDataError(
+                f"need at least 2 measurement points, got {int(n)}"
+            )
+        elif np.isfinite(f):
             estimates[sid] = SubjectParams(alpha=float(a), beta=float(b))
         else:
             failures[sid] = SolverError("subject objective is not finite at the starting point")

@@ -109,6 +109,8 @@ def partition_train_test(
     """
     if not 0.0 < test_fraction < 1.0:
         raise DpsFitError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise DpsFitError(f"seed must be nonnegative, got {seed}")
     strata = compute_strata(cohort)
     rng = _rng([seed])
     test_ids: set[str] = set()

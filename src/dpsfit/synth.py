@@ -83,6 +83,8 @@ class SynthSpec:
         lo, hi = self.dx_thresholds
         if not lo < hi:
             raise DomainError("dx thresholds must be increasing")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _direction(p: CurveParams) -> Direction:
@@ -175,6 +177,8 @@ def inject_outliers(
     """
     if not 0.0 <= fraction <= 1.0:
         raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
+    if not 0.0 <= magnitude < np.inf:
+        raise DomainError(f"magnitude must be nonnegative and finite, got {magnitude}")
     out = cohort.clone()
     cells = []
     for v in sorted(out.visits, key=lambda v: (v.subject_id, v.visit_index)):

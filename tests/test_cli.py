@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import platform
@@ -355,6 +356,146 @@ def test_bootstrap_without_replicates_exits_with_two(pipeline, tmp_path, capsys,
     assert code == 2
     assert "--n" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+SPECS = "sim/biomarker_specs.json"
+TRAIN = "split/train.csv"
+TEST = "split/test.csv"
+QUICK_FIT = ["--curve", "verhulst", "--l-min", "1", "--l-max", "2", "--quiet"]
+
+
+PATH_FLAGS = {"--spec", "--cohort", "--specs", "--valid", "--train", "--test", "--model",
+              "--config", "--ensemble", "--compare", "--out"}
+
+
+def _under(root, argv):
+    """``argv`` with the value of every path flag made a path under ``root``."""
+    return [str(root / a) if flag in PATH_FLAGS else a for flag, a in zip([None] + argv, argv)]
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["split", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--seed", "-1"], "seed"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--seed", "-1"], "seed"),
+    (["bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--n", "1", "--seed", "-1"], "seed"),
+    (["simulate", "--spec", "negative_seed.json"], "seed"),
+    (["simulate", "--spec", "sim.json", "--outlier-fraction", "0.1",
+      "--outlier-magnitude", "-3"], "magnitude"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "0"], "inner_max_steps"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "-3"], "inner_max_steps"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "-1"], "inner_solver_tol"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "nan"], "inner_solver_tol"),
+    (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--window-days", "-5"],
+     "window_days"),
+    (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--window-days", "nan"],
+     "window_days"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--valid-fraction", "0"], "--valid-fraction"),
+], ids=["split-seed", "fit-seed", "bootstrap-seed", "spec-seed", "outlier-magnitude",
+        "inner-max-steps-0", "inner-max-steps-negative", "inner-tol-negative", "inner-tol-nan",
+        "window-days-negative", "window-days-nan", "valid-fraction"])
+def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
+                                                       argv, culprit):
+    spec = json.loads((pipeline / "sim.json").read_text())
+    (tmp_path / "negative_seed.json").write_text(json.dumps({**spec, "seed": -1}))
+    root = tmp_path if "negative_seed.json" in argv else pipeline
+    code = main(_under(root, argv) + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("dpsfit: error:")
+    assert culprit in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def protocol_root(pipeline):
+    """The pipeline's root plus a fit config file and a second ensemble,
+    fitted under the L2 loss, for ``report --compare``."""
+    (pipeline / "fit_config.json").write_text(json.dumps({"l-min": 1, "l-max": 2,
+                                                          "curve": "verhulst"}))
+    assert main(_under(pipeline, [
+        "bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--out", "ens_l2", "--n", "3",
+        "--loss", "l2", "--seed", "7", *QUICK_FIT,
+    ])) == 0
+    return pipeline
+
+
+# Every subcommand, with the input files its flags name.
+PROTOCOL_RUNS = {
+    "simulate": (["simulate", "--spec", "sim.json"], ["sim.json"]),
+    "ingest": (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS],
+               ["sim/cohort.csv", SPECS]),
+    "split": (["split", "--cohort", "sim/cohort.csv", "--specs", SPECS],
+              ["sim/cohort.csv", SPECS]),
+    "fit": (["fit", "--cohort", TRAIN, "--specs", SPECS, "--valid", TEST, *QUICK_FIT],
+            [TRAIN, SPECS, TEST]),
+    "fit-config": (["fit", "--cohort", TRAIN, "--specs", SPECS, "--valid", TEST,
+                    "--config", "fit_config.json"], [TRAIN, SPECS, TEST, "fit_config.json"]),
+    "bootstrap": (["bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--n", "1", *QUICK_FIT],
+                  [TRAIN, SPECS]),
+    "predict-model": (["predict", "--cohort", TEST, "--specs", SPECS,
+                       "--model", "ens/model_000.json"], [TEST, SPECS, "ens/model_000.json"]),
+    "predict-ensemble": (["predict", "--cohort", TEST, "--specs", SPECS, "--ensemble", "ens"],
+                         [TEST, SPECS, "ens/ensemble.json"]),
+    "classify": (["classify", "--cohort", TEST, "--train", TRAIN, "--specs", SPECS,
+                  "--ensemble", "ens"], [TEST, TRAIN, SPECS, "ens/ensemble.json"]),
+    "order": (["order", "--ensemble", "ens"], ["ens/ensemble.json"]),
+    "report": (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS,
+                "--ensemble", "ens", "--grid=-4:8:25"],
+               [TRAIN, TEST, SPECS, "ens/ensemble.json"]),
+    "report-compare": (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS,
+                        "--ensemble", "ens", "--compare", "ens_l2", "--grid=-4:8:25"],
+                       [TRAIN, TEST, SPECS, "ens/ensemble.json", "ens_l2/ensemble.json"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PROTOCOL_RUNS))
+def test_manifest_names_the_command_and_every_input_file(protocol_root, tmp_path, run):
+    argv, inputs = PROTOCOL_RUNS[run]
+    out = tmp_path / "out"
+    assert main(_under(protocol_root, argv) + ["--out", str(out), "--quiet"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == {
+        str(protocol_root / name): hashlib.sha256((protocol_root / name).read_bytes()).hexdigest()
+        for name in inputs
+    }
+
+
+def _with_sparse_subjects(path, out, rows):
+    """Copy the cohort CSV at ``path`` to ``out`` and append ``rows``, each
+    a ``(subject_id, age, diagnosis, up)`` tuple; ``down`` stays empty."""
+    with open(path, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    for sid, age, diagnosis, up in rows:
+        table.append({**table[0], "subject_id": sid, "age": age, "diagnosis": diagnosis,
+                      "up": up, "down": ""})
+    with open(out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(table[0]))
+        writer.writeheader()
+        writer.writerows(table)
+    return out
+
+
+def test_fit_leaves_out_subjects_with_fewer_than_two_points(pipeline, tmp_path):
+    train = _with_sparse_subjects(pipeline / TRAIN, tmp_path / "train.csv", [
+        ("zz_one", "3.0", "CN", "0.1"), ("zz_one", "4.0", "CN", ""),
+        ("zz_none", "3.0", "CN", ""), ("zz_none", "4.0", "CN", ""),
+    ])
+    valid = _with_sparse_subjects(pipeline / TEST, tmp_path / "valid.csv",
+                                  [("zz_valid", "3.5", "MCI", "0.2")])
+    common = ["--specs", str(pipeline / SPECS), "--curve", "verhulst",
+              "--l-min", "3", "--l-max", "3", "--quiet"]
+    assert main(["fit", "--cohort", str(pipeline / TRAIN), "--valid", str(pipeline / TEST),
+                 "--out", str(tmp_path / "plain"), *common]) == 0
+    with pytest.warns(UserWarning) as record:
+        assert main(["fit", "--cohort", str(train), "--valid", str(valid),
+                     "--out", str(tmp_path / "sparse"), *common]) == 0
+    for name in ("model.json", "trace.csv"):
+        assert (tmp_path / "sparse" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    messages = [str(w.message) for w in record]
+    for sid, role in (("zz_one", "training"), ("zz_none", "training"),
+                      ("zz_valid", "validation")):
+        assert any(f"{role} subject {sid!r}" in m for m in messages), sid
 
 
 def test_simulate_outputs_and_manifest(pipeline):

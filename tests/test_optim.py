@@ -35,9 +35,14 @@ def make_eval(bm, counter=None, seen=None):
     return eval_fn
 
 
+# The subject of ``cohort_problem`` with a single measurement.
+SINGLE = 6
+
+
 def cohort_problem(seed=4):
-    """Eight subjects: one frozen, one without measurements, one whose
-    best offset lies past its box, and outliers for the robust loss."""
+    """Eight subjects: one with a single measurement, one without
+    measurements, one whose best offset lies past its box, and outliers
+    for the robust loss."""
     rng = np.random.default_rng(seed)
     n_subjects = 8
     t, sub, bm = [], [], []
@@ -56,24 +61,26 @@ def cohort_problem(seed=4):
     y, _ = make_eval(bm)(s, np.arange(s.size))
     y = y + rng.normal(0.0, 0.05, size=y.size)
     y[[3, 17]] += 1.5
+    # The single-measurement subject keeps its first row only; dropping
+    # rows after the draws leaves every other subject's data unchanged.
+    keep = (sub != SINGLE) | (np.arange(sub.size) == np.argmax(sub == SINGLE))
+    t, y, sub, bm = t[keep], y[keep], sub[keep], bm[keep]
     n_points = np.bincount(sub, minlength=n_subjects)
     omega = 1.0 / n_points[sub]
     sigma = np.where(bm == 0, 0.2, 0.3)
     w_lo = np.full(n_subjects, -4.0)
     w_hi = np.full(n_subjects, 4.0)
     w_hi[3] = 2.5
-    frozen = np.zeros(n_subjects, dtype=bool)
-    frozen[6] = True
     x0 = np.column_stack([np.zeros(n_subjects), np.full(n_subjects, 0.5)])
     return dict(t=t, y=y, sub=sub, bm=bm, sigma=sigma, omega=omega, x0=x0,
-                n_subjects=n_subjects, w_lo=w_lo, w_hi=w_hi, frozen=frozen)
+                n_subjects=n_subjects, w_lo=w_lo, w_hi=w_hi)
 
 
 def solve_all(P, x0=None, seen=None, **kwargs):
     return minimize_subjects(
         make_eval(P["bm"], seen=seen), P["x0"] if x0 is None else x0, t=P["t"], y=P["y"], sub=P["sub"],
         sigma=P["sigma"], omega=P["omega"], n_subjects=P["n_subjects"], loss=LOSS,
-        offset_bounds=(P["w_lo"], P["w_hi"]), frozen=P["frozen"], **kwargs,
+        offset_bounds=(P["w_lo"], P["w_hi"]), **kwargs,
     )
 
 
@@ -87,13 +94,14 @@ def test_batched_solve_matches_solving_each_subject_alone():
             make_eval(P["bm"][rows]), P["x0"][i:i + 1], t=P["t"][rows], y=P["y"][rows],
             sub=np.zeros(rows.size, dtype=np.intp), sigma=P["sigma"][rows],
             omega=P["omega"][rows], n_subjects=1, loss=LOSS,
-            offset_bounds=(P["w_lo"][i], P["w_hi"][i]), frozen=P["frozen"][i:i + 1],
+            offset_bounds=(P["w_lo"][i], P["w_hi"][i]),
         )
         assert np.array_equal(x[i], xi[0]), i
         assert obj[i] == obji[0], i
         assert at_bound[i] == at_bound_i[0], i
-    # Frozen and empty subjects keep their starting rows.
-    assert np.array_equal(x[[5, 6]], P["x0"][[5, 6]])
+    # The empty subject and the one with a single measurement keep their
+    # starting rows.
+    assert np.array_equal(x[[5, SINGLE]], P["x0"][[5, SINGLE]])
     assert obj[5] == 0.0
     # Every other subject ends where its projected gradient vanishes.
     sub = P["sub"]
@@ -103,7 +111,7 @@ def test_batched_solve_matches_solving_each_subject_alone():
     g0 = -np.bincount(sub, weights=gscale * dfds * alpha * P["t"], minlength=P["n_subjects"])
     g1 = -np.bincount(sub, weights=gscale * dfds, minlength=P["n_subjects"])
     g1[3] = max(g1[3], 0.0)  # pushing past the upper offset bound
-    assert np.all(np.abs(np.delete(np.column_stack([g0, g1]), 6, axis=0)) < 1e-7)
+    assert np.all(np.abs(np.delete(np.column_stack([g0, g1]), SINGLE, axis=0)) < 1e-7)
 
 
 def solve_subset(P, ids, x0, counter=None, **kwargs):
@@ -115,7 +123,7 @@ def solve_subset(P, ids, x0, counter=None, **kwargs):
         make_eval(P["bm"][rows], counter), x0, t=P["t"][rows], y=P["y"][rows],
         sub=renumber[P["sub"][rows]], sigma=P["sigma"][rows], omega=P["omega"][rows],
         n_subjects=len(ids), loss=LOSS, offset_bounds=(P["w_lo"][ids], P["w_hi"][ids]),
-        frozen=P["frozen"][ids], **kwargs,
+        **kwargs,
     )
 
 
@@ -140,7 +148,7 @@ def test_subjects_finishing_far_apart_match_solving_each_alone():
     evals = evaluations_alone(P)
     assert evals.max() == STAGGERED["max_steps"] + 1  # one subject runs to the cap
     assert np.count_nonzero(evals[evals > 1] <= 10) >= 3
-    assert at_bound.any() and not at_bound[P["frozen"] == 0].all()
+    assert at_bound.any() and not np.delete(at_bound, SINGLE).all()
     for i in range(P["n_subjects"]):
         xi, obji, at_bound_i = solve_subset(P, [i], P["x0"][[i]], **STAGGERED)
         assert x[i].tobytes() == xi[0].tobytes(), i
