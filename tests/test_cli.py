@@ -394,9 +394,11 @@ def _under(root, argv):
         "window-days-negative", "window-days-nan", "valid-fraction"])
 def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
                                                        argv, culprit):
-    spec = json.loads((pipeline / "sim.json").read_text())
-    (tmp_path / "negative_seed.json").write_text(json.dumps({**spec, "seed": -1}))
-    root = tmp_path if "negative_seed.json" in argv else pipeline
+    root = pipeline
+    if "negative_seed.json" in argv:
+        spec = json.loads((pipeline / "sim.json").read_text())
+        (tmp_path / "negative_seed.json").write_text(json.dumps({**spec, "seed": -1}))
+        root = tmp_path
     code = main(_under(root, argv) + ["--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2
