@@ -374,20 +374,24 @@ def _write_mean_curves(outdir, grid: np.ndarray, aggregates) -> list[str]:
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(args) -> tuple[dict, list[str], str | None]:
+    magnitude = float(_resolve(args, "outlier_magnitude", 5.0))
+    if not 0.0 <= magnitude < np.inf:
+        raise DpsFitError(f"bad --outlier-magnitude {magnitude}, need a nonnegative finite value")
     spec = load_synth_spec(args.spec)
     cohort, truth = generate(spec)
     if args.outlier_fraction:
         cohort, _ = inject_outliers(
-            cohort,
-            fraction=args.outlier_fraction,
-            magnitude=_resolve(args, "outlier_magnitude", 5.0),
-            seed=spec.seed,
+            cohort, fraction=args.outlier_fraction, magnitude=magnitude, seed=spec.seed
         )
     os.makedirs(args.out, exist_ok=True)
     write_cohort_csv(cohort, os.path.join(args.out, "cohort.csv"))
     write_biomarker_specs(cohort.specs, os.path.join(args.out, "biomarker_specs.json"))
     save_model(truth, os.path.join(args.out, "truth_model.json"))
-    config = {"spec": str(args.spec), "outlier_fraction": args.outlier_fraction or 0.0}
+    config = {
+        "spec": str(args.spec),
+        "outlier_fraction": args.outlier_fraction or 0.0,
+        "outlier_magnitude": magnitude,
+    }
     return config, ["cohort.csv", "biomarker_specs.json", "truth_model.json"], None
 
 

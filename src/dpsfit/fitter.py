@@ -22,6 +22,17 @@ subject's objective at its solution; their training and validation sums
 are the iteration's ``E_train`` and ``E_valid``, so no curve is evaluated
 again to report them.
 
+The first biomarker step sees only :func:`initialize`'s identity
+timelines, under which scores are ages and no subject solve has yet
+placed anyone on the curves.  With ``gamma`` free, that step could bend a
+curve onto the symmetry box ``_GAMMA_BOUNDS`` with asymptotes far outside
+the data, and the fit stayed in that basin to the end: one bootstrap
+replicate in twelve was trapped that way.  Iteration 1 therefore holds
+``gamma`` at its start of 1 and fits the other parameters; from iteration
+2 on, with timelines from a subject solve, ``gamma`` is free.  Holding a
+parameter only narrows what a step may try, so the training loss still
+never rises.
+
 Each measurement contributes ``rho(residual / sigma_k) / N_i``: the
 per-biomarker scale ``sigma_k`` is frozen at the sample standard deviation
 of that biomarker's training values, and the ``1 / N_i`` weight stops
@@ -33,7 +44,11 @@ estimation at inference does.  Warnings about those subjects and about
 training subjects measured without change depend only on the data, so
 :func:`fit` emits them once, before the first iteration, into
 :attr:`FitTrace.warnings`; each subject step adds the training subjects
-whose rate it leaves on the log-alpha bound.
+whose rate it leaves on the log-alpha bound.  A curve whose solve stops
+at ``inner_max_steps``, or that ends a biomarker step with ``gamma`` on
+its box, is named once per biomarker and problem, with the first
+iteration it happened in, in :attr:`FitTrace.warnings` and through
+:func:`warnings.warn`.
 """
 
 from __future__ import annotations
@@ -295,7 +310,8 @@ def fit_biomarker_step(
     *,
     iteration: int = 0,
 ) -> FitState:
-    """Refit every curve with subject timelines held fixed."""
+    """Refit every curve with subject timelines held fixed; ``iteration``
+    1 holds ``gamma``, as the first iteration of :func:`fit` does."""
     flat = _flatten(cohort)
     _fit_biomarker_step_flat(state, flat, cohort, config, iteration)
     return state
@@ -307,9 +323,16 @@ def _fit_biomarker_step_flat(
     cohort: Cohort,
     config: FitConfig,
     iteration: int,
-) -> None:
+) -> list[tuple[str, str]]:
+    """Refit every curve of ``flat`` against the timelines in ``state``.
+
+    Iteration 1 holds ``gamma`` at its start (see the module docstring).
+    Returns ``(biomarker, problem)`` for each curve whose solve stopped at
+    ``inner_max_steps`` or left ``gamma`` on its box.
+    """
     x = _subject_matrix(flat.subject_ids, state.subjects)
     s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
+    problems = []
     for k, name in enumerate(flat.biomarker_names):
         idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
         if idx.stop == idx.start:
@@ -318,6 +341,8 @@ def _fit_biomarker_step_flat(
         policy = cohort.specs[name].constraint_policy
         current = state.curves[name]
         free = _free_params(config.curve_kind, policy)
+        if iteration == 1:
+            free = [n for n in free if n != "gamma"]
         cols = [_PARAM_COLUMN[n] for n in free]
         row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
         bounds = [_param_bounds(n, policy) for n in free]
@@ -347,6 +372,14 @@ def _fit_biomarker_step_flat(
         except SolverError as exc:
             raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
         state.curves[name] = current.replace(**dict(zip(free, result.x)))
+        if not result.converged:
+            problems.append(
+                (name, f"curve solve stopped at inner_max_steps ({config.inner_max_steps})")
+            )
+        gamma = state.curves[name].gamma
+        if "gamma" in free and gamma in _GAMMA_BOUNDS:
+            problems.append((name, f"gamma left on its box bound ({gamma:g})"))
+    return problems
 
 
 def fit_subject_step(
@@ -500,9 +533,14 @@ def fit(
     for message in trace.warnings[len(dropped):]:
         warnings.warn(message)
     best: tuple[float, int, dict, dict] | None = None
+    curve_problems: set[tuple[str, str]] = set()
 
     for iteration in range(1, config.l_max + 1):
-        _fit_biomarker_step_flat(state, flat_train, train, config, iteration)
+        for name, problem in _fit_biomarker_step_flat(state, flat_train, train, config, iteration):
+            if (name, problem) not in curve_problems:
+                curve_problems.add((name, problem))
+                trace.warnings.append(f"biomarker {name!r}: {problem}, first in iteration {iteration}")
+                warnings.warn(trace.warnings[-1])
         obj, pinned = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
         for i in np.nonzero(pinned)[0]:
             message = (

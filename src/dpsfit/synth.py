@@ -85,6 +85,10 @@ class SynthSpec:
             raise DomainError("dx thresholds must be increasing")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("alpha_log_sd", "beta_sd", "baseline_age_sd", "visit_interval", "visit_jitter"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise DomainError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _direction(p: CurveParams) -> Direction:

@@ -380,6 +380,8 @@ def _under(root, argv):
     (["simulate", "--spec", "negative_seed.json"], "seed"),
     (["simulate", "--spec", "sim.json", "--outlier-fraction", "0.1",
       "--outlier-magnitude", "-3"], "magnitude"),
+    (["simulate", "--spec", "sim.json", "--outlier-magnitude", "-3"], "--outlier-magnitude"),
+    (["simulate", "--spec", "sim.json", "--outlier-magnitude", "nan"], "--outlier-magnitude"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "0"], "inner_max_steps"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "-3"], "inner_max_steps"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "-1"], "inner_solver_tol"),
@@ -390,6 +392,7 @@ def _under(root, argv):
      "window_days"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--valid-fraction", "0"], "--valid-fraction"),
 ], ids=["split-seed", "fit-seed", "bootstrap-seed", "spec-seed", "outlier-magnitude",
+        "outlier-magnitude-alone", "outlier-magnitude-nan",
         "inner-max-steps-0", "inner-max-steps-negative", "inner-tol-negative", "inner-tol-nan",
         "window-days-negative", "window-days-nan", "valid-fraction"])
 def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
@@ -498,6 +501,19 @@ def test_fit_leaves_out_subjects_with_fewer_than_two_points(pipeline, tmp_path):
     for sid, role in (("zz_one", "training"), ("zz_none", "training"),
                       ("zz_valid", "validation")):
         assert any(f"{role} subject {sid!r}" in m for m in messages), sid
+
+
+def test_fit_names_each_curve_whose_solve_stops_at_the_step_limit(pipeline, tmp_path):
+    with pytest.warns(UserWarning) as record:
+        assert main(_under(pipeline, [
+            "fit", "--cohort", TRAIN, "--specs", SPECS, "--valid", TEST,
+            "--out", "capped", "--inner-max-steps", "1", *QUICK_FIT,
+        ])) == 0
+    messages = [str(w.message) for w in record if "inner_max_steps" in str(w.message)]
+    assert sorted(messages) == [
+        f"biomarker {name!r}: curve solve stopped at inner_max_steps (1), first in iteration 1"
+        for name in ("down", "up")
+    ]
 
 
 def test_simulate_outputs_and_manifest(pipeline):
@@ -815,3 +831,10 @@ def test_simulate_with_outliers(tmp_path):
     dirty = (tmp_path / "dirty" / "cohort.csv").read_text()
     assert clean != dirty
     assert read_manifest(tmp_path / "dirty")["config"]["outlier_fraction"] == 0.2
+    assert read_manifest(tmp_path / "dirty")["config"]["outlier_magnitude"] == 5.0
+    assert main([
+        "simulate", "--spec", str(spec), "--out", str(tmp_path / "wide"),
+        "--outlier-fraction", "0.2", "--outlier-magnitude", "20",
+    ]) == 0
+    assert read_manifest(tmp_path / "wide")["config"]["outlier_magnitude"] == 20.0
+    assert (tmp_path / "wide" / "cohort.csv").read_text() != dirty

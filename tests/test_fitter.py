@@ -339,6 +339,34 @@ def test_alternation_training_loss_never_rises():
         last = after_subjects
 
 
+def asymmetric_cohort(**overrides):
+    kind = LogisticKind.MODIFIED_STANNARD
+    return generate(small_frame_spec(
+        biomarkers=(
+            SynthBiomarker("up", CurveParams(kind=kind, a=1.0, d=0.0, b=1.0, c=1.0, gamma=2.0), 0.02),
+            SynthBiomarker("down", CurveParams(kind=kind, a=0.0, d=2.0, b=0.8, c=2.5, gamma=0.5), 0.02),
+        ),
+        **overrides,
+    ))
+
+
+@pytest.mark.parametrize("kind", [LogisticKind.MODIFIED_STANNARD, LogisticKind.RICHARDS])
+def test_first_biomarker_step_holds_gamma_at_its_start(kind):
+    cohort, _ = asymmetric_cohort(n_subjects=40)
+    config = tight_config(curve_kind=kind)
+    state = initialize(cohort, config)
+    start = dict(state.curves)
+    fit_biomarker_step(state, cohort, config, iteration=1)
+    for name, p in state.curves.items():
+        assert p.gamma == 1.0, name
+        for attr in ("a", "d", "b", "c"):
+            assert getattr(p, attr) != getattr(start[name], attr), (name, attr)
+    fit_subject_step(state, cohort, config, iteration=1)
+    fit_biomarker_step(state, cohort, config, iteration=2)
+    for name, p in state.curves.items():
+        assert p.gamma != 1.0, name
+
+
 # ----------------------------------------------------------------------
 # the full fit
 # ----------------------------------------------------------------------
@@ -462,14 +490,51 @@ def test_failed_training_subject_is_named_by_the_subject_step(monkeypatch):
     real_step = fitter._fit_biomarker_step_flat
 
     def shrinking_step(state, *args):
-        real_step(state, *args)
+        problems = real_step(state, *args)
         state.sigma["up"] = 5e-324
+        return problems
 
     monkeypatch.setattr(fitter, "_fit_biomarker_step_flat", shrinking_step)
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=1)
     first = train.subject_ids()[0]
     with pytest.raises(FitError, match=f"^subject step, iteration 1, subject {first!r}: "):
         fit(train, valid, config, progress=False)
+
+
+@pytest.mark.parametrize("kind, hold_matters", [
+    (VER, False), (LogisticKind.GOMPERTZ, False), (LogisticKind.MODIFIED_STANNARD, True),
+])
+def test_only_curves_with_gamma_see_the_first_step_hold(monkeypatch, tmp_path, kind, hold_matters):
+    train, valid, _ = noisy_split()
+    config = FitConfig(curve_kind=kind, loss_kind=LossKind.LOGISTIC, l_min=2, l_max=4)
+    runs = [fit(train, valid, config, progress=False)]
+    real_step = fitter._fit_biomarker_step_flat
+
+    def never_first(state, flat, cohort, config, iteration):
+        return real_step(state, flat, cohort, config, iteration + 1)
+
+    monkeypatch.setattr(fitter, "_fit_biomarker_step_flat", never_first)
+    runs.append(fit(train, valid, config, progress=False))
+    for k, (model, _) in enumerate(runs):
+        save_model(model, tmp_path / f"{k}.json")
+    same_model = (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+    same_trace = runs[0][1].e_train == runs[1][1].e_train
+    assert same_model == same_trace == (not hold_matters)
+
+
+def test_fit_names_each_curve_that_leaves_gamma_on_its_box(monkeypatch):
+    monkeypatch.setattr(fitter, "_GAMMA_BOUNDS", (0.9, 1.1))
+    cohort, _ = asymmetric_cohort(n_subjects=30)
+    train, valid = partition_train_test(cohort, test_fraction=0.2, seed=11)
+    config = FitConfig(l_min=1, l_max=4)
+    with pytest.warns(UserWarning, match="gamma left on its box bound") as record:
+        model, trace = fit(train, valid, config, progress=False)
+    issued = [str(w.message) for w in record if "gamma" in str(w.message)]
+    assert [m for m in trace.warnings if "gamma" in m] == issued
+    assert issued == [
+        f"biomarker {name!r}: gamma left on its box bound ({bound:g}), first in iteration 2"
+        for name, bound in (("down", 0.9), ("up", 1.1))
+    ]
 
 
 def test_fit_rejects_validation_cohort_with_other_biomarkers():

@@ -441,3 +441,34 @@ def test_aggregate_unknown_biomarker_and_empty_ensemble():
         aggregate_curves(ensemble_of([model_with_inflections({"m": 0.0})]), "q", [0.0])
     with pytest.raises(EnsembleError):
         aggregate_curves(ensemble_of([]), "m", [0.0])
+
+
+# The benchmark's baseline cohort: name, a, d, b, c, gamma, noise_sd.
+BASELINE_BIOMARKERS = (
+    ("b0", 1, 0, 1.0, -3, 1.5, 0.05),
+    ("b1", 0, 1, 0.8, -1, 0.7, 0.05),
+    ("b2", 2, 0.5, 1.2, 0, 1.0, 0.1),
+    ("b3", 5, 1, 0.6, 1.5, 2.0, 0.2),
+    ("b4", 0, 3, 0.9, 3, 1.2, 0.1),
+    ("b5", 1, 0, 1.5, 4, 0.9, 0.05),
+)
+
+
+def test_no_replicate_is_trapped_by_the_first_biomarker_step():
+    # With gamma free in iteration 1, replicate 2 of this cohort's default
+    # bootstrap drove curve b1 to d 3.9 with gamma on its lower bound, and
+    # E_train read 15.4 after two iterations against replicate 0's 1.92.
+    kind = LogisticKind.MODIFIED_STANNARD
+    spec = SynthSpec(
+        biomarkers=tuple(
+            SynthBiomarker(name, CurveParams(kind=kind, a=a, d=d, b=b, c=c, gamma=g), noise)
+            for name, a, d, b, c, g, noise in BASELINE_BIOMARKERS
+        ),
+        n_subjects=300, n_visits=6, beta_sd=4.0, seed=1,
+    )
+    train, _ = partition_train_test(generate(spec)[0], seed=3)
+    config = FitConfig(l_min=2, l_max=2)
+    strata = compute_strata(train)
+    e_train = {b: resampling._fit_replicate(train, config, strata, b)[1].e_train[-1]
+               for b in (0, 2)}
+    assert e_train[2] <= 2.0 * e_train[0]

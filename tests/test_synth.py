@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from dpsfit.cli import main
 from dpsfit.cohort import Diagnosis
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DomainError, ParseError, SchemaError
@@ -128,6 +131,24 @@ def test_spec_validation():
         two_biomarker_spec(missing_rate=1.0)
     with pytest.raises(DomainError):
         SynthBiomarker("m", CurveParams(kind=VER, a=1, d=0, b=1, c=0), -0.1)
+
+
+@pytest.mark.parametrize("field", [
+    "visit_interval", "visit_jitter", "beta_sd", "alpha_log_sd", "baseline_age_sd",
+])
+def test_negative_scale_or_spacing_exits_with_two_and_names_it(tmp_path, capsys, field):
+    with pytest.raises(DomainError, match=f"^{field} must be nonnegative"):
+        two_biomarker_spec(**{field: -1.0})
+    with pytest.raises(DomainError, match=f"^{field} must be nonnegative"):
+        two_biomarker_spec(**{field: float("inf")})
+    path = tmp_path / "sim.json"
+    write_synth_spec(two_biomarker_spec(), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: -1.0}))
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be nonnegative" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------
