@@ -46,9 +46,9 @@ training subjects measured without change depend only on the data, so
 :attr:`FitTrace.warnings`; each subject step adds the training subjects
 whose rate it leaves on the log-alpha bound.  A curve whose solve stops
 at ``inner_max_steps``, or that ends a biomarker step with ``gamma`` on
-its box, is named once per biomarker and problem, with the first
-iteration it happened in, in :attr:`FitTrace.warnings` and through
-:func:`warnings.warn`.
+its box or its rate ``b`` on its floor, is named once per biomarker and
+problem, with the first iteration it happened in, in
+:attr:`FitTrace.warnings` and through :func:`warnings.warn`.
 """
 
 from __future__ import annotations
@@ -328,7 +328,8 @@ def _fit_biomarker_step_flat(
 
     Iteration 1 holds ``gamma`` at its start (see the module docstring).
     Returns ``(biomarker, problem)`` for each curve whose solve stopped at
-    ``inner_max_steps`` or left ``gamma`` on its box.
+    ``inner_max_steps``, left ``gamma`` on its box or left ``b`` on
+    ``_RATE_FLOOR``.
     """
     x = _subject_matrix(flat.subject_ids, state.subjects)
     s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
@@ -379,6 +380,8 @@ def _fit_biomarker_step_flat(
         gamma = state.curves[name].gamma
         if "gamma" in free and gamma in _GAMMA_BOUNDS:
             problems.append((name, f"gamma left on its box bound ({gamma:g})"))
+        if "b" in free and state.curves[name].b == _RATE_FLOOR:
+            problems.append((name, f"rate b left on its floor ({_RATE_FLOOR:g})"))
     return problems
 
 

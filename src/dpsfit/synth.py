@@ -6,6 +6,12 @@ true curves evaluated at the true scores plus Gaussian noise, optionally
 thinned by a missingness rate, and visit diagnoses come from fixed score
 thresholds.  The generator returns both the cohort and the generating
 model, so recovery can be checked end to end.
+
+:func:`generate` works in two passes: the first makes every random draw,
+subject by subject in a fixed order, and the second evaluates each true
+curve once over all of its values.  The draw order, not the evaluation,
+fixes the output, so a seed gives the same cohort as when every value
+was evaluated on its own.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ class SynthBiomarker:
     noise_sd: float
 
     def __post_init__(self) -> None:
-        if not self.noise_sd >= 0:
-            raise DomainError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise DomainError(
+                f"biomarker {self.name!r}: noise_sd must be nonnegative and finite, "
+                f"got {self.noise_sd}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,10 @@ class SynthSpec:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise DomainError(f"{name} must be nonnegative and finite, got {value}")
+        for name in ("beta_mean", "baseline_age_mean"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _direction(p: CurveParams) -> Direction:
@@ -100,11 +113,24 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
 
     Per-subject substreams are derived from ``(seed, subject index)``, so
     the output is reproducible and subjects could be generated in
-    parallel without changing it.
+    parallel without changing it.  Each subject draws its rate, its onset
+    and its baseline age, then per visit the age jitter (if
+    ``visit_jitter > 0``) and per biomarker the missingness draw (if
+    ``missing_rate > 0``) and the noise draw (if ``noise_sd > 0``); a
+    missing value draws no noise.
+
+    The first pass makes every draw in that order and records each visit's
+    score and each present value's noise.  The second pass evaluates each
+    true curve once, over the scores of its present values, and adds the
+    noise: one curve call per biomarker, with the same float operations,
+    and so the same values, as a call per value.
     """
     visits: list[Visit] = []
     subjects: dict[str, SubjectParams] = {}
     lo, hi = spec.dx_thresholds
+    scores: list[float] = []
+    present: list[list[int]] = [[] for _ in spec.biomarkers]
+    noise: list[list[float]] = [[] for _ in spec.biomarkers]
     for i in range(spec.n_subjects):
         rng = np.random.default_rng([spec.seed, i])
         sid = f"s{i:04d}"
@@ -124,14 +150,12 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
                 dx = Diagnosis.MCI
             else:
                 dx = Diagnosis.AD
-            values: dict[str, float | None] = {}
-            for bm in spec.biomarkers:
+            for k, bm in enumerate(spec.biomarkers):
                 if spec.missing_rate > 0 and rng.random() < spec.missing_rate:
                     continue
-                value = curves_mod.evaluate(bm.params, score)
+                present[k].append(len(scores))
                 if bm.noise_sd > 0:
-                    value += bm.noise_sd * rng.standard_normal()
-                values[bm.name] = float(value)
+                    noise[k].append(bm.noise_sd * rng.standard_normal())
             visits.append(
                 Visit(
                     subject_id=sid,
@@ -139,9 +163,17 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
                     age=float(age),
                     diagnosis=dx,
                     cohort_tag="synthetic",
-                    values=values,
                 )
             )
+            scores.append(score)
+
+    score_array = np.array(scores, dtype=float)
+    for k, bm in enumerate(spec.biomarkers):
+        curve = curves_mod.evaluate(bm.params, score_array[present[k]])
+        if bm.noise_sd > 0:
+            curve = curve + np.array(noise[k], dtype=float)
+        for row, value in zip(present[k], curve.tolist()):
+            visits[row].values[bm.name] = value
 
     specs = {
         bm.name: BiomarkerSpec(
@@ -253,6 +285,10 @@ def load_synth_spec(path) -> SynthSpec:
             "missing_rate": float,
             "seed": int,
         }
+        for key, cast in scalars.items():
+            # int() would truncate 2.7 and read true as 1.
+            if cast is int and key in data and type(data[key]) is not int:
+                raise SchemaError(f"{path}: {key} must be an integer, got {data[key]!r}")
         kwargs = {
             key: cast(data[key]) for key, cast in scalars.items() if key in data
         }

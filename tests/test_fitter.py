@@ -537,6 +537,21 @@ def test_fit_names_each_curve_that_leaves_gamma_on_its_box(monkeypatch):
     ]
 
 
+def test_fit_names_each_curve_that_leaves_its_rate_on_the_floor(monkeypatch):
+    monkeypatch.setattr(fitter, "_RATE_FLOOR", 5.0)
+    cohort, _ = asymmetric_cohort(n_subjects=30)
+    train, valid = partition_train_test(cohort, test_fraction=0.2, seed=11)
+    config = FitConfig(l_min=1, l_max=4)
+    with pytest.warns(UserWarning, match="rate b left on its floor") as record:
+        _, trace = fit(train, valid, config, progress=False)
+    issued = [str(w.message) for w in record if "rate b" in str(w.message)]
+    assert [m for m in trace.warnings if "rate b" in m] == issued
+    assert issued == [
+        f"biomarker {name!r}: rate b left on its floor (5), first in iteration 1"
+        for name in ("down", "up")
+    ]
+
+
 def test_fit_rejects_validation_cohort_with_other_biomarkers():
     train, valid, _ = noisy_split(n_subjects=10)
     visits = [v.clone() for v in valid.visits]

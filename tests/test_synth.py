@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsfit.cli import main
 from dpsfit.cohort import Diagnosis
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DomainError, ParseError, SchemaError
+from dpsfit.progression import SubjectParams
 from dpsfit.synth import (
     SynthBiomarker,
     SynthSpec,
@@ -18,6 +21,7 @@ from dpsfit.synth import (
 
 VER = LogisticKind.VERHULST
 MS = LogisticKind.MODIFIED_STANNARD
+ALL_KINDS = list(LogisticKind)
 
 
 def two_biomarker_spec(noise=0.0, **overrides):
@@ -114,6 +118,96 @@ def test_missing_rate_thins_values():
     assert present / total == pytest.approx(0.75, abs=0.02)
 
 
+def per_cell_generate(spec):
+    """:func:`generate` with one scalar curve call per value, kept as the
+    reference its two passes must match bit for bit."""
+    visits, subjects = [], {}
+    lo, hi = spec.dx_thresholds
+    for i in range(spec.n_subjects):
+        rng = np.random.default_rng([spec.seed, i])
+        sid = f"s{i:04d}"
+        alpha = float(np.exp(spec.alpha_log_sd * rng.standard_normal()))
+        beta = float(spec.beta_mean + spec.beta_sd * rng.standard_normal())
+        subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
+        base_age = spec.baseline_age_mean + spec.baseline_age_sd * rng.standard_normal()
+        for j in range(spec.n_visits):
+            age = base_age + j * spec.visit_interval
+            if spec.visit_jitter > 0:
+                age += spec.visit_jitter * rng.standard_normal()
+            age = max(age, 1.0)
+            score = alpha * age + beta
+            if score < lo:
+                dx = Diagnosis.CN
+            elif score < hi:
+                dx = Diagnosis.MCI
+            else:
+                dx = Diagnosis.AD
+            values = {}
+            for bm in spec.biomarkers:
+                if spec.missing_rate > 0 and rng.random() < spec.missing_rate:
+                    continue
+                value = evaluate(bm.params, score)
+                if bm.noise_sd > 0:
+                    value += bm.noise_sd * rng.standard_normal()
+                values[bm.name] = float(value)
+            visits.append((sid, j, float(age), dx, values))
+    return visits, subjects
+
+
+def hex_visit(sid, j, age, dx, values):
+    return sid, j, age.hex(), dx, [(name, value.hex()) for name, value in values.items()]
+
+
+curve_params = st.builds(
+    CurveParams,
+    kind=st.sampled_from(ALL_KINDS),
+    a=st.floats(-10.0, 10.0),
+    d=st.floats(-10.0, 10.0),
+    b=st.floats(0.05, 5.0),
+    c=st.floats(-5.0, 5.0),
+    gamma=st.floats(0.1, 10.0),
+)
+
+
+def zero_or(positive):
+    return st.one_of(st.just(0.0), positive)
+
+
+@given(
+    params=st.lists(curve_params, min_size=1, max_size=4),
+    noise=st.lists(zero_or(st.floats(1e-3, 2.0)), min_size=4, max_size=4),
+    missing_rate=zero_or(st.floats(0.0, 0.9, exclude_min=True, exclude_max=True)),
+    visit_jitter=zero_or(st.floats(1e-3, 2.0)),
+    n_visits=st.integers(1, 5),
+    n_subjects=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_two_pass_generator_matches_the_per_cell_loop_bit_for_bit(
+    params, noise, missing_rate, visit_jitter, n_visits, n_subjects, seed,
+):
+    spec = SynthSpec(
+        biomarkers=tuple(SynthBiomarker(f"b{k}", p, noise[k]) for k, p in enumerate(params)),
+        n_subjects=n_subjects,
+        alpha_log_sd=0.3,
+        baseline_age_sd=8.0,
+        n_visits=n_visits,
+        visit_jitter=visit_jitter,
+        missing_rate=missing_rate,
+        seed=seed,
+    )
+    cohort, truth = generate(spec)
+    ref_visits, ref_subjects = per_cell_generate(spec)
+    assert [
+        hex_visit(v.subject_id, v.visit_index, v.age, v.diagnosis, v.values)
+        for v in cohort.visits
+    ] == [hex_visit(*visit) for visit in ref_visits]
+    assert {sid: (sp.alpha.hex(), sp.beta.hex()) for sid, sp in truth.subjects.items()} == {
+        sid: (sp.alpha.hex(), sp.beta.hex()) for sid, sp in ref_subjects.items()
+    }
+    assert all(v.cohort_tag == "synthetic" for v in cohort.visits)
+
+
 def test_direction_hints_match_curve_orientation():
     cohort, _ = generate(two_biomarker_spec())
     assert cohort.specs["up"].direction_hint.value == "increasing"
@@ -149,6 +243,39 @@ def test_negative_scale_or_spacing_exits_with_two_and_names_it(tmp_path, capsys,
     assert f"{field} must be nonnegative" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _set_noise(value):
+    return lambda data: data["biomarkers"][1].update(noise_sd=value)
+
+
+def _set(key, value):
+    return lambda data: data.update({key: value})
+
+
+@pytest.mark.parametrize("edit, culprit", [
+    (_set_noise(float("inf")), "biomarker 'down': noise_sd must be nonnegative and finite"),
+    (_set_noise(float("nan")), "biomarker 'down': noise_sd must be nonnegative and finite"),
+    (_set("beta_mean", float("nan")), "beta_mean must be finite"),
+    (_set("baseline_age_mean", float("inf")), "baseline_age_mean must be finite"),
+    (_set("n_visits", 2.7), "n_visits must be an integer"),
+    (_set("n_subjects", True), "n_subjects must be an integer"),
+    (_set("seed", "3"), "seed must be an integer"),
+], ids=["noise-sd-inf", "noise-sd-nan", "beta-mean-nan", "baseline-age-mean-inf",
+        "n-visits-fraction", "n-subjects-bool", "seed-string"])
+def test_hostile_spec_exits_with_two_and_names_the_field(tmp_path, capsys, edit, culprit):
+    path = tmp_path / "sim.json"
+    write_synth_spec(two_biomarker_spec(noise=0.1), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpsfit: error:")
+    assert culprit in err
+    assert "Traceback" not in err
+    assert not (out / "cohort.csv").exists()
 
 
 # ----------------------------------------------------------------------
