@@ -48,6 +48,7 @@ from .cohort import (
     load_biomarker_specs,
     match_visits,
     parse_cohort_csv,
+    read_json,
     reject_out_of_range,
     remove_reverting_diagnoses,
     write_biomarker_specs,
@@ -146,11 +147,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     path = getattr(args, "config", None)
     if not path:
         return
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DpsFitError(f"{path}: config file is not valid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise DpsFitError(f"{path}: config file must hold a JSON object")
     for key, value in data.items():
@@ -167,6 +164,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             elif isinstance(value, bool):
                 # int(True) is 1: a boolean must not pass for a number.
                 raise ValueError("expected a value, not true or false")
+            elif action.type is int and isinstance(value, float):
+                # int(2.9) is 2: an integer flag takes a JSON integer.
+                raise ValueError("expected an integer")
             else:
                 value = (action.type or str)(value)
                 if action.choices is not None and value not in action.choices:
@@ -181,8 +181,10 @@ def _resolve(args, name, fallback):
     return fallback if value is None else value
 
 
-# Score grid of the curve tables and charts, as lo:hi:n.
+# Score grid of the curve tables and charts, as lo:hi:n.  Each grid point
+# is one row per biomarker in every curve table.
 _DEFAULT_GRID = "-10:10:201"
+_MAX_GRID_POINTS = 100_000
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -190,9 +192,11 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise DpsFitError(f"bad grid {text!r}, expected lo:hi:n") from None
-    if not lo < hi or n < 2:
-        raise DpsFitError(f"bad grid {text!r}, need lo < hi and n >= 2")
+        raise DpsFitError(f"--grid: bad value {text!r}, expected lo:hi:n") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi and 2 <= n <= _MAX_GRID_POINTS):
+        raise DpsFitError(
+            f"--grid: bad value {text!r}, need finite lo < hi and 2 <= n <= {_MAX_GRID_POINTS}"
+        )
     return np.linspace(lo, hi, n)
 
 
@@ -252,8 +256,7 @@ def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
 def _load_ensemble(path) -> BootstrapEnsemble:
     index_path = os.path.join(path, "ensemble.json")
     try:
-        with open(index_path) as fh:
-            index = json.load(fh)
+        index = read_json(index_path)
         ensemble = BootstrapEnsemble(
             models=[load_model(os.path.join(path, name)) for name in index["models"]],
             traces=[],
@@ -303,6 +306,15 @@ def _predict_models(models, cohort: Cohort, estimates):
             per_model_nmae.append(_mae_nmae_from_rows(rows)[1])
         skipped += [(sid, str(exc)) for sid, exc in failures.items()]
     return per_model_rows, per_model_nmae, skipped
+
+
+def _nmae_by_bootstrap_id(path, models, per_model_rows, per_model_nmae) -> dict:
+    """The NMAE of each model of the ensemble at ``path`` that predicted
+    any cell, by its bootstrap id, from :func:`_predict_models`' result."""
+    ids = [m.provenance.get("bootstrap_id") for m, rows in zip(models, per_model_rows) if rows]
+    if len(set(ids)) < len(ids):
+        raise SchemaError(f"{path}: models repeat a bootstrap id, so replicates cannot be paired")
+    return dict(zip(ids, per_model_nmae))
 
 
 def _mae_nmae_from_rows(rows):
@@ -475,10 +487,10 @@ def _cmd_bootstrap(args) -> tuple[dict, list[str], str | None]:
     n = int(_resolve(args, "n", 100))
     if n < 1:
         raise DpsFitError(f"bad --n {n}, need at least 1 bootstrap replicate")
-    cohort = _load_inputs(args)
-    config = _fit_config_from_args(args)
     grid_text = _resolve(args, "grid", _DEFAULT_GRID)
     grid = _parse_grid(grid_text)
+    cohort = _load_inputs(args)
+    config = _fit_config_from_args(args)
     ensemble = run_bootstraps(cohort, config, n_bootstraps=n, progress=not args.quiet)
     os.makedirs(args.out, exist_ok=True)
     outputs = _save_ensemble(ensemble, args.out)
@@ -614,11 +626,11 @@ def _cmd_order(args) -> tuple[dict, list[str], str | None]:
 
 
 def _cmd_report(args) -> tuple[dict, list[str], str | None]:
+    grid_text = _resolve(args, "grid", _DEFAULT_GRID)
+    grid = _parse_grid(grid_text)
     train = _load_inputs(args)
     test = parse_cohort_csv(args.test, train.specs)
     ensemble = _load_ensemble(args.ensemble)
-    grid_text = _resolve(args, "grid", _DEFAULT_GRID)
-    grid = _parse_grid(grid_text)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
@@ -630,7 +642,7 @@ def _cmd_report(args) -> tuple[dict, list[str], str | None]:
 
     # One estimate per model serves both prediction and staging.
     estimates = [estimate_subjects(model, test) for model in ensemble.models]
-    per_model_nmae = _predict_models(ensemble.models, test, estimates)[1]
+    per_model_rows, per_model_nmae, _ = _predict_models(ensemble.models, test, estimates)
 
     auc = None
     staging_note = None
@@ -647,16 +659,22 @@ def _cmd_report(args) -> tuple[dict, list[str], str | None]:
     if args.compare:
         other = _load_ensemble(args.compare)
         other_estimates = [estimate_subjects(model, test) for model in other.models]
-        other_nmae = _predict_models(other.models, test, other_estimates)[1]
-        n = min(len(per_model_nmae), len(other_nmae))
-        if n < 1:
-            raise MetricError("nothing to compare: one ensemble has no scored models")
-        statistic, p_value = wilcoxon_signed_rank(per_model_nmae[:n], other_nmae[:n])
+        other_rows, other_nmae, _ = _predict_models(other.models, test, other_estimates)
+        # Replicates pair by bootstrap id: the same resample of the
+        # training cohort under both ensembles' settings.
+        mine = _nmae_by_bootstrap_id(args.ensemble, ensemble.models, per_model_rows, per_model_nmae)
+        theirs = _nmae_by_bootstrap_id(args.compare, other.models, other_rows, other_nmae)
+        common = [b for b in mine if b in theirs]
+        if not common:
+            raise MetricError("nothing to compare: the ensembles share no scored bootstrap id")
+        statistic, p_value = wilcoxon_signed_rank(
+            [mine[b] for b in common], [theirs[b] for b in common]
+        )
         comparison = {
-            "n_pairs": n,
+            "n_pairs": len(common),
             "statistic": statistic,
             "p_value": p_value,
-            "nmae_mean_other": float(np.mean(other_nmae[:n])),
+            "nmae_mean_other": float(np.mean([theirs[b] for b in common])),
         }
 
     names = ensemble.biomarker_names()

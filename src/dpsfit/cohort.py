@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -244,6 +245,27 @@ class Cohort:
 # parsing and serialization
 # ----------------------------------------------------------------------
 
+def read_text(path) -> str:
+    """The text of the file at ``path``, line endings untouched; a file
+    that does not decode raises :class:`ParseError` naming the path."""
+    with open(path, newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not {fh.encoding} text ({exc.reason} at byte {exc.start})"
+            ) from None
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that does not decode
+    or is not JSON raises :class:`ParseError` naming the path."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _parse_diagnosis(cell: str, merge_aliases: bool) -> Diagnosis:
     text = cell.strip()
     if not text:
@@ -292,7 +314,7 @@ def parse_cohort_csv(
     diagnosis labels become missing; known aliases are merged when
     ``merge_diagnosis_aliases`` is set.
     """
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -387,11 +409,7 @@ def load_biomarker_specs(path) -> dict[str, BiomarkerSpec]:
     Each entry is an object with ``name`` and optional ``range``,
     ``constraint_policy`` and ``direction_hint`` keys.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: expected a JSON list of biomarker specs")
     specs: dict[str, BiomarkerSpec] = {}

@@ -44,9 +44,12 @@ estimation at inference does.  Warnings about those subjects and about
 training subjects measured without change depend only on the data, so
 :func:`fit` emits them once, before the first iteration, into
 :attr:`FitTrace.warnings`; each subject step adds the training subjects
-whose rate it leaves on the log-alpha bound.  A curve whose solve stops
-at ``inner_max_steps``, or that ends a biomarker step with ``gamma`` on
-its box or its rate ``b`` on its floor, is named once per biomarker and
+whose rate it leaves on the log-alpha bound.  One rule,
+:func:`_curve_box`, gives each curve its free parameters and their box,
+and so the model size ``q_params``.  A curve whose solve stops at
+``inner_max_steps``, or that ends a biomarker step with a free parameter
+on a finite bound of its box (``a`` or ``d`` at 0 when nonnegative, ``b``
+on its floor, ``gamma`` on its box), is named once per biomarker and
 problem, with the first iteration it happened in, in
 :attr:`FitTrace.warnings` and through :func:`warnings.warn`.
 """
@@ -73,10 +76,8 @@ from .progression import (
     _concat_flats,
     _Flat,
     _flatten,
-    _free_params,
     _sigma_per_measurement,
     _solve_subjects,
-    param_count,
     standardize,
 )
 from .robust_loss import LossKind, rho
@@ -90,6 +91,7 @@ __all__ = [
     "fit_biomarker_step",
     "fit_subject_step",
     "objective",
+    "param_count",
 ]
 
 _GAMMA_BOUNDS = (1e-4, 1e4)
@@ -289,18 +291,24 @@ def objective(state: FitState, cohort: Cohort, loss: LossKind) -> float:
     return float(np.dot(flat.omega, rho(loss, r)))
 
 
-_PARAM_COLUMN = {name: i for i, name in enumerate(curves_mod.PARAM_NAMES)}
+def _curve_box(kind: LogisticKind, policy: ConstraintPolicy, iteration: int) -> tuple:
+    """Columns, in :data:`~dpsfit.curves.PARAM_NAMES` order, of the
+    parameters a curve fits in ``iteration``, and their lower and upper
+    bounds.  A fixed range holds ``a`` and ``d``; ``gamma`` is fitted only
+    by the kinds that have it, and is held in iteration 1."""
+    floor = 0.0 if policy is ConstraintPolicy.NONNEGATIVE else -np.inf
+    box = {0: (floor, np.inf), 1: (floor, np.inf), 2: (_RATE_FLOOR, np.inf), 3: (-np.inf, np.inf)}
+    if policy is ConstraintPolicy.FIXED_RANGE:
+        del box[0], box[1]
+    if kind.has_symmetry_param and iteration != 1:
+        box[4] = _GAMMA_BOUNDS
+    lower, upper = zip(*box.values())
+    return list(box), np.array(lower), np.array(upper)
 
 
-def _param_bounds(name: str, policy: ConstraintPolicy) -> tuple[float, float]:
-    if name in ("a", "d"):
-        lo = 0.0 if policy is ConstraintPolicy.NONNEGATIVE else -np.inf
-        return (lo, np.inf)
-    if name == "b":
-        return (_RATE_FLOOR, np.inf)
-    if name == "c":
-        return (-np.inf, np.inf)
-    return _GAMMA_BOUNDS
+def param_count(kind: LogisticKind, policy: ConstraintPolicy) -> int:
+    """Number of free parameters of one biomarker's curve."""
+    return len(_curve_box(LogisticKind(kind), ConstraintPolicy(policy), 0)[0])
 
 
 def fit_biomarker_step(
@@ -324,12 +332,12 @@ def _fit_biomarker_step_flat(
     config: FitConfig,
     iteration: int,
 ) -> list[tuple[str, str]]:
-    """Refit every curve of ``flat`` against the timelines in ``state``.
+    """Refit every curve of ``flat`` against the timelines in ``state``,
+    each within its :func:`_curve_box`.
 
-    Iteration 1 holds ``gamma`` at its start (see the module docstring).
     Returns ``(biomarker, problem)`` for each curve whose solve stopped at
-    ``inner_max_steps``, left ``gamma`` on its box or left ``b`` on
-    ``_RATE_FLOOR``.
+    ``inner_max_steps``, and for each free parameter it left on a finite
+    bound of its box.
     """
     x = _subject_matrix(flat.subject_ids, state.subjects)
     s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
@@ -341,12 +349,8 @@ def _fit_biomarker_step_flat(
         s = s_all[idx]
         policy = cohort.specs[name].constraint_policy
         current = state.curves[name]
-        free = _free_params(config.curve_kind, policy)
-        if iteration == 1:
-            free = [n for n in free if n != "gamma"]
-        cols = [_PARAM_COLUMN[n] for n in free]
+        cols, lower, upper = _curve_box(config.curve_kind, policy, iteration)
         row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
-        bounds = [_param_bounds(n, policy) for n in free]
 
         def model_fn(x: np.ndarray):
             # The solver keeps x finite and inside the box, so the checks of
@@ -365,23 +369,22 @@ def _fit_biomarker_step_flat(
                 sigma=state.sigma[name],
                 omega=flat.omega[idx],
                 loss=config.loss_kind,
-                lower=np.array([lo for lo, _ in bounds]),
-                upper=np.array([hi for _, hi in bounds]),
+                lower=lower,
+                upper=upper,
                 tol=config.inner_solver_tol,
                 max_steps=config.inner_max_steps,
             )
         except SolverError as exc:
             raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
-        state.curves[name] = current.replace(**dict(zip(free, result.x)))
+        row[cols] = result.x
+        state.curves[name] = CurveParams(current.kind, *row.tolist())
         if not result.converged:
             problems.append(
                 (name, f"curve solve stopped at inner_max_steps ({config.inner_max_steps})")
             )
-        gamma = state.curves[name].gamma
-        if "gamma" in free and gamma in _GAMMA_BOUNDS:
-            problems.append((name, f"gamma left on its box bound ({gamma:g})"))
-        if "b" in free and state.curves[name].b == _RATE_FLOOR:
-            problems.append((name, f"rate b left on its floor ({_RATE_FLOOR:g})"))
+        for col, lo, hi in zip(cols, lower, upper):
+            if row[col] in (lo, hi):
+                problems.append((name, f"{curves_mod.PARAM_NAMES[col]} left on its box bound ({row[col]:g})"))
     return problems
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import curves
-from .cohort import Cohort, ConstraintPolicy, MeasurementRecord
+from .cohort import Cohort, MeasurementRecord, read_json
 from .curves import CurveParams, LogisticKind
 from .errors import (
     DomainError,
@@ -42,7 +42,6 @@ __all__ = [
     "predict_biomarkers",
     "estimate_subject",
     "estimate_subjects",
-    "param_count",
     "save_model",
     "load_model",
 ]
@@ -433,25 +432,6 @@ def _estimate(
 
 
 # ----------------------------------------------------------------------
-# model complexity accounting
-# ----------------------------------------------------------------------
-
-def _free_params(kind: LogisticKind, policy: ConstraintPolicy) -> list[str]:
-    """Names of the fitted parameters of one biomarker's curve, in
-    :data:`~dpsfit.curves.PARAM_NAMES` order."""
-    names = [] if policy is ConstraintPolicy.FIXED_RANGE else ["a", "d"]
-    names += ["b", "c"]
-    if kind.has_symmetry_param:
-        names.append("gamma")
-    return names
-
-
-def param_count(kind: LogisticKind, policy: ConstraintPolicy) -> int:
-    """Number of free parameters of one biomarker's curve."""
-    return len(_free_params(LogisticKind(kind), ConstraintPolicy(policy)))
-
-
-# ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
 
@@ -489,11 +469,7 @@ def save_model(model: FittedModel, path) -> None:
 
 def load_model(path) -> FittedModel:
     """Read a model written by :func:`save_model`."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: model file is not valid JSON ({exc})") from exc
+    data = read_json(path)
     try:
         kind = LogisticKind(data["curve_kind"])
         loss = LossKind(data["loss_kind"])

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, Visit
+from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, Visit, read_json
 from .curves import CurveParams, LogisticKind
-from .errors import DomainError, ParseError, SchemaError
+from .errors import DomainError, SchemaError
 from .progression import FittedModel, Standardization, SubjectParams
 from .robust_loss import LossKind
 
@@ -250,25 +250,26 @@ def inject_outliers(
 
 def load_synth_spec(path) -> SynthSpec:
     """Read a :class:`SynthSpec` from JSON."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    data = read_json(path)
+
+    def number(value, key: str) -> float:
+        # float() would read true as 1.0 and "0.1" as 0.1.
+        if type(value) not in (int, float):
+            raise SchemaError(f"{path}: {key} must be a number, got {value!r}")
+        return float(value)
+
     try:
         kind = LogisticKind(data.get("curve_kind", "modified_stannard"))
         biomarkers = tuple(
             SynthBiomarker(
                 name=str(entry["name"]),
                 params=CurveParams(
-                    kind=LogisticKind(entry.get("kind", kind)),
-                    a=entry["a"],
-                    d=entry["d"],
-                    b=entry["b"],
-                    c=entry["c"],
-                    gamma=entry.get("gamma", 1.0),
+                    LogisticKind(entry.get("kind", kind)),
+                    *(number(entry[key], f"biomarker {entry['name']!r}: {key}")
+                      for key in ("a", "d", "b", "c")),
+                    gamma=number(entry.get("gamma", 1.0), f"biomarker {entry['name']!r}: gamma"),
                 ),
-                noise_sd=float(entry.get("noise_sd", 0.0)),
+                noise_sd=number(entry.get("noise_sd", 0.0), f"biomarker {entry['name']!r}: noise_sd"),
             )
             for entry in data["biomarkers"]
         )
@@ -285,15 +286,18 @@ def load_synth_spec(path) -> SynthSpec:
             "missing_rate": float,
             "seed": int,
         }
+        kwargs = {}
         for key, cast in scalars.items():
+            if key not in data:
+                continue
             # int() would truncate 2.7 and read true as 1.
-            if cast is int and key in data and type(data[key]) is not int:
+            if cast is int and type(data[key]) is not int:
                 raise SchemaError(f"{path}: {key} must be an integer, got {data[key]!r}")
-        kwargs = {
-            key: cast(data[key]) for key, cast in scalars.items() if key in data
-        }
+            kwargs[key] = int(data[key]) if cast is int else number(data[key], key)
         if "dx_thresholds" in data:
-            kwargs["dx_thresholds"] = tuple(float(v) for v in data["dx_thresholds"])
+            kwargs["dx_thresholds"] = tuple(
+                number(v, "dx_thresholds") for v in data["dx_thresholds"]
+            )
         return SynthSpec(biomarkers=biomarkers, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed simulation spec ({exc})") from exc

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import pytest
 from dpsfit import resampling
 from dpsfit.cli import main
 from dpsfit.curves import CurveParams, LogisticKind
+from dpsfit.metrics import wilcoxon_signed_rank
 from dpsfit.synth import SynthBiomarker, SynthSpec, write_synth_spec
 
 VER = LogisticKind.VERHULST
@@ -193,7 +195,8 @@ def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("l-max", "three"), ("curve", "bogus"), ("l-max", True), ("seed", False)]
+    "key, value", [("l-max", "three"), ("curve", "bogus"), ("l-max", True), ("seed", False),
+                   ("l-max", 2.9), ("seed", 3.5)]
 )
 def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value):
     config = tmp_path / "bad.json"
@@ -391,10 +394,15 @@ def _under(root, argv):
     (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--window-days", "nan"],
      "window_days"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--valid-fraction", "0"], "--valid-fraction"),
+    (["bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--n", "1", "--grid=-inf:inf:5"],
+     "--grid"),
+    (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS, "--ensemble", "ens",
+      "--grid", "0:1:100000000000"], "--grid"),
 ], ids=["split-seed", "fit-seed", "bootstrap-seed", "spec-seed", "outlier-magnitude",
         "outlier-magnitude-alone", "outlier-magnitude-nan",
         "inner-max-steps-0", "inner-max-steps-negative", "inner-tol-negative", "inner-tol-nan",
-        "window-days-negative", "window-days-nan", "valid-fraction"])
+        "window-days-negative", "window-days-nan", "valid-fraction", "bootstrap-grid-infinite",
+        "report-grid-too-many-points"])
 def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
                                                        argv, culprit):
     root = pipeline
@@ -407,6 +415,29 @@ def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsy
     assert code == 2
     assert err.startswith("dpsfit: error:")
     assert culprit in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["split", "--cohort", "sim/cohort.csv", "--specs", SPECS], "sim/cohort.csv"),
+    (["split", "--cohort", "sim/cohort.csv", "--specs", SPECS], SPECS),
+    (["simulate", "--spec", "sim.json"], "sim.json"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--config", "config.json"], "config.json"),
+], ids=["cohort", "specs", "simulate-spec", "config"])
+def test_file_that_is_not_utf8_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
+                                                           argv, target):
+    for name in ("sim/cohort.csv", SPECS, "sim.json", TRAIN):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+    (tmp_path / "config.json").write_text('{"l-max": 2}')
+    # As in a Latin-1 export: 0xff is a byte that no UTF-8 text holds.
+    with open(tmp_path / target, "ab") as fh:
+        fh.write(b"\xff")
+    code = main(_under(tmp_path, argv) + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"dpsfit: error: {tmp_path / target}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -464,6 +495,51 @@ def test_manifest_names_the_command_and_every_input_file(protocol_root, tmp_path
         str(protocol_root / name): hashlib.sha256((protocol_root / name).read_bytes()).hexdigest()
         for name in inputs
     }
+
+
+def test_report_compare_pairs_replicates_by_bootstrap_id(protocol_root, tmp_path):
+    # Each ensemble without its replicate 1 meets the other, whole: their
+    # replicates 0 and 2 must pair, not 0 and 1 by list position.
+    def report(ensemble, *compare):
+        out = tmp_path / "rep"
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([
+            "report", "--cohort", str(protocol_root / TRAIN), "--test", str(protocol_root / TEST),
+            "--specs", str(protocol_root / SPECS), "--ensemble", str(ensemble), *compare,
+            "--out", str(out), "--grid=-4:8:25", "--quiet",
+        ]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    nmae = {name: report(protocol_root / name)["nmae"]["per_model"] for name in ("ens", "ens_l2")}
+    for short, whole in (("ens", "ens_l2"), ("ens_l2", "ens")):
+        shutil.copytree(protocol_root / short, tmp_path / short)
+        index = json.loads((tmp_path / short / "ensemble.json").read_text())
+        index["models"].remove("model_001.json")
+        (tmp_path / short / "ensemble.json").write_text(json.dumps(index))
+        for first, second in ((tmp_path / short, protocol_root / whole),
+                              (protocol_root / whole, tmp_path / short)):
+            x, y = nmae[first.name], nmae[second.name]
+            statistic, p_value = wilcoxon_signed_rank([x[0], x[2]], [y[0], y[2]])
+            assert report(first, "--compare", str(second))["comparison"] == {
+                "n_pairs": 2,
+                "statistic": statistic,
+                "p_value": p_value,
+                "nmae_mean_other": float(np.mean([y[0], y[2]])),
+            }
+        shutil.rmtree(tmp_path / short)
+
+
+def test_report_compare_rejects_a_repeated_bootstrap_id(protocol_root, tmp_path, capsys):
+    shutil.copytree(protocol_root / "ens_l2", tmp_path / "ens_l2")
+    index = json.loads((tmp_path / "ens_l2" / "ensemble.json").read_text())
+    index["models"] = ["model_000.json", "model_000.json"]
+    (tmp_path / "ens_l2" / "ensemble.json").write_text(json.dumps(index))
+    code = main(_under(protocol_root, [
+        "report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS, "--ensemble", "ens",
+    ]) + ["--compare", str(tmp_path / "ens_l2"), "--out", str(tmp_path / "rep"), "--quiet"])
+    assert code == 2
+    assert f"dpsfit: error: {tmp_path / 'ens_l2'}: models repeat a bootstrap id" in (
+        capsys.readouterr().err)
 
 
 def _with_sparse_subjects(path, out, rows):

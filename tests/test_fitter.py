@@ -9,7 +9,7 @@ from dpsfit.cohort import (
     Direction,
     Visit,
 )
-from dpsfit.curves import CurveParams, LogisticKind, evaluate
+from dpsfit.curves import PARAM_NAMES, CurveParams, LogisticKind, evaluate
 from dpsfit import fitter, progression
 from dpsfit.errors import FitError, InitializationError
 from dpsfit.fitter import (
@@ -542,14 +542,50 @@ def test_fit_names_each_curve_that_leaves_its_rate_on_the_floor(monkeypatch):
     cohort, _ = asymmetric_cohort(n_subjects=30)
     train, valid = partition_train_test(cohort, test_fraction=0.2, seed=11)
     config = FitConfig(l_min=1, l_max=4)
-    with pytest.warns(UserWarning, match="rate b left on its floor") as record:
+    with pytest.warns(UserWarning, match="b left on its box bound") as record:
         _, trace = fit(train, valid, config, progress=False)
-    issued = [str(w.message) for w in record if "rate b" in str(w.message)]
-    assert [m for m in trace.warnings if "rate b" in m] == issued
+    issued = [str(w.message) for w in record if "b left" in str(w.message)]
+    assert [m for m in trace.warnings if "b left" in m] == issued
     assert issued == [
-        f"biomarker {name!r}: rate b left on its floor (5), first in iteration 1"
+        f"biomarker {name!r}: b left on its box bound (5), first in iteration 1"
         for name in ("down", "up")
     ]
+
+
+def test_fit_names_each_asymptote_left_on_the_nonnegative_floor():
+    # "neg" falls to -0.5, which its nonnegative policy keeps its curve from.
+    cohort, _ = generate(small_frame_spec(
+        biomarkers=(
+            SynthBiomarker("neg", CurveParams(kind=VER, a=1.0, d=-0.5, b=1.0, c=1.0), 0.04),
+            SynthBiomarker("down", CurveParams(kind=VER, a=0.0, d=2.0, b=0.8, c=2.5), 0.04),
+        ),
+        n_subjects=40,
+    ))
+    specs = {**cohort.specs, "neg": BiomarkerSpec("neg", constraint_policy=ConstraintPolicy.NONNEGATIVE)}
+    train, valid = partition_train_test(Cohort(cohort.visits, specs), test_fraction=0.2, seed=11)
+    with pytest.warns(UserWarning, match="left on its box bound") as record:
+        model, trace = fit(train, valid, FitConfig(curve_kind=VER, l_min=1, l_max=4), progress=False)
+    issued = [str(w.message) for w in record if "box bound" in str(w.message)]
+    assert [m for m in trace.warnings if "box bound" in m] == issued
+    assert issued == ["biomarker 'neg': d left on its box bound (0), first in iteration 1"]
+    assert model.curves["neg"].d == 0.0
+
+
+def test_curve_box_holds_each_parameter_to_its_rule():
+    inf = np.inf
+    for kind in LogisticKind:
+        for policy in ConstraintPolicy:
+            for iteration in (1, 2):
+                floor = 0.0 if policy is ConstraintPolicy.NONNEGATIVE else -inf
+                rules = {} if policy is ConstraintPolicy.FIXED_RANGE else {
+                    "a": (floor, inf), "d": (floor, inf)}
+                rules.update(b=(1e-8, inf), c=(-inf, inf))
+                if kind.has_symmetry_param and iteration == 2:
+                    rules["gamma"] = (1e-4, 1e4)
+                cols, lower, upper = fitter._curve_box(kind, policy, iteration)
+                assert [PARAM_NAMES[c] for c in cols] == list(rules), (kind, policy, iteration)
+                assert lower.tolist() == [lo for lo, _ in rules.values()]
+                assert upper.tolist() == [hi for _, hi in rules.values()]
 
 
 def test_fit_rejects_validation_cohort_with_other_biomarkers():

@@ -23,11 +23,11 @@ from dpsfit.progression import (
     estimate_subject,
     estimate_subjects,
     load_model,
-    param_count,
     predict_biomarkers,
     save_model,
     standardize,
 )
+from dpsfit.fitter import param_count
 from dpsfit.robust_loss import LossKind, rho
 
 VER = LogisticKind.VERHULST

@@ -249,6 +249,10 @@ def _set_noise(value):
     return lambda data: data["biomarkers"][1].update(noise_sd=value)
 
 
+def _set_param(key, value):
+    return lambda data: data["biomarkers"][1].update({key: value})
+
+
 def _set(key, value):
     return lambda data: data.update({key: value})
 
@@ -261,8 +265,16 @@ def _set(key, value):
     (_set("n_visits", 2.7), "n_visits must be an integer"),
     (_set("n_subjects", True), "n_subjects must be an integer"),
     (_set("seed", "3"), "seed must be an integer"),
+    (_set_param("b", True), "biomarker 'down': b must be a number, got True"),
+    (_set_param("c", "0"), "biomarker 'down': c must be a number, got '0'"),
+    (_set_noise("0.1"), "biomarker 'down': noise_sd must be a number, got '0.1'"),
+    (_set("visit_jitter", True), "visit_jitter must be a number, got True"),
+    (_set("beta_sd", "2.5"), "beta_sd must be a number, got '2.5'"),
+    (_set("dx_thresholds", [False, True]), "dx_thresholds must be a number, got False"),
 ], ids=["noise-sd-inf", "noise-sd-nan", "beta-mean-nan", "baseline-age-mean-inf",
-        "n-visits-fraction", "n-subjects-bool", "seed-string"])
+        "n-visits-fraction", "n-subjects-bool", "seed-string", "b-bool", "c-string",
+        "noise-sd-string", "visit-jitter-bool", "beta-sd-string",
+        "dx-thresholds-bool"])
 def test_hostile_spec_exits_with_two_and_names_the_field(tmp_path, capsys, edit, culprit):
     path = tmp_path / "sim.json"
     write_synth_spec(two_biomarker_spec(noise=0.1), path)
