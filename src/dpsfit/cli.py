@@ -7,19 +7,21 @@ set, ``fit`` trains one model, ``bootstrap`` trains an ensemble,
 ``order`` summarizes biomarker orderings and ``report`` gathers metrics
 and plot data.
 
-Each subcommand does its work and returns its effective configuration,
-the files it wrote and a summary line; :func:`main` then writes
-``run_manifest.json`` into the output directory, prints the summary and
-turns any data or file error into exit code 2.  The manifest holds the
+Each subcommand writes its files through a recorder of its output
+directory, which makes the directory at the first write and keeps the name
+of each file, so a run that fails before writing leaves no directory.  It
+returns its effective configuration and a summary line; :func:`main` then
+writes ``run_manifest.json`` into the output directory, prints the summary
+and turns any data or file error into exit code 2.  The manifest holds the
 command, that configuration, the SHA-256 hash of every input file a flag
 names (``--config`` and the ``ensemble.json`` index of an ensemble
-directory included), the list of files produced and the Python, numpy and
-platform versions that produced them.  Numeric outputs are byte-identical
-across reruns with the same inputs and seed.  ``bootstrap`` fits its
-replicates in forked worker processes on Linux, one per usable CPU up to
-``--n``, and in this process on one CPU or another platform; memory grows
-by one fit per worker.  It still accepts the old ``--threads`` flag and
-ignores it.
+directory included), the recorded list of files produced and the Python,
+numpy and platform versions that produced them.  Numeric outputs are
+byte-identical across reruns with the same inputs and seed.  ``bootstrap``
+fits its replicates in forked worker processes on Linux, one per usable
+CPU up to ``--n``, and in this process on one CPU or another platform;
+memory grows by one fit per worker.  It still accepts the old
+``--threads`` flag and ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.
@@ -28,10 +30,8 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import json
 import os
 import platform
 import sys
@@ -53,6 +53,8 @@ from .cohort import (
     remove_reverting_diagnoses,
     write_biomarker_specs,
     write_cohort_csv,
+    write_csv,
+    write_json,
 )
 from .curves import LogisticKind, evaluate
 from .errors import DpsFitError, MetricError, SchemaError, StagingError
@@ -102,7 +104,27 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: list[str]) -> None:
+class _OutDir:
+    """The ``--out`` directory of a run.  It is made at the first write,
+    and the name of every file written to it is kept for the manifest."""
+
+    def __init__(self, root):
+        self.root = root
+        self.names: list[str] = []
+
+    def path(self, name: str) -> str:
+        os.makedirs(self.root, exist_ok=True)
+        self.names.append(name)
+        return os.path.join(self.root, name)
+
+    def csv(self, name: str, header, rows) -> None:
+        write_csv(self.path(name), header, rows)
+
+    def json(self, name: str, data) -> None:
+        write_json(self.path(name), data)
+
+
+def _write_manifest(out: _OutDir, command: str, config: dict, inputs: list) -> None:
     # uname rather than platform.platform(), which reads the whole
     # interpreter binary to find the libc version.
     host = platform.uname()
@@ -110,7 +132,7 @@ def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: l
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": sorted(outputs),
+        "outputs": sorted(out.names),
         "version": __version__,
         "versions": {
             "python": platform.python_version(),
@@ -118,7 +140,7 @@ def _write_manifest(outdir, command: str, config: dict, inputs: list, outputs: l
             "platform": f"{host.system}-{host.release}-{host.machine}",
         },
     }
-    _write_json(os.path.join(outdir, "run_manifest.json"), manifest)
+    out.json("run_manifest.json", manifest)
 
 
 # Flags that name an input file, and flags that name an ensemble directory
@@ -205,42 +227,25 @@ def _load_inputs(args) -> Cohort:
     return parse_cohort_csv(args.cohort, specs)
 
 
-def _write_json(path, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_curve_table(path, grid: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = sorted(columns)
-        writer.writerow(["dps"] + names)
-        for i, s in enumerate(grid):
-            writer.writerow([repr(float(s))] + [repr(float(columns[n][i])) for n in names])
+def _write_curve_table(out: _OutDir, name: str, grid: np.ndarray,
+                       columns: dict[str, np.ndarray]) -> None:
+    names = sorted(columns)
+    out.csv(name, ["dps"] + names, zip(grid.tolist(), *(columns[n].tolist() for n in names)))
 
 
 # ----------------------------------------------------------------------
 # ensemble persistence
 # ----------------------------------------------------------------------
 
-def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
-    outputs = []
+def _save_ensemble(ensemble: BootstrapEnsemble, out: _OutDir) -> None:
     model_files = []
     for model, trace, in_bag in zip(ensemble.models, ensemble.traces, ensemble.in_bag_counts):
         b = model.provenance["bootstrap_id"]
         model_file = f"model_{b:03d}.json"
-        trace_file = f"trace_{b:03d}.csv"
-        bag_file = f"inbag_{b:03d}.csv"
-        save_model(model, os.path.join(outdir, model_file))
-        trace.to_csv(os.path.join(outdir, trace_file))
-        with open(os.path.join(outdir, bag_file), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject_id", "count_in_bag"])
-            for sid in sorted(in_bag):
-                writer.writerow([sid, in_bag[sid]])
+        save_model(model, out.path(model_file))
+        trace.to_csv(out.path(f"trace_{b:03d}.csv"))
+        out.csv(f"inbag_{b:03d}.csv", ["subject_id", "count_in_bag"], sorted(in_bag.items()))
         model_files.append(model_file)
-        outputs += [model_file, trace_file, bag_file]
     index = {
         "n_requested": ensemble.n_requested,
         "seed": ensemble.seed,
@@ -248,9 +253,7 @@ def _save_ensemble(ensemble: BootstrapEnsemble, outdir) -> list[str]:
         "failures": [[b, msg] for b, msg in ensemble.failures],
         "oob_subjects": [sorted(oob) for oob in ensemble.oob_subjects],
     }
-    _write_json(os.path.join(outdir, "ensemble.json"), index)
-    outputs.append("ensemble.json")
-    return outputs
+    out.json("ensemble.json", index)
 
 
 def _load_ensemble(path) -> BootstrapEnsemble:
@@ -269,7 +272,7 @@ def _load_ensemble(path) -> BootstrapEnsemble:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{index_path}: malformed ensemble index ({exc!r})") from exc
     if not ensemble.models:
-        raise DpsFitError(f"{path}: ensemble holds no models")
+        raise DpsFitError(f"{index_path}: ensemble holds no models")
     return ensemble
 
 
@@ -298,8 +301,8 @@ def _predict_models(models, cohort: Cohort, estimates):
             mask = names == name
             predicted[mask] = evaluate(p, scores[mask])
         rows = [
-            (r.subject_id, r.visit_index, r.age, r.biomarker, r.value, float(f))
-            for r, f in zip(cells, predicted)
+            (r.subject_id, r.visit_index, r.age, r.biomarker, r.value, f)
+            for r, f in zip(cells, predicted.tolist())
         ]
         per_model_rows.append(rows)
         if rows:
@@ -367,25 +370,21 @@ def _stage_cohort(members, cohort: Cohort, estimates):
     return staged, truths, [(sid, str(exc)) for sid, exc in failures.items()]
 
 
-def _write_mean_curves(outdir, grid: np.ndarray, aggregates) -> list[str]:
+def _write_mean_curves(out: _OutDir, grid: np.ndarray, aggregates) -> None:
     """Write the ensemble's mean and normalized-mean curve tables."""
-    outputs = []
     for file_name, field in (("curves_mean.csv", "mean"),
                              ("curves_normalized_mean.csv", "normalized_mean")):
         _write_curve_table(
-            os.path.join(outdir, file_name),
-            grid,
-            {name: getattr(agg, field) for name, agg in aggregates.items()},
+            out, file_name, grid, {name: getattr(agg, field) for name, agg in aggregates.items()}
         )
-        outputs.append(file_name)
-    return outputs
 
 
 # ----------------------------------------------------------------------
-# subcommands: each returns (config, outputs, summary) for main
+# subcommands: each writes through its output recorder and returns
+# (config, summary) for main
 # ----------------------------------------------------------------------
 
-def _cmd_simulate(args) -> tuple[dict, list[str], str | None]:
+def _cmd_simulate(args, out: _OutDir) -> tuple[dict, str | None]:
     magnitude = float(_resolve(args, "outlier_magnitude", 5.0))
     if not 0.0 <= magnitude < np.inf:
         raise DpsFitError(f"bad --outlier-magnitude {magnitude}, need a nonnegative finite value")
@@ -395,19 +394,18 @@ def _cmd_simulate(args) -> tuple[dict, list[str], str | None]:
         cohort, _ = inject_outliers(
             cohort, fraction=args.outlier_fraction, magnitude=magnitude, seed=spec.seed
         )
-    os.makedirs(args.out, exist_ok=True)
-    write_cohort_csv(cohort, os.path.join(args.out, "cohort.csv"))
-    write_biomarker_specs(cohort.specs, os.path.join(args.out, "biomarker_specs.json"))
-    save_model(truth, os.path.join(args.out, "truth_model.json"))
+    write_cohort_csv(cohort, out.path("cohort.csv"))
+    write_biomarker_specs(cohort.specs, out.path("biomarker_specs.json"))
+    save_model(truth, out.path("truth_model.json"))
     config = {
         "spec": str(args.spec),
         "outlier_fraction": args.outlier_fraction or 0.0,
         "outlier_magnitude": magnitude,
     }
-    return config, ["cohort.csv", "biomarker_specs.json", "truth_model.json"], None
+    return config, None
 
 
-def _cmd_ingest(args) -> tuple[dict, list[str], str | None]:
+def _cmd_ingest(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
     window = _resolve(args, "window_days", 92.0)
     cohort, report = reject_out_of_range(cohort)
@@ -417,34 +415,27 @@ def _cmd_ingest(args) -> tuple[dict, list[str], str | None]:
     volumetric = [v for v in (args.volumetric or "").split(",") if v]
     if volumetric:
         cohort = ancova_residuals(cohort, volumetric)
-    os.makedirs(args.out, exist_ok=True)
-    write_cohort_csv(cohort, os.path.join(args.out, "clean_cohort.csv"))
-    report.to_csv(os.path.join(args.out, "rejection_report.csv"))
+    write_cohort_csv(cohort, out.path("clean_cohort.csv"))
+    report.to_csv(out.path("rejection_report.csv"))
     return (
         {"window_days": float(window), "volumetric": volumetric},
-        ["clean_cohort.csv", "rejection_report.csv"],
         f"{len(cohort.subject_ids())} subjects, {cohort.n_measurements()} measurements, "
         f"{report.total()} values rejected",
     )
 
 
-def _cmd_split(args) -> tuple[dict, list[str], str | None]:
+def _cmd_split(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
     seed = int(_resolve(args, "seed", 0))
     fraction = float(_resolve(args, "test_fraction", 0.2))
     train, test = partition_train_test(cohort, test_fraction=fraction, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
-    write_cohort_csv(train, os.path.join(args.out, "train.csv"))
-    write_cohort_csv(test, os.path.join(args.out, "test.csv"))
+    write_cohort_csv(train, out.path("train.csv"))
+    write_cohort_csv(test, out.path("test.csv"))
     test_ids = set(test.subject_ids())
-    with open(os.path.join(args.out, "split_manifest.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "role"])
-        for sid in cohort.subject_ids():
-            writer.writerow([sid, "test" if sid in test_ids else "train"])
+    out.csv("split_manifest.csv", ["subject_id", "role"],
+            ([sid, "test" if sid in test_ids else "train"] for sid in cohort.subject_ids()))
     return (
         {"test_fraction": fraction, "seed": seed},
-        ["train.csv", "test.csv", "split_manifest.csv"],
         f"train {len(train.subject_ids())} subjects / test {len(test_ids)} subjects",
     )
 
@@ -461,7 +452,7 @@ def _config_dict(config: FitConfig) -> dict:
     return data
 
 
-def _cmd_fit(args) -> tuple[dict, list[str], str | None]:
+def _cmd_fit(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
     if args.valid:
@@ -472,18 +463,16 @@ def _cmd_fit(args) -> tuple[dict, list[str], str | None]:
             raise DpsFitError(f"bad --valid-fraction {fraction}, need a value in (0, 1)")
         train, valid = partition_train_test(cohort, test_fraction=fraction, seed=config.seed)
     model, trace = fit(train, valid, config, progress=not args.quiet)
-    os.makedirs(args.out, exist_ok=True)
-    save_model(model, os.path.join(args.out, "model.json"))
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
+    save_model(model, out.path("model.json"))
+    trace.to_csv(out.path("trace.csv"))
     return (
         _config_dict(config),
-        ["model.json", "trace.csv"],
         f"selected iteration {trace.l_opt} of {config.l_max}, "
         f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
     )
 
 
-def _cmd_bootstrap(args) -> tuple[dict, list[str], str | None]:
+def _cmd_bootstrap(args, out: _OutDir) -> tuple[dict, str | None]:
     n = int(_resolve(args, "n", 100))
     if n < 1:
         raise DpsFitError(f"bad --n {n}, need at least 1 bootstrap replicate")
@@ -492,40 +481,34 @@ def _cmd_bootstrap(args) -> tuple[dict, list[str], str | None]:
     cohort = _load_inputs(args)
     config = _fit_config_from_args(args)
     ensemble = run_bootstraps(cohort, config, n_bootstraps=n, progress=not args.quiet)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = _save_ensemble(ensemble, args.out)
-
     ordering = ordering_matrix(ensemble)
-    ordering.to_csv(os.path.join(args.out, "ordering_matrix.csv"))
-    outputs.append("ordering_matrix.csv")
-
     names = ensemble.biomarker_names()
     aggregates = {name: aggregate_curves(ensemble, name, grid) for name in names}
-    outputs += _write_mean_curves(args.out, grid, aggregates)
+
+    _save_ensemble(ensemble, out)
+    ordering.to_csv(out.path("ordering_matrix.csv"))
+    _write_mean_curves(out, grid, aggregates)
     for m, model in enumerate(ensemble.models):
-        b = model.provenance["bootstrap_id"]
-        file_name = f"curves_{b:03d}.csv"
         _write_curve_table(
-            os.path.join(args.out, file_name),
+            out,
+            f"curves_{model.provenance['bootstrap_id']:03d}.csv",
             grid,
             {name: aggregates[name].values[m] for name in names},
         )
-        outputs.append(file_name)
 
     config_data = {**_config_dict(config), "n_bootstraps": n, "grid": grid_text}
-    return config_data, outputs, f"{len(ensemble.models)} of {n} bootstraps succeeded"
+    return config_data, f"{len(ensemble.models)} of {n} bootstraps succeeded"
 
 
-def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
+def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
     models = [load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
 
     per_model_rows, per_model_nmae, skipped_all = _predict_models(
         models, cohort, [estimate_subjects(model, cohort) for model in models]
     )
     if not all(per_model_rows):
-        raise DpsFitError("no predictable measurements in the cohort")
+        raise DpsFitError(f"{args.cohort}: no predictable measurements in the cohort")
 
     # Cells predictable by every model, fused by averaging.
     keys = set.intersection(*(
@@ -542,12 +525,8 @@ def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
     ]
     mae_map, nmae_value = _mae_nmae_from_rows(fused_rows)
 
-    with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"])
-        for sid, ix, age, name, actual, predicted in fused_rows:
-            writer.writerow([sid, ix, repr(float(age)), name,
-                             repr(float(actual)), repr(float(predicted))])
+    out.csv("predictions.csv",
+            ["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"], fused_rows)
 
     metrics_data = {
         "mae": mae_map,
@@ -557,15 +536,14 @@ def _cmd_predict(args) -> tuple[dict, list[str], str | None]:
         "nmae_sd": float(np.std(per_model_nmae, ddof=1)) if len(per_model_nmae) > 1 else 0.0,
         "skipped_subjects": sorted({s for s, _ in skipped_all}),
     }
-    _write_json(os.path.join(args.out, "metrics.json"), metrics_data)
+    out.json("metrics.json", metrics_data)
     return (
         {"model": args.model, "ensemble": args.ensemble},
-        ["predictions.csv", "metrics.json"],
         f"NMAE {nmae_value:.4f} over {len(fused_rows)} measurements",
     )
 
 
-def _cmd_classify(args) -> tuple[dict, list[str], str | None]:
+def _cmd_classify(args, out: _OutDir) -> tuple[dict, str | None]:
     test = _load_inputs(args)
     train = parse_cohort_csv(args.train, test.specs)
     ensemble = _load_ensemble(args.ensemble)
@@ -575,24 +553,24 @@ def _cmd_classify(args) -> tuple[dict, list[str], str | None]:
     if not staged:
         raise StagingError("no test visit could be staged")
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "classifications.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "subject_id", "visit_index", "dps",
-            "p_cn", "p_mci", "p_ad", "predicted_label", "underflow_flag",
-        ])
-        for visit in staged:
-            writer.writerow([
+    out.csv(
+        "classifications.csv",
+        ["subject_id", "visit_index", "dps",
+         "p_cn", "p_mci", "p_ad", "predicted_label", "underflow_flag"],
+        (
+            [
                 visit.subject_id,
                 visit.visit_index,
-                repr(float(visit.dps)),
-                repr(float(visit.probabilities.get(Diagnosis.CN, 0.0))),
-                repr(float(visit.probabilities.get(Diagnosis.MCI, 0.0))),
-                repr(float(visit.probabilities.get(Diagnosis.AD, 0.0))),
+                float(visit.dps),
+                float(visit.probabilities.get(Diagnosis.CN, 0.0)),
+                float(visit.probabilities.get(Diagnosis.MCI, 0.0)),
+                float(visit.probabilities.get(Diagnosis.AD, 0.0)),
                 visit.predicted.value,
                 int(visit.underflow),
-            ])
+            ]
+            for visit in staged
+        ),
+    )
 
     try:
         auc = multiclass_auc([v.probabilities for v in staged], truths)
@@ -604,35 +582,31 @@ def _cmd_classify(args) -> tuple[dict, list[str], str | None]:
         "n_underflow": sum(1 for v in staged if v.underflow),
         "skipped_subjects": sorted({s for s, _ in skipped}),
     }
-    _write_json(os.path.join(args.out, "metrics.json"), metrics_data)
+    out.json("metrics.json", metrics_data)
     return (
         {"ensemble": args.ensemble},
-        ["classifications.csv", "metrics.json"],
         f"staged {len(staged)} visits"
         + (f", AUC {auc:.4f}" if auc is not None else ", AUC undefined"),
     )
 
 
-def _cmd_order(args) -> tuple[dict, list[str], str | None]:
+def _cmd_order(args, out: _OutDir) -> tuple[dict, str | None]:
     ordering = ordering_matrix(_load_ensemble(args.ensemble))
-    os.makedirs(args.out, exist_ok=True)
-    ordering.to_csv(os.path.join(args.out, "ordering_matrix.csv"))
+    ordering.to_csv(out.path("ordering_matrix.csv"))
     positions = np.arange(len(ordering.biomarkers))
     lines = [
         f"{i + 1:2d}. {name}  (mean rank {float(ordering.matrix[i] @ positions) + 1:.2f})"
         for i, name in enumerate(ordering.biomarkers)
     ]
-    return {"ensemble": args.ensemble}, ["ordering_matrix.csv"], "\n".join(lines)
+    return {"ensemble": args.ensemble}, "\n".join(lines)
 
 
-def _cmd_report(args) -> tuple[dict, list[str], str | None]:
+def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
     grid_text = _resolve(args, "grid", _DEFAULT_GRID)
     grid = _parse_grid(grid_text)
     train = _load_inputs(args)
     test = parse_cohort_csv(args.test, train.specs)
     ensemble = _load_ensemble(args.ensemble)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
 
     bic_values = [
         bic(prov["e_train_opt"], prov["q_params"], prov["n_measurements"])
@@ -679,16 +653,16 @@ def _cmd_report(args) -> tuple[dict, list[str], str | None]:
 
     names = ensemble.biomarker_names()
     aggregates = {name: aggregate_curves(ensemble, name, grid) for name in names}
-    outputs += _write_mean_curves(args.out, grid, aggregates)
-
-    with open(os.path.join(args.out, "inflection_points.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["biomarker", "bootstrap_id", "inflection"])
-        for model in ensemble.models:
-            b = model.provenance.get("bootstrap_id")
-            for name in names:
-                writer.writerow([name, b, repr(float(model.curves[name].c))])
-    outputs.append("inflection_points.csv")
+    _write_mean_curves(out, grid, aggregates)
+    out.csv(
+        "inflection_points.csv",
+        ["biomarker", "bootstrap_id", "inflection"],
+        (
+            [name, model.provenance.get("bootstrap_id"), float(model.curves[name].c)]
+            for model in ensemble.models
+            for name in names
+        ),
+    )
 
     if members:
         likelihoods = {
@@ -702,8 +676,7 @@ def _cmd_report(args) -> tuple[dict, list[str], str | None]:
                 )
         for key in likelihoods:
             likelihoods[key] /= len(members)
-        _write_curve_table(os.path.join(args.out, "likelihoods.csv"), grid, likelihoods)
-        outputs.append("likelihoods.csv")
+        _write_curve_table(out, "likelihoods.csv", grid, likelihoods)
 
     report = {
         "n_models": len(ensemble.models),
@@ -721,35 +694,32 @@ def _cmd_report(args) -> tuple[dict, list[str], str | None]:
         "staging_note": staging_note,
         "comparison": comparison,
     }
-    _write_json(os.path.join(args.out, "report.json"), report)
-    outputs.append("report.json")
+    out.json("report.json", report)
 
     if args.svg:
         write_line_chart(
-            os.path.join(args.out, "trajectories.svg"),
+            out.path("trajectories.svg"),
             grid,
             {name: aggregates[name].normalized_mean for name in names},
             title="Normalized biomarker trajectories",
             xlabel="DPS",
             ylabel="normalized value",
         )
-        outputs.append("trajectories.svg")
         if members:
             write_line_chart(
-                os.path.join(args.out, "likelihoods.svg"),
+                out.path("likelihoods.svg"),
                 grid,
                 likelihoods,
                 title="Class-conditional score likelihoods",
                 xlabel="DPS",
                 ylabel="density",
             )
-            outputs.append("likelihoods.svg")
 
     config = {"ensemble": args.ensemble, "compare": args.compare,
               "grid": grid_text, "svg": bool(args.svg)}
     nmae_mean = report["nmae"]["mean"]
     auc_text = f", AUC {auc:.4f}" if auc is not None else ""
-    return config, outputs, None if nmae_mean is None else f"NMAE {nmae_mean:.4f}{auc_text}"
+    return config, None if nmae_mean is None else f"NMAE {nmae_mean:.4f}{auc_text}"
 
 
 # ----------------------------------------------------------------------
@@ -857,8 +827,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config_file(args, parser.commands[args.command])
-        config, outputs, summary = args.func(args)
-        _write_manifest(args.out, args.command, config, _input_files(args), outputs)
+        out = _OutDir(args.out)
+        config, summary = args.func(args, out)
+        _write_manifest(out, args.command, config, _input_files(args))
     except (DpsFitError, OSError) as exc:
         print(f"dpsfit: error: {exc}", file=sys.stderr)
         return 2

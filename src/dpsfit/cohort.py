@@ -266,6 +266,24 @@ def read_json(path):
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV.  A float cell is written as its
+    shortest round-trip repr and ``None`` as an empty cell, so rows carry
+    Python floats: ``csv`` writes a numpy float's repr, which numpy 2 wraps
+    as ``np.float64(...)``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, data, *, indent=1) -> None:
+    """Write ``data`` as JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
 def _parse_diagnosis(cell: str, merge_aliases: bool) -> Diagnosis:
     text = cell.strip()
     if not text:
@@ -278,26 +296,26 @@ def _parse_diagnosis(cell: str, merge_aliases: bool) -> Diagnosis:
     return Diagnosis.MISSING
 
 
-def _parse_date(cell: str, lineno: int) -> dt.date | None:
+def _parse_date(cell: str, path, lineno: int) -> dt.date | None:
     text = cell.strip()
     if not text:
         return None
     try:
         return dt.date.fromisoformat(text)
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad visit_date {text!r}") from exc
+        raise ParseError(f"{path}: line {lineno}: bad visit_date {text!r}") from exc
 
 
-def _parse_float(cell: str, lineno: int, column: str) -> float | None:
+def _parse_float(cell: str, path, lineno: int, column: str) -> float | None:
     text = cell.strip()
     if not text:
         return None
     try:
         value = float(text)
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: column {column!r}: bad number {text!r}") from exc
+        raise ParseError(f"{path}: line {lineno}: column {column!r}: bad number {text!r}") from exc
     if not math.isfinite(value):
-        raise ParseError(f"line {lineno}: column {column!r}: non-finite value")
+        raise ParseError(f"{path}: line {lineno}: column {column!r}: non-finite value")
     return value
 
 
@@ -319,41 +337,47 @@ def parse_cohort_csv(
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ParseError(f"{path}: line 1: missing header (empty file)") from None
         header = [h.strip() for h in header]
         if "subject_id" not in header or "age" not in header:
-            raise SchemaError(f"{path}: header must contain subject_id and age")
+            raise SchemaError(f"{path}: line 1: header must contain subject_id and age")
         col = {name: header.index(name) for name in header}
         biomarker_cols = [h for h in header if h not in RESERVED_COLUMNS]
         for name in biomarker_cols:
             if name not in specs:
-                raise SchemaError(f"{path}: biomarker column {name!r} has no spec")
+                raise SchemaError(f"{path}: line 1: biomarker column {name!r} has no spec")
 
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not any(c.strip() for c in cells):
                 continue
             if len(cells) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
+                )
             sid = cells[col["subject_id"]].strip()
             if not sid:
-                raise ParseError(f"line {lineno}: empty subject_id")
+                raise ParseError(f"{path}: line {lineno}: empty subject_id")
             if REPLICATE_SEPARATOR in sid:
-                raise ParseError(f"line {lineno}: subject_id may not contain {REPLICATE_SEPARATOR!r}")
-            age = _parse_float(cells[col["age"]], lineno, "age")
+                raise ParseError(
+                    f"{path}: line {lineno}: subject_id may not contain {REPLICATE_SEPARATOR!r}"
+                )
+            age = _parse_float(cells[col["age"]], path, lineno, "age")
             if age is None or age <= 0:
-                raise ParseError(f"line {lineno}: age must be a positive number")
-            date = _parse_date(cells[col["visit_date"]], lineno) if "visit_date" in col else None
+                raise ParseError(f"{path}: line {lineno}: age must be a positive number")
+            date = (
+                _parse_date(cells[col["visit_date"]], path, lineno) if "visit_date" in col else None
+            )
             dx = (
                 _parse_diagnosis(cells[col["diagnosis"]], merge_diagnosis_aliases)
                 if "diagnosis" in col
                 else Diagnosis.MISSING
             )
             tag = cells[col["cohort_tag"]].strip() if "cohort_tag" in col else ""
-            icv = _parse_float(cells[col["icv"]], lineno, "icv") if "icv" in col else None
+            icv = _parse_float(cells[col["icv"]], path, lineno, "icv") if "icv" in col else None
             values: dict[str, float | None] = {}
             for name in biomarker_cols:
-                value = _parse_float(cells[col[name]], lineno, name)
+                value = _parse_float(cells[col[name]], path, lineno, name)
                 if value is not None:
                     values[name] = value
             rows.append((sid, date, age, dx, tag, icv, values, lineno))
@@ -384,23 +408,21 @@ def parse_cohort_csv(
 def write_cohort_csv(cohort: Cohort, path) -> None:
     """Write a cohort back to the visit-per-row CSV layout."""
     names = cohort.biomarker_names()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(RESERVED_COLUMNS) + names)
-        ordered = sorted(cohort.visits, key=lambda v: (v.subject_id, v.visit_index))
-        for v in ordered:
-            row = [
-                v.subject_id,
-                v.date.isoformat() if v.date else "",
-                repr(v.age),
-                "" if v.diagnosis is Diagnosis.MISSING else v.diagnosis.value,
-                v.cohort_tag,
-                "" if v.icv is None else repr(v.icv),
-            ]
-            for name in names:
-                value = v.values.get(name)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+    rows = []
+    for v in sorted(cohort.visits, key=lambda v: (v.subject_id, v.visit_index)):
+        row = [
+            v.subject_id,
+            v.date.isoformat() if v.date else "",
+            float(v.age),
+            "" if v.diagnosis is Diagnosis.MISSING else v.diagnosis.value,
+            v.cohort_tag,
+            None if v.icv is None else float(v.icv),
+        ]
+        for name in names:
+            value = v.values.get(name)
+            row.append(None if value is None else float(value))
+        rows.append(row)
+    write_csv(path, list(RESERVED_COLUMNS) + names, rows)
 
 
 def load_biomarker_specs(path) -> dict[str, BiomarkerSpec]:
@@ -444,9 +466,7 @@ def write_biomarker_specs(specs: dict[str, BiomarkerSpec], path) -> None:
                 "direction_hint": s.direction_hint.value,
             }
         )
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data, indent=2)
 
 
 # ----------------------------------------------------------------------
@@ -470,11 +490,7 @@ class RejectionReport:
         return [(b, r, n) for (b, r), n in sorted(self.counts.items())]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["biomarker", "rule", "count"])
-            for row in self.rows():
-                writer.writerow(row)
+        write_csv(path, ["biomarker", "rule", "count"], self.rows())
 
 
 def reject_out_of_range(cohort: Cohort) -> tuple[Cohort, RejectionReport]:

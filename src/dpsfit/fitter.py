@@ -56,7 +56,6 @@ problem, with the first iteration it happened in, in
 
 from __future__ import annotations
 
-import csv
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import Cohort, ConstraintPolicy, Diagnosis, Direction
+from .cohort import Cohort, ConstraintPolicy, Diagnosis, Direction, write_csv
 from .curves import CurveParams, LogisticKind
 from .errors import FitError, InitializationError, SolverError
 from .optim import minimize_robust
@@ -138,11 +137,12 @@ class FitTrace:
     warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "E_train", "E_valid"])
-            for i, (et, ev) in enumerate(zip(self.e_train, self.e_valid), start=1):
-                writer.writerow([i, repr(et), repr(ev)])
+        write_csv(
+            path,
+            ["iteration", "E_train", "E_valid"],
+            ([i, float(et), float(ev)]
+             for i, (et, ev) in enumerate(zip(self.e_train, self.e_valid), start=1)),
+        )
 
 
 @dataclass

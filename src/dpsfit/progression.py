@@ -11,7 +11,6 @@ the cognitively normal visits of the training set.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import curves
-from .cohort import Cohort, MeasurementRecord, read_json
+from .cohort import Cohort, MeasurementRecord, read_json, write_json
 from .curves import CurveParams, LogisticKind
 from .errors import (
     DomainError,
@@ -462,9 +461,7 @@ def save_model(model: FittedModel, path) -> None:
         },
         "provenance": model.provenance,
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_model(path) -> FittedModel:

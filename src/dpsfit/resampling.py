@@ -15,7 +15,6 @@ the number of replicates drawn.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, Visit
+from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, Visit, write_csv
 from .errors import DpsFitError, EnsembleError
 from .fitter import FitConfig, FitTrace, fit
 from .progression import FittedModel
@@ -351,12 +350,9 @@ class OrderingMatrix:
     matrix: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n = len(self.biomarkers)
-            writer.writerow(["biomarker"] + [f"rank_{r + 1}" for r in range(n)])
-            for i, name in enumerate(self.biomarkers):
-                writer.writerow([name] + [repr(float(x)) for x in self.matrix[i]])
+        header = ["biomarker"] + [f"rank_{r + 1}" for r in range(len(self.biomarkers))]
+        rows = ([name] + row for name, row in zip(self.biomarkers, self.matrix.tolist()))
+        write_csv(path, header, rows)
 
 
 def ordering_matrix(ensemble: BootstrapEnsemble) -> OrderingMatrix:

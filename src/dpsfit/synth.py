@@ -16,13 +16,12 @@ was evaluated on its own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, Visit, read_json
+from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, Visit, read_json, write_json
 from .curves import CurveParams, LogisticKind
 from .errors import DomainError, SchemaError
 from .progression import FittedModel, Standardization, SubjectParams
@@ -331,6 +330,4 @@ def write_synth_spec(spec: SynthSpec, path) -> None:
             for bm in spec.biomarkers
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data, indent=2)

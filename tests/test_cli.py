@@ -309,8 +309,10 @@ def _set_sigma(value):
     ("model_001.json", _set_sigma(0.0), "biomarker 'up'"),
     ("model_001.json", _set_sigma(-1.0), "biomarker 'up'"),
     ("model_001.json", _set_sigma(float("inf")), "biomarker 'up'"),
+    ("ensemble.json", lambda p: _edit_json(p, lambda d: d.__setitem__("models", [])),
+     "holds no models"),
 ], ids=["malformed-model", "index-without-models", "malformed-index", "zero-sigma",
-        "negative-sigma", "infinite-sigma"])
+        "negative-sigma", "infinite-sigma", "index-with-empty-models"])
 def test_bad_model_and_ensemble_files_exit_with_two(pipeline, tmp_path, capsys,
                                                    target, damage, culprit):
     ensemble = tmp_path / "ens"
@@ -398,11 +400,13 @@ def _under(root, argv):
      "--grid"),
     (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS, "--ensemble", "ens",
       "--grid", "0:1:100000000000"], "--grid"),
+    (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS, "--ensemble", "ens",
+      "--grid", "a:b:5"], "--grid"),
 ], ids=["split-seed", "fit-seed", "bootstrap-seed", "spec-seed", "outlier-magnitude",
         "outlier-magnitude-alone", "outlier-magnitude-nan",
         "inner-max-steps-0", "inner-max-steps-negative", "inner-tol-negative", "inner-tol-nan",
         "window-days-negative", "window-days-nan", "valid-fraction", "bootstrap-grid-infinite",
-        "report-grid-too-many-points"])
+        "report-grid-too-many-points", "report-grid-not-numbers"])
 def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
                                                        argv, culprit):
     root = pipeline
@@ -439,6 +443,62 @@ def test_file_that_is_not_utf8_exits_with_two_and_names_it(pipeline, tmp_path, c
     assert code == 2
     assert err.startswith(f"dpsfit: error: {tmp_path / target}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("", 1, "missing header (empty file)"),
+    ("age,up,down\n70,0.1,1.9\n", 1, "header must contain subject_id and age"),
+    ("subject_id,up,down\ns1,0.1,1.9\n", 1, "header must contain subject_id and age"),
+    ("subject_id,age,up,down\ns1,70,0.1,1.9\ns1,71,0.2\n", 3, "expected 4 cells, got 3"),
+    ("subject_id,age,up,down\ns1,70,0.1,1.9\n ,71,0.2,1.8\n", 3, "empty subject_id"),
+    ("subject_id,age,up,down\ns#1,70,0.1,1.9\n", 2, "subject_id may not contain '#'"),
+    ("subject_id,age,up,down\ns1,-70,0.1,1.9\n", 2, "age must be a positive number"),
+    ("subject_id,visit_date,age,up,down\ns1,2020-13-01,70,0.1,1.9\n", 2,
+     "bad visit_date '2020-13-01'"),
+    ("subject_id,age,up,down\ns1,70,0.1,1.9\ns1,71,inf,1.8\n", 3,
+     "column 'up': non-finite value"),
+], ids=["empty-file", "no-subject-id", "no-age", "cell-count", "empty-subject-id",
+        "separator-in-subject-id", "negative-age", "bad-visit-date", "infinite-value"])
+def test_bad_cohort_file_exits_with_two_and_names_path_and_line(pipeline, tmp_path, capsys,
+                                                                text, line, problem):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(text)
+    code = main(["split", "--cohort", str(cohort), "--specs", str(pipeline / SPECS),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == f"dpsfit: error: {cohort}: line {line}: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--config", "list.json"],
+     "list.json: config file must hold a JSON object"),
+    (["predict", "--cohort", "other.csv", "--specs", "other_specs.json",
+      "--model", "ens/model_000.json"], "other.csv: no predictable measurements"),
+], ids=["config-list", "no-shared-biomarker"])
+def test_bad_input_file_exits_with_two_and_names_it(pipeline, tmp_path, capsys, argv, culprit):
+    for name in (TRAIN, SPECS, "ens/model_000.json"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+    (tmp_path / "list.json").write_text('[{"l-max": 2}]')
+    (tmp_path / "other_specs.json").write_text('[{"name": "other"}]')
+    (tmp_path / "other.csv").write_text("subject_id,age,other\ns1,3.0,0.5\ns1,4.0,0.7\n")
+    code = main(_under(tmp_path, argv) + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"dpsfit: error: {tmp_path / culprit}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_that_fails_after_reading_its_inputs_leaves_no_output_directory(
+        pipeline, tmp_path, capsys):
+    code = main(_under(pipeline, ["predict", "--cohort", TEST, "--specs", SPECS,
+                                  "--model", "missing.json"])
+                + ["--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert str(pipeline / "missing.json") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -481,6 +541,10 @@ PROTOCOL_RUNS = {
     "report-compare": (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS,
                         "--ensemble", "ens", "--compare", "ens_l2", "--grid=-4:8:25"],
                        [TRAIN, TEST, SPECS, "ens/ensemble.json", "ens_l2/ensemble.json"]),
+    "report-compare-svg": (["report", "--cohort", TRAIN, "--test", TEST, "--specs", SPECS,
+                            "--ensemble", "ens", "--compare", "ens_l2", "--grid=-4:8:25",
+                            "--svg"],
+                           [TRAIN, TEST, SPECS, "ens/ensemble.json", "ens_l2/ensemble.json"]),
 }
 
 
@@ -495,6 +559,16 @@ def test_manifest_names_the_command_and_every_input_file(protocol_root, tmp_path
         str(protocol_root / name): hashlib.sha256((protocol_root / name).read_bytes()).hexdigest()
         for name in inputs
     }
+
+
+@pytest.mark.parametrize("run", sorted(PROTOCOL_RUNS))
+def test_output_directory_holds_the_manifest_and_its_outputs(protocol_root, tmp_path, run):
+    argv, _ = PROTOCOL_RUNS[run]
+    out = tmp_path / "out"
+    assert main(_under(protocol_root, argv) + ["--out", str(out), "--quiet"]) == 0
+    outputs = read_manifest(out)["outputs"]
+    assert outputs and len(set(outputs)) == len(outputs)
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["run_manifest.json"])
 
 
 def test_report_compare_pairs_replicates_by_bootstrap_id(protocol_root, tmp_path):
@@ -872,6 +946,35 @@ def test_ingest_cleans_raw_table(tmp_path, capsys):
     clean = (tmp_path / "clean" / "clean_cohort.csv").read_text()
     assert "9.99" not in clean
     assert "s3" not in clean  # single-visit subject dropped
+
+
+def test_ingest_adjusts_volumetric_biomarkers(tmp_path):
+    # Two cohort tags, each with three CN subjects and one AD subject of
+    # two visits; the volume tracks head size.
+    rows = ["subject_id,age,diagnosis,cohort_tag,icv,vol,up"]
+    for tag, scale in (("a", 1.0), ("b", 1.3)):
+        for i, (dx, icv) in enumerate([("CN", 1.0), ("CN", 1.2), ("CN", 1.4), ("AD", 1.1)]):
+            for age in (70.0, 71.0):
+                vol = scale * (0.5 * icv + 0.01 * i) - (0.05 if dx == "AD" else 0.0)
+                rows.append(f"{tag}{i},{age},{dx},{tag},{icv},{vol},{0.1 * i + age - 70.0}")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(rows) + "\n")
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"name": "vol"}, {"name": "up"}]))
+    assert main(["ingest", "--cohort", str(raw), "--specs", str(specs),
+                 "--out", str(tmp_path / "clean"), "--volumetric", "vol", "--quiet"]) == 0
+    assert read_manifest(tmp_path / "clean")["config"]["volumetric"] == ["vol"]
+    with open(tmp_path / "clean" / "clean_cohort.csv", newline="") as fh:
+        clean = list(csv.DictReader(fh))
+    assert len(clean) == 16
+    for tag in ("a", "b"):
+        vol = np.array([float(r["vol"]) for r in clean if r["cohort_tag"] == tag])
+        assert abs(vol.mean()) < 1e-12
+        assert abs(vol.std() - 1.0) < 1e-12
+        # The AD subject sits below the controls once head size is removed.
+        ad = [float(r["vol"]) for r in clean if r["subject_id"] == f"{tag}3"]
+        assert max(ad) < min(v for v in vol if v not in ad)
+    assert [r["up"] for r in clean[:2]] == ["0.0", "1.0"]
 
 
 def test_config_file_fills_unset_flags(pipeline, tmp_path):

@@ -157,6 +157,26 @@ def test_cohort_csv_round_trip(tmp_path):
     assert back.visits_of("s1")[0].icv == 1500.0
 
 
+def test_cohort_csv_round_trip_of_numpy_floats(tmp_path):
+    # csv writes a float cell as its repr, and numpy 2 spells a numpy
+    # float's repr np.float64(...); the writer must not.
+    f = np.float64
+    cohort = Cohort(
+        [
+            visit("s1", 0, f(70.5), CN, {"MMSE": f(29.0)}, icv=f(1500.25)),
+            visit("s1", 1, f(71.1), MCI, {"MMSE": f(0.1) + f(0.2), "HIPPO": f(1e-7)}),
+        ],
+        specs_for("MMSE", "HIPPO"),
+    )
+    path = tmp_path / "out.csv"
+    write_cohort_csv(cohort, path)
+    back = parse_cohort_csv(path, cohort.specs)
+    assert "np." not in path.read_text()
+    assert [v.age for v in back.visits] == [70.5, 71.1]
+    assert value_multiset(back) == value_multiset(cohort)
+    assert back.visits[0].icv == 1500.25
+
+
 def test_biomarker_spec_json_round_trip(tmp_path):
     specs = {
         "MMSE": BiomarkerSpec(

@@ -616,6 +616,18 @@ def test_trace_csv_round_trip(tmp_path):
     assert [float(x) for x in lines[2].split(",")] == [2.0, 1.125, 2.75]
 
 
+def test_trace_csv_round_trip_of_numpy_floats(tmp_path):
+    e_train = np.array([0.1, 2.0 / 3.0, 1e-300])
+    e_valid = np.array([np.inf, 1.0 / 7.0, 5e20])
+    trace = FitTrace(e_train=list(e_train), e_valid=list(e_valid), l_opt=2)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    rows = path.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    assert [float(row.split(",")[1]) for row in rows] == e_train.tolist()
+    assert [float(row.split(",")[2]) for row in rows] == e_valid.tolist()
+
+
 def test_affine_reparameterized_inits_agree():
     cohort, _ = generate(small_frame_spec(n_subjects=18))
     config = tight_config(inner_solver_tol=1e-10, inner_max_steps=300)
