@@ -273,6 +273,16 @@ def _load_ensemble(path) -> BootstrapEnsemble:
         raise SchemaError(f"{index_path}: malformed ensemble index ({exc!r})") from exc
     if not ensemble.models:
         raise DpsFitError(f"{index_path}: ensemble holds no models")
+    # Ordering and curve aggregates pair the models' curves by biomarker.
+    first, *rest = index["models"]
+    declared = ensemble.models[0].curves.keys()
+    for name, model in zip(rest, ensemble.models[1:]):
+        missing = sorted(declared - model.curves.keys())
+        extra = sorted(model.curves.keys() - declared)
+        if missing or extra:
+            problem = (f"no biomarker {missing[0]!r}, which {first} declares" if missing
+                       else f"biomarker {extra[0]!r}, which {first} does not declare")
+            raise SchemaError(f"{os.path.join(path, name)}: {problem}")
     return ensemble
 
 

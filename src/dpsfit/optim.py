@@ -11,6 +11,16 @@ and accepted only when they strictly decrease ``F``, so the objective is
 monotone along the iterate path; a rejected or non-finite step raises the
 damping instead of aborting.
 
+A rejected trial can also end a solve as stationary (stalled): when the
+box took nothing from its step ``d`` and twice the decrease the undamped
+Gauss-Newton model predicts for it, ``-(2 g.d + d.H.d)``, is within the
+acceptance threshold ``1e-15 (1 + |F|)``.  Since ``d = -(H + lam D)^-1 g``
+gives ``-g.d >= d.H.d``, that quantity bounds ``-g.d``, which bounds the
+actual decrease wherever ``F`` is convex along ``d``, and both shrink as
+the damping grows: no more damping could find an acceptable step, so the
+solve stops there rather than raising the damping up to ``_LAMBDA_MAX``,
+which stays as the backstop.
+
 :func:`minimize_robust` handles one dense parameter vector (the per-curve
 subproblems).  :func:`minimize_subjects` solves many independent
 two-parameter ``(log alpha, beta)`` problems simultaneously with per-subject
@@ -76,6 +86,24 @@ def _objective(loss: LossKind, r: np.ndarray, omega: np.ndarray) -> float:
     return float(np.dot(omega, _rho(loss, r)))
 
 
+def _resolution(f):
+    """The least decrease of an objective at ``f`` that counts as one."""
+    return 1e-15 * (1.0 + np.abs(f))
+
+
+def _stalled(predicted, f):
+    """Whether a rejected, unclipped trial step, for which the undamped
+    Gauss-Newton model predicts the decrease ``predicted``, shows that no
+    more damping can find a step the objective at ``f`` accepts.
+
+    For a damped step ``d = -(H + lam D)^-1 g``, ``-g.d >= d.H.d``, so
+    twice the predicted decrease ``-(2 g.d + d.H.d)`` bounds ``-g.d``,
+    which bounds the actual decrease wherever the objective is convex along
+    ``d``.  Both shrink as the damping grows.
+    """
+    return 2.0 * predicted <= _resolution(f)
+
+
 def minimize_robust(
     model_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
@@ -110,6 +138,13 @@ def minimize_robust(
         gradient.
     max_steps : int
         Cap on accepted-or-rejected outer steps.
+
+    An outer step raises the damping after each rejected trial until one
+    is accepted.  The solve ends as converged when the projected gradient
+    is within ``tol``, an accepted step gained less than ``_FTOL``
+    relative, the box absorbs a whole step, the damping passes
+    ``_LAMBDA_MAX``, or a rejected trial stalled (see the module
+    docstring), which spares the trials that more damping cannot rescue.
 
     Raises
     ------
@@ -160,15 +195,17 @@ def minimize_robust(
             if not np.all(np.isfinite(step)):
                 lam *= _LAMBDA_UP
                 continue
-            x_new = np.clip(x + step, lower, upper)
-            if np.max(np.abs(x_new - x), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(x))):
+            x_step = x + step
+            x_new = np.clip(x_step, lower, upper)
+            dx = x_new - x
+            if np.max(np.abs(dx), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(x))):
                 # The box absorbed the whole step; nothing left to try.
                 return RobustFitResult(x, fval, n_steps, True)
             pred_new, jac_new = model_fn(x_new)
             r_new = (y - pred_new) / sigma
             if np.all(np.isfinite(r_new)):
                 f_new = _objective(loss, r_new, omega)
-                if np.isfinite(f_new) and f_new < fval - 1e-15 * (1.0 + abs(fval)):
+                if np.isfinite(f_new) and f_new < fval - _resolution(fval):
                     decrease = fval - f_new
                     x, pred, jac, r, fval = x_new, pred_new, jac_new, r_new, f_new
                     lam = max(lam * _LAMBDA_DOWN, 1e-7)
@@ -176,6 +213,9 @@ def minimize_robust(
                     if decrease <= _FTOL * max(1.0, abs(fval)):
                         return RobustFitResult(x, fval, n_steps, True)
                     break
+            # No more damping can rescue an unclipped trial that stalled.
+            if np.array_equal(x_new, x_step) and _stalled(-(grad @ dx) - 0.5 * (dx @ hess @ dx), fval):
+                return RobustFitResult(x, fval, n_steps, True)
             lam *= _LAMBDA_UP
         if not accepted:
             # Damping exhausted without an acceptable step: stationary
@@ -260,8 +300,11 @@ def minimize_subjects(
     stays.  Any other accepted step lowers it, so a subject pinned at its
     box still reaches the bound in a few steps.  A subject finishes when
     its projected gradient is within ``tol``, its damping passes
-    ``_LAMBDA_MAX``, or its last accepted step gained less than ``_FTOL``
-    relative.
+    ``_LAMBDA_MAX``, its last accepted step gained less than ``_FTOL``
+    relative, or its last trial was rejected and stalled: the box took
+    nothing from the step and twice its ``predicted`` decrease is within
+    the acceptance threshold, so no more damping could rescue it (see the
+    module docstring).
 
     Returns ``(x, objective, at_bound)`` where ``x`` has shape ``(S, 2)``,
     ``objective`` the per-subject final values, and ``at_bound`` flags
@@ -312,7 +355,7 @@ def minimize_subjects(
     upper = np.stack([la_hi, w_hi])[:, ids]
     F = obj[ids]
     lam = np.full(ids.size, _LAMBDA_INIT)
-    converged = np.zeros(ids.size, dtype=bool)  # last step gained below _FTOL
+    done = np.zeros(ids.size, dtype=bool)  # gained below _FTOL, or stalled
 
     for _ in range(max_steps):
         G, H, h01 = _subject_sums(loss, loc, ids.size, t, sigma, omega, r, dfds, alpha)
@@ -320,7 +363,7 @@ def minimize_subjects(
         # pinned: it leaves the projected gradient and the Newton system.
         pinned = ((X <= lower) & (G > 0)) | ((X >= upper) & (G < 0))
         GP = np.where(pinned, 0.0, G)
-        finished = (np.abs(GP).max(axis=0) <= tol) | (lam > _LAMBDA_MAX) | converged
+        finished = (np.abs(GP).max(axis=0) <= tol) | (lam > _LAMBDA_MAX) | done
         if finished.any():
             x[ids[finished]] = X[:, finished].T
             obj[ids[finished]] = F[finished]
@@ -359,7 +402,7 @@ def minimize_subjects(
         clipped = (X_cand != X_step).any(axis=0)
 
         F_cand, r_cand, dfds_cand, alpha_cand = evaluate(X_cand, loc, rows, t, y, sigma, omega)
-        improved = finite_step & (F_cand < F - 1e-15 * (1.0 + np.abs(F)))
+        improved = finite_step & (F_cand < F - _resolution(F))
         actual = F - F_cand
 
         # Gain ratio (see the docstring).  On the curve plateaus the model
@@ -375,7 +418,8 @@ def minimize_subjects(
         gain = np.where(actual < _GAIN_LOW * predicted, up,
                         np.where(actual > _GAIN_HIGH * predicted, down, lam))
         lam = np.where(improved, np.where(free & ~clipped, gain, down), up)
-        converged = improved & (actual <= _FTOL * np.maximum(1.0, np.abs(F)))
+        done = np.where(improved, actual <= _FTOL * np.maximum(1.0, np.abs(F)),
+                        finite_step & ~clipped & _stalled(predicted, F))
 
         X = np.where(improved, X_cand, X)
         F = np.where(improved, F_cand, F)

@@ -335,6 +335,33 @@ def test_bad_model_and_ensemble_files_exit_with_two(pipeline, tmp_path, capsys,
     assert culprit in err
 
 
+@pytest.mark.parametrize("command", ["order", "report"])
+@pytest.mark.parametrize("damage, problem", [
+    (lambda d: d["biomarkers"].pop("down"), "no biomarker 'down', which model_000.json declares"),
+    (lambda d: d["biomarkers"].__setitem__("sideways", d["biomarkers"]["up"]),
+     "biomarker 'sideways', which model_000.json does not declare"),
+], ids=["lacks-one", "adds-one"])
+def test_ensemble_whose_models_declare_different_biomarkers_exits_with_two(
+        pipeline, tmp_path, capsys, command, damage, problem):
+    ensemble = tmp_path / "ens"
+    ensemble.mkdir()
+    for path in (pipeline / "ens").glob("*.json"):
+        (ensemble / path.name).write_bytes(path.read_bytes())
+    _edit_json(ensemble / "model_001.json", damage)
+    inputs = {
+        "order": [],
+        "report": ["--cohort", str(pipeline / "split" / "train.csv"),
+                   "--test", str(pipeline / "split" / "test.csv"),
+                   "--specs", str(pipeline / "sim" / "biomarker_specs.json")],
+    }[command]
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--ensemble", str(ensemble), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"dpsfit: error: {ensemble / 'model_001.json'}: {problem}\n"
+    assert not out.exists()
+
+
 def test_bad_grid_exits_with_two(pipeline, tmp_path):
     code = main([
         "bootstrap",

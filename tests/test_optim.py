@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dpsfit.curves import CurveArrays, CurveParams, LogisticKind, value_and_slope
-from dpsfit.optim import minimize_subjects
+from dpsfit import optim
+from dpsfit.curves import CurveArrays, CurveParams, LogisticKind, value_and_gradients, value_and_slope
+from dpsfit.optim import _LOG_ALPHA_LIMIT, minimize_robust, minimize_subjects
 from dpsfit.robust_loss import LossKind, psi, rho, weight
 
 VER = LogisticKind.VERHULST
@@ -76,10 +77,10 @@ def cohort_problem(seed=4):
                 n_subjects=n_subjects, w_lo=w_lo, w_hi=w_hi)
 
 
-def solve_all(P, x0=None, seen=None, **kwargs):
+def solve_all(P, x0=None, seen=None, loss=LOSS, **kwargs):
     return minimize_subjects(
         make_eval(P["bm"], seen=seen), P["x0"] if x0 is None else x0, t=P["t"], y=P["y"], sub=P["sub"],
-        sigma=P["sigma"], omega=P["omega"], n_subjects=P["n_subjects"], loss=LOSS,
+        sigma=P["sigma"], omega=P["omega"], n_subjects=P["n_subjects"], loss=loss,
         offset_bounds=(P["w_lo"], P["w_hi"]), **kwargs,
     )
 
@@ -128,8 +129,8 @@ def solve_subset(P, ids, x0, counter=None, **kwargs):
 
 
 # A rate box that pins five subjects of ``cohort_problem``, and a step cap
-# that one of them runs to while the others finish after 0 to 21 steps.
-STAGGERED = dict(log_alpha_bounds=(-0.3, 0.3), max_steps=23)
+# that one of them runs to while the others finish after 0 to 8 steps.
+STAGGERED = dict(log_alpha_bounds=(-0.3, 0.3), max_steps=10)
 
 
 def evaluations_alone(P):
@@ -333,3 +334,84 @@ def test_plateau_subject_converges_without_zigzag(plateau_subject):
     assert calls[0] <= 40
     assert obj[0] <= 0.013577975011452177
     assert -18.5 < x[0, 1] < -17.0
+
+
+def escalate(monkeypatch):
+    """Turn the stall test off, so a solve raises the damping after a
+    rejected trial until it passes the cap, as it did before the test."""
+    monkeypatch.setattr(optim, "_stalled", lambda predicted, f: False)
+
+
+def fit_curve(seen, x0, upper):
+    """Fit a Verhulst curve's ``(a, d, b, c)`` to 60 noisy points from
+    ``x0``, below ``upper``; ``seen`` collects each evaluated vector."""
+    rng = np.random.default_rng(0)
+    s = np.sort(rng.uniform(-4.0, 4.0, 60))
+    y = value_and_slope(CURVES[0], s)[0] + rng.normal(0.0, 0.05, s.size)
+
+    def model_fn(x):
+        seen.append(x.copy())
+        f, grads = value_and_gradients(CurveArrays(VER, *x, 1.0), s)
+        return f, grads[:, :4]
+
+    return minimize_robust(
+        model_fn, np.array(x0), y=y, sigma=0.1, omega=np.full(s.size, 1.0 / s.size), loss=LOSS,
+        lower=np.array([-np.inf, -np.inf, 1e-8, -np.inf]), upper=np.array(upper),
+    )
+
+
+def fit_curve_both_ways(monkeypatch, x0, upper=(np.inf,) * 4):
+    """``(result, vectors evaluated)`` with the stall test, then without."""
+    runs = []
+    for patch in (False, True):
+        with monkeypatch.context() as m:
+            if patch:
+                escalate(m)
+            seen = []
+            runs.append((fit_curve(seen, x0, upper), seen))
+    return runs
+
+
+def assert_same_result(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.objective, a.n_steps, a.converged) == (b.objective, b.n_steps, b.converged)
+
+
+def test_stalled_curve_solve_ends_where_escalation_ends(monkeypatch):
+    # From this start the early trials overshoot and more damping rescues
+    # them, so stopping at any rejected trial would end too soon.
+    (stopped, seen), (escalated, seen_escalated) = fit_curve_both_ways(monkeypatch, [3.0, -2.0, 0.1, -2.0])
+    # Trials after the last accepted step: with escalation they run until
+    # the damping passes its cap, with the stop they end at the first.
+    last = max(i for i, x in enumerate(seen_escalated) if np.array_equal(x, escalated.x))
+    assert len(seen_escalated) - 1 - last >= 10
+    assert len(seen) < len(seen_escalated)
+    assert_same_result(stopped, escalated)
+
+
+def test_clipped_trial_never_stalls_a_curve_solve(monkeypatch):
+    # The best c lies past its bound, so the box clips trial steps.
+    (stopped, _), (escalated, _) = fit_curve_both_ways(monkeypatch, [0.8, 0.1, 0.7, 0.3],
+                                                       upper=(np.inf, np.inf, np.inf, -0.1))
+    assert escalated.x[3] == -0.1
+    assert_same_result(stopped, escalated)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("rate_box", [(-_LOG_ALPHA_LIMIT, _LOG_ALPHA_LIMIT), (-0.1, 0.1)],
+                         ids=["free", "boxed"])
+def test_stalled_subjects_finish_where_escalation_finishes(monkeypatch, loss, rate_box):
+    P = cohort_problem()
+
+    def solve():
+        seen = []
+        result = solve_all(P, seen=seen, loss=loss, log_alpha_bounds=rate_box)
+        return result, sum(rows.size for rows in seen)
+
+    stopped, rows = solve()
+    with monkeypatch.context() as m:
+        escalate(m)
+        escalated, rows_escalated = solve()
+    assert rows < rows_escalated
+    for got, want in zip(stopped, escalated):
+        assert got.tobytes() == want.tobytes()
