@@ -252,6 +252,11 @@ def _save_ensemble(ensemble: BootstrapEnsemble, out: _OutDir) -> None:
         "models": model_files,
         "failures": [[b, msg] for b, msg in ensemble.failures],
         "oob_subjects": [sorted(oob) for oob in ensemble.oob_subjects],
+        # [bootstrap_id, l_opt, l_stop] of each fitted replicate.
+        "replicates": [
+            [model.provenance["bootstrap_id"], trace.l_opt, trace.l_stop]
+            for model, trace in zip(ensemble.models, ensemble.traces)
+        ],
     }
     out.json("ensemble.json", index)
 
@@ -475,9 +480,12 @@ def _cmd_fit(args, out: _OutDir) -> tuple[dict, str | None]:
     model, trace = fit(train, valid, config, progress=not args.quiet)
     save_model(model, out.path("model.json"))
     trace.to_csv(out.path("trace.csv"))
+    ran = str(trace.l_stop)
+    if trace.l_stop != config.l_max:
+        ran += f" (stopped early, l_max {config.l_max})"
     return (
         _config_dict(config),
-        f"selected iteration {trace.l_opt} of {config.l_max}, "
+        f"selected iteration {trace.l_opt} of {ran}, "
         f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
     )
 
@@ -759,6 +767,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--loss", choices=[k.value for k in LossKind], dest="loss_kind")
         p.add_argument("--l-min", type=int, dest="l_min")
         p.add_argument("--l-max", type=int, dest="l_max")
+        p.add_argument("--stop-rtol", type=float, dest="stop_rtol")
         p.add_argument("--inner-tol", type=float, dest="inner_solver_tol")
         p.add_argument("--inner-max-steps", type=int, dest="inner_max_steps")
         p.add_argument("--seed", type=int)

@@ -254,7 +254,7 @@ def run_bootstraps(
             ensemble.in_bag_counts.append(in_bag)
             if progress:
                 print(
-                    f"bootstrap {b:3d}  l_opt={trace.l_opt}  "
+                    f"bootstrap {b:3d}  l_opt={trace.l_opt}  l_stop={trace.l_stop}  "
                     f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
                     file=sys.stderr,
                 )

@@ -196,7 +196,7 @@ def test_malformed_config_exits_with_two(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value", [("l-max", "three"), ("curve", "bogus"), ("l-max", True), ("seed", False),
-                   ("l-max", 2.9), ("seed", 3.5)]
+                   ("l-max", 2.9), ("seed", 3.5), ("stop-rtol", "small")]
 )
 def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value):
     config = tmp_path / "bad.json"
@@ -214,6 +214,27 @@ def test_bad_config_value_exits_with_two(pipeline, tmp_path, capsys, key, value)
     assert f"dpsfit: error: {config}: {key}: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "fit" / "model.json").exists()
+
+
+@pytest.mark.parametrize("value", [-1, "nan"])
+def test_bad_stop_tolerance_in_config_exits_with_two(pipeline, tmp_path, capsys, value):
+    # Each passes the flag's type check, and FitConfig rejects it.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"stop-rtol": value}))
+    code = main([
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "fit"),
+        "--config", str(config),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpsfit: error:")
+    assert "stop_rtol" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_unknown_config_key_exits_with_two(pipeline, tmp_path, capsys):
@@ -418,6 +439,10 @@ def _under(root, argv):
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "-3"], "inner_max_steps"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "-1"], "inner_solver_tol"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "nan"], "inner_solver_tol"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--stop-rtol", "-1"], "stop_rtol"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--stop-rtol", "nan"], "stop_rtol"),
+    (["bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--n", "1", "--stop-rtol", "-1"],
+     "stop_rtol"),
     (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--window-days", "-5"],
      "window_days"),
     (["ingest", "--cohort", "sim/cohort.csv", "--specs", SPECS, "--window-days", "nan"],
@@ -432,6 +457,7 @@ def _under(root, argv):
 ], ids=["split-seed", "fit-seed", "bootstrap-seed", "spec-seed", "outlier-magnitude",
         "outlier-magnitude-alone", "outlier-magnitude-nan",
         "inner-max-steps-0", "inner-max-steps-negative", "inner-tol-negative", "inner-tol-nan",
+        "stop-rtol-negative", "stop-rtol-nan", "bootstrap-stop-rtol-negative",
         "window-days-negative", "window-days-nan", "valid-fraction", "bootstrap-grid-infinite",
         "report-grid-too-many-points", "report-grid-not-numbers"])
 def test_bad_numeric_value_exits_with_two_and_names_it(pipeline, tmp_path, capsys,
@@ -782,6 +808,51 @@ def test_bootstrap_outputs(pipeline):
     manifest = read_manifest(ens)
     assert manifest["config"]["n_bootstraps"] == 3
     assert "threads" not in manifest["config"]
+
+
+def test_bootstrap_records_where_each_replicate_stopped(pipeline, tmp_path, capsys):
+    out = tmp_path / "ens"
+    assert main([
+        "bootstrap",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(out),
+        "--n", "3", "--curve", "verhulst", "--l-min", "1", "--l-max", "20", "--seed", "7",
+        "--grid=-4:8:13",
+    ]) == 0
+    err = capsys.readouterr().err
+    replicates = json.loads((out / "ensemble.json").read_text())["replicates"]
+    assert [b for b, _, _ in replicates] == [0, 1, 2]
+    for b, l_opt, l_stop in replicates:
+        with open(out / f"trace_{b:03d}.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == l_stop
+        assert 1 <= l_opt <= l_stop <= 20
+        assert json.loads((out / f"model_{b:03d}.json").read_text())["provenance"]["l_opt"] == l_opt
+        assert f"bootstrap {b:3d}  l_opt={l_opt}  l_stop={l_stop}  " in err
+    assert min(l_stop for _, _, l_stop in replicates) < 20
+    assert read_manifest(out)["config"]["stop_rtol"] == 1e-4
+
+
+def test_fit_reports_where_it_stopped(pipeline, tmp_path, capsys):
+    argv = [
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--curve", "verhulst", "--l-min", "1", "--l-max", "20",
+    ]
+    assert main(argv + ["--out", str(tmp_path / "stop")]) == 0
+    stopped = capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "full"), "--stop-rtol", "0"]) == 0
+    full = capsys.readouterr()
+    trace = (tmp_path / "stop" / "trace.csv").read_text().splitlines()
+    l_stop = len(trace) - 1
+    assert l_stop < 20
+    assert f"stopped after iteration {l_stop}:" in stopped.err
+    assert f" of {l_stop} (stopped early, l_max 20), " in stopped.out
+    assert "stopped after" not in full.err
+    assert " of 20, " in full.out
+    assert (tmp_path / "full" / "trace.csv").read_text().splitlines()[:l_stop + 1] == trace
+    assert read_manifest(tmp_path / "full")["config"]["stop_rtol"] == 0.0
 
 
 def test_bootstrap_runs_are_byte_identical_across_threads(pipeline, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -604,6 +606,74 @@ def test_fit_prints_progress_lines(capsys):
     fit(train, valid, config, progress=True)
     err = capsys.readouterr().err
     assert "iter   1" in err and "E_train=" in err and "E_valid=" in err
+
+
+# ----------------------------------------------------------------------
+# early stopping
+# ----------------------------------------------------------------------
+
+def stop_iteration(e_valid, l_min, l_max, stop_rtol):
+    """The last iteration ``fit`` runs on the validation losses ``e_valid``."""
+    for l in range(1, l_max):
+        if fitter._stops(e_valid[:l], l_min, stop_rtol):
+            return l
+    return l_max
+
+
+def test_stop_rule_fires_five_iterations_after_a_rise_from_l_min():
+    # Falling until l_min, rising after it.
+    e_valid = [2.0 - 0.1 * l for l in range(1, 11)] + [1.0 + 0.01 * l for l in range(1, 41)]
+    assert stop_iteration(e_valid, 10, 50, 1e-4) == 10 + fitter._STOP_WINDOW
+    # From l_min 3 the rule waits until a whole window lies on the rise.
+    assert stop_iteration(e_valid, 3, 50, 1e-4) == 15
+
+
+def test_stop_rule_runs_a_steady_fall_to_l_max():
+    # Falls by 1e-3 of itself each iteration: about 5e-3 per window.
+    e_valid = [0.999 ** l for l in range(1, 51)]
+    assert stop_iteration(e_valid, 10, 50, 1e-4) == 50
+    assert stop_iteration(e_valid, 10, 50, 1e-2) == 15
+
+
+def test_stop_rule_never_fires_inside_its_first_window():
+    rising = [1.0 + 0.1 * l for l in range(1, 51)]
+    for l_min in (1, 4, 10):
+        assert not any(
+            fitter._stops(rising[:l], l_min, 1e-4)
+            for l in range(1, l_min + fitter._STOP_WINDOW)
+        )
+        l_max = l_min + fitter._STOP_WINDOW - 1
+        assert stop_iteration(rising, l_min, l_max, 1e-4) == l_max
+
+
+def test_stop_rule_is_off_at_zero_tolerance():
+    rising = [1.0 + 0.1 * l for l in range(1, 51)]
+    flat = [1.0] * 50
+    assert stop_iteration(rising, 10, 50, 0.0) == 50
+    assert stop_iteration(flat, 10, 50, 0.0) == 50
+    assert stop_iteration(flat, 10, 50, 1e-4) == 15
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-12, np.nan, np.inf])
+def test_fit_config_rejects_a_bad_stop_tolerance(value):
+    with pytest.raises(FitError, match="stop_rtol"):
+        FitConfig(stop_rtol=value)
+
+
+def test_fit_that_stops_after_its_optimum_selects_the_same_model(tmp_path):
+    # E_valid is lowest at iteration 2 and rises slowly after it.
+    train, valid, _ = noisy_split(n_subjects=40)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=30)
+    model, trace = fit(train, valid, config, progress=False)
+    full_model, full_trace = fit(train, valid, replace(config, stop_rtol=0.0), progress=False)
+    assert len(trace.e_train) == trace.l_stop < config.l_max
+    assert full_trace.l_stop == config.l_max
+    assert trace.e_valid == full_trace.e_valid[:trace.l_stop]
+    assert trace.l_opt == full_trace.l_opt
+    paths = [tmp_path / "stopped.json", tmp_path / "full.json"]
+    save_model(model, paths[0])
+    save_model(full_model, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_trace_csv_round_trip(tmp_path):
