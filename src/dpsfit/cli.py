@@ -57,7 +57,7 @@ from .cohort import (
     write_json,
 )
 from .curves import LogisticKind, evaluate
-from .errors import DpsFitError, MetricError, SchemaError, StagingError
+from .errors import DpsFitError, FitError, MetricError, SchemaError, StagingError
 from .fitter import FitConfig, fit
 from .metrics import bic, mae, multiclass_auc, nmae, wilcoxon_signed_rank
 from .progression import (
@@ -457,7 +457,14 @@ def _cmd_split(args, out: _OutDir) -> tuple[dict, str | None]:
 
 def _fit_config_from_args(args) -> FitConfig:
     names = (f.name for f in dataclasses.fields(FitConfig))
-    return FitConfig(**{n: getattr(args, n) for n in names if getattr(args, n) is not None})
+    try:
+        return FitConfig(**{n: getattr(args, n) for n in names if getattr(args, n) is not None})
+    except FitError as exc:
+        # FitConfig's errors name its fields; this one is not spelled like
+        # its flag or config key.
+        raise FitError(
+            str(exc).replace("inner_solver_tol", "--inner-tol (config key inner-tol)")
+        ) from exc
 
 
 def _config_dict(config: FitConfig) -> dict:

@@ -11,6 +11,14 @@ and accepted only when they strictly decrease ``F``, so the objective is
 monotone along the iterate path; a rejected or non-finite step raises the
 damping instead of aborting.
 
+Both solvers take projected Newton steps (Bertsekas 1982, "Projected
+Newton methods for optimization problems with simple constraints") under
+one rule, :func:`_pinned`: a coordinate on a bound whose gradient points
+out of the box is held there.  It leaves the projected gradient and the
+damped Newton system, and the free coordinates solve the system without
+it.  Solving over every coordinate and clipping the step instead creeps
+along the bound in short, distorted steps.
+
 A rejected trial can also end a solve as stationary (stalled): when the
 box took nothing from its step ``d`` and twice the decrease the undamped
 Gauss-Newton model predicts for it, ``-(2 g.d + d.H.d)``, is within the
@@ -25,18 +33,25 @@ which stays as the backstop.
 subproblems).  :func:`minimize_subjects` solves many independent
 two-parameter ``(log alpha, beta)`` problems simultaneously with per-subject
 damping, which is how the per-subject subproblems stay cheap in pure numpy.
-Two things keep its iterations cheap: it holds arrays only for the
-subjects still being solved and their measurements, grouped by subject and
+Its iterations stay cheap because it holds arrays only for the subjects
+still being solved and their measurements, grouped by subject and
 compacted as subjects finish, so an iteration's numpy calls are sized to
-the live subjects rather than the whole batch; and a subject held on its
-box takes a projected Newton step (Bertsekas 1982, "Projected
-Newton methods for optimization problems with simple constraints") in the
-free coordinate instead of creeping along the bound.  Two more keep them
-few: it steers each subject's damping by the gain ratio, the actual
-decrease over the decrease the undamped Gauss-Newton model predicts (More
-1978, "The Levenberg-Marquardt algorithm: implementation and theory"), so
-a subject on the curve plateaus, where that model overshoots, no longer
-zigzags to ``max_steps``.
+the live subjects rather than the whole batch.  Two rules keep them few.
+It steers each subject's damping by the gain ratio, the actual decrease
+over the decrease the undamped Gauss-Newton model predicts (More 1978,
+"The Levenberg-Marquardt algorithm: implementation and theory"), so a
+subject on the curve plateaus, where that model overshoots, no longer
+zigzags to ``max_steps``.  And each subject keeps a step-length scale for
+where the model over-curves instead: a gain ratio that stays near 2 at
+the damping floor means each step is far too short, and no lower damping
+can lengthen it.  After an accepted, unclipped, unpinned step taken at
+the floor with a gain ratio above ``_GAIN_STRETCH``, the subject's
+curvature scale ``kappa`` halves, down to ``_SCALE_MIN``: its steps are
+divided by ``kappa`` and the curvature term of its predicted decrease is
+multiplied by it.  A rejected trial, or a gain ratio below ``_GAIN_LOW``,
+resets ``kappa`` to 1 and the damping then moves as before.  A subject
+that never meets the trigger keeps ``kappa`` at 1, and its path is the
+one it took without the rule.
 
 The loops evaluate the loss through the unchecked kernels of
 :mod:`~dpsfit.robust_loss` (``_rho`` and the fused ``loss_terms``), not
@@ -61,10 +76,16 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 1.0 / 3.0
+_LAMBDA_MIN = 1e-7
 # Gain ratios (actual over predicted decrease) below _GAIN_LOW raise the
 # subject solver's damping on an accepted step, above _GAIN_HIGH lower it.
 _GAIN_LOW = 0.25
 _GAIN_HIGH = 0.75
+# A subject step taken at _LAMBDA_MIN whose gain ratio exceeds _GAIN_STRETCH
+# halves that subject's curvature scale, down to _SCALE_MIN: the reweighted
+# Gauss-Newton model over-curves there, so its steps fall far short.
+_GAIN_STRETCH = 1.5
+_SCALE_MIN = 1e-6
 # Relative objective decrease below which an accepted step counts as
 # converged.  Without this, points sitting on a curve's flat tail chase the
 # asymptote in ever-growing steps, since their objective keeps decreasing
@@ -89,6 +110,13 @@ def _objective(loss: LossKind, r: np.ndarray, omega: np.ndarray) -> float:
 def _resolution(f):
     """The least decrease of an objective at ``f`` that counts as one."""
     return 1e-15 * (1.0 + np.abs(f))
+
+
+def _pinned(x, g, lower, upper):
+    """The coordinates held on the box: on a bound, with the gradient ``g``
+    pointing out of it.  A projected Newton step (Bertsekas 1982) leaves
+    them out of the Newton system and out of the projected gradient."""
+    return ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
 
 
 def _stalled(predicted, f):
@@ -172,9 +200,8 @@ def minimize_robust(
         # d r / d x = -J / sigma
         scale = omega / sigma
         grad = -(jac.T @ (psi_r * scale))
-        pgrad = grad.copy()
-        pgrad[(x <= lower) & (grad > 0)] = 0.0
-        pgrad[(x >= upper) & (grad < 0)] = 0.0
+        pinned = _pinned(x, grad, lower, upper)
+        pgrad = np.where(pinned, 0.0, grad)
         if np.max(np.abs(pgrad), initial=0.0) <= tol:
             return RobustFitResult(x, fval, n_steps, True)
 
@@ -184,11 +211,16 @@ def minimize_robust(
         # curvature so near-singular solves cannot produce huge steps.
         diag = np.diag(hess)
         damp = np.maximum(diag, max(1e-6 * float(diag.max(initial=0.0)), 1e-12))
+        # Projected Newton step: a pinned coordinate's row and column leave
+        # the Hessian, so the free coordinates solve the damped system
+        # without it, and its own damped equation ``lam * damp * step = 0``
+        # holds it on its bound.
+        free_hess = np.where(pinned | pinned[:, None], 0.0, hess)
 
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
-                step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+                step = np.linalg.solve(free_hess + lam * np.diag(damp), -pgrad)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
@@ -208,7 +240,7 @@ def minimize_robust(
                 if np.isfinite(f_new) and f_new < fval - _resolution(fval):
                     decrease = fval - f_new
                     x, pred, jac, r, fval = x_new, pred_new, jac_new, r_new, f_new
-                    lam = max(lam * _LAMBDA_DOWN, 1e-7)
+                    lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                     accepted = True
                     if decrease <= _FTOL * max(1.0, abs(fval)):
                         return RobustFitResult(x, fval, n_steps, True)
@@ -298,8 +330,12 @@ def minimize_subjects(
     predicts for the step ``d``.  Below ``_GAIN_LOW`` it raises the
     damping, above ``_GAIN_HIGH`` it lowers it, and in between the damping
     stays.  Any other accepted step lowers it, so a subject pinned at its
-    box still reaches the bound in a few steps.  A subject finishes when
-    its projected gradient is within ``tol``, its damping passes
+    box still reaches the bound in a few steps.  The predicted decrease
+    takes the subject's curvature scale ``kappa`` as ``-(g.d + kappa
+    d.H.d / 2)``, and a judged step taken at the damping floor whose gain
+    ratio exceeds ``_GAIN_STRETCH`` halves ``kappa``, which lengthens the
+    next steps (see the module docstring).  A subject finishes when its
+    projected gradient is within ``tol``, its damping passes
     ``_LAMBDA_MAX``, its last accepted step gained less than ``_FTOL``
     relative, or its last trial was rejected and stalled: the box took
     nothing from the step and twice its ``predicted`` decrease is within
@@ -355,22 +391,21 @@ def minimize_subjects(
     upper = np.stack([la_hi, w_hi])[:, ids]
     F = obj[ids]
     lam = np.full(ids.size, _LAMBDA_INIT)
+    kappa = np.ones(ids.size)  # curvature scale: each step is 1 / kappa long
     done = np.zeros(ids.size, dtype=bool)  # gained below _FTOL, or stalled
 
     for _ in range(max_steps):
         G, H, h01 = _subject_sums(loss, loc, ids.size, t, sigma, omega, r, dfds, alpha)
-        # A coordinate on its bound with the gradient pushing outward is
-        # pinned: it leaves the projected gradient and the Newton system.
-        pinned = ((X <= lower) & (G > 0)) | ((X >= upper) & (G < 0))
+        pinned = _pinned(X, G, lower, upper)
         GP = np.where(pinned, 0.0, G)
         finished = (np.abs(GP).max(axis=0) <= tol) | (lam > _LAMBDA_MAX) | done
         if finished.any():
             x[ids[finished]] = X[:, finished].T
             obj[ids[finished]] = F[finished]
             keep = ~finished
-            ids, F, lam, h01, X, lower, upper, G, H, pinned, GP = (
+            ids, F, lam, kappa, h01, X, lower, upper, G, H, pinned, GP = (
                 v.compress(keep, axis=-1)
-                for v in (ids, F, lam, h01, X, lower, upper, G, H, pinned, GP)
+                for v in (ids, F, lam, kappa, h01, X, lower, upper, G, H, pinned, GP)
             )
             kept = np.flatnonzero(keep[loc])
             loc = (keep.cumsum() - 1)[loc[kept]]
@@ -395,7 +430,7 @@ def minimize_subjects(
         # An unsolvable subject's step is never taken: it is evaluated
         # where it stands and cannot improve.
         with np.errstate(over="ignore", invalid="ignore"):
-            step = (-GP * AD[::-1] + h01 * GP[::-1]) / np.where(solvable, det, 1.0)
+            step = (-GP * AD[::-1] + h01 * GP[::-1]) / (np.where(solvable, det, 1.0) * kappa)
             X_step = X + step
             X_cand = np.where(solvable, np.clip(X_step, lower, upper), X)
         finite_step = solvable & np.isfinite(X_cand).all(axis=0)
@@ -412,12 +447,20 @@ def minimize_subjects(
             D = X_cand - X
             GD = G * D
             HDD = H * D * D
-            predicted = -(GD[0] + GD[1]) - 0.5 * (HDD[0] + 2.0 * h01 * D[0] * D[1] + HDD[1])
+            DHD = HDD[0] + 2.0 * h01 * D[0] * D[1] + HDD[1]
+            predicted = -(GD[0] + GD[1]) - 0.5 * kappa * DHD
+        judged = free & ~clipped
+        low = actual < _GAIN_LOW * predicted
         up = lam * _LAMBDA_UP
-        down = np.maximum(lam * _LAMBDA_DOWN, 1e-7)
-        gain = np.where(actual < _GAIN_LOW * predicted, up,
-                        np.where(actual > _GAIN_HIGH * predicted, down, lam))
-        lam = np.where(improved, np.where(free & ~clipped, gain, down), up)
+        down = np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
+        gain = np.where(low, up, np.where(actual > _GAIN_HIGH * predicted, down, lam))
+        # Step-length scale (see the docstring): a subject the model still
+        # over-curves at the damping floor takes longer steps; one whose
+        # trial failed or gained too little returns to full curvature.
+        stretch = improved & judged & (lam <= _LAMBDA_MIN) & (actual > _GAIN_STRETCH * predicted)
+        kappa = np.where(stretch, np.maximum(0.5 * kappa, _SCALE_MIN),
+                         np.where(~improved | (judged & low), 1.0, kappa))
+        lam = np.where(improved, np.where(judged, gain, down), up)
         done = np.where(improved, actual <= _FTOL * np.maximum(1.0, np.abs(F)),
                         finite_step & ~clipped & _stalled(predicted, F))
 

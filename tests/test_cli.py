@@ -237,6 +237,26 @@ def test_bad_stop_tolerance_in_config_exits_with_two(pipeline, tmp_path, capsys,
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("value", [-1, 0, "inf"])
+def test_bad_inner_tolerance_names_its_flag_and_config_key(pipeline, tmp_path, capsys, value):
+    # FitConfig calls it inner_solver_tol, which a user cannot type.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"inner-tol": value}))
+    code = main([
+        "bootstrap", "--n", "1",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "ens"),
+        "--config", str(config),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpsfit: error: --inner-tol (config key inner-tol) must be positive")
+    assert "inner_solver_tol" not in err
+    assert not (tmp_path / "ens").exists()
+
+
 def test_unknown_config_key_exits_with_two(pipeline, tmp_path, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({"tset-fraction": 0.5}))
@@ -437,8 +457,8 @@ def _under(root, argv):
     (["simulate", "--spec", "sim.json", "--outlier-magnitude", "nan"], "--outlier-magnitude"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "0"], "inner_max_steps"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-max-steps", "-3"], "inner_max_steps"),
-    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "-1"], "inner_solver_tol"),
-    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "nan"], "inner_solver_tol"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "-1"], "--inner-tol"),
+    (["fit", "--cohort", TRAIN, "--specs", SPECS, "--inner-tol", "nan"], "--inner-tol"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--stop-rtol", "-1"], "stop_rtol"),
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--stop-rtol", "nan"], "stop_rtol"),
     (["bootstrap", "--cohort", TRAIN, "--specs", SPECS, "--n", "1", "--stop-rtol", "-1"],

@@ -568,7 +568,9 @@ def test_fit_names_each_asymptote_left_on_the_nonnegative_floor():
     with pytest.warns(UserWarning, match="left on its box bound") as record:
         model, trace = fit(train, valid, FitConfig(curve_kind=VER, l_min=1, l_max=4), progress=False)
     issued = [str(w.message) for w in record if "box bound" in str(w.message)]
-    assert [m for m in trace.warnings if "box bound" in m] == issued
+    # The curve solver holds d on its floor rather than creeping along it,
+    # so no solve stops at inner_max_steps.
+    assert trace.warnings == issued
     assert issued == ["biomarker 'neg': d left on its box bound (0), first in iteration 1"]
     assert model.curves["neg"].d == 0.0
 

@@ -272,6 +272,39 @@ def test_non_finite_start_parks_the_subject_and_solves_the_rest():
         assert np.array_equal(got[rest], want[rest])
 
 
+# Each biomarker's residual scale in the benchmark's seed-0 fit.
+SEED0_SIGMA = np.array([0.3640220373566043, 0.41072374882038676, 0.6577423912105441,
+                        1.4550232954048394, 1.3032970624960405, 0.46763128532096077])
+
+
+def one_subject(ages, y, params, x0, log_alpha_hi, offset_bounds):
+    """A one-subject problem over six modified-Stannard curves, each with
+    ``(a, d, b, c, gamma)`` from ``params``, measured at ``ages`` (the rows
+    of ``y``: one per biomarker)."""
+    table = CurveArrays.stack([CurveParams(LogisticKind.MODIFIED_STANNARD, *p) for p in params])
+    return dict(
+        table=table, bm=np.repeat(np.arange(6), 6), t=np.tile(ages, 6), y=np.ravel(y),
+        sigma=np.repeat(SEED0_SIGMA, 6), omega=np.full(36, 1.0 / 36.0), x0=np.array([x0]),
+        log_alpha_bounds=(-27.631, log_alpha_hi), offset_bounds=offset_bounds,
+    )
+
+
+def solve_one(P):
+    """``(x, objective, eval_fn calls)`` of the one-subject problem ``P``."""
+    calls = [0]
+
+    def eval_fn(s, rows):
+        calls[0] += 1
+        return value_and_slope(P["table"].take(P["bm"][rows]), s)
+
+    x, obj, _ = minimize_subjects(
+        eval_fn, P["x0"], t=P["t"], y=P["y"], sub=np.zeros(36, dtype=np.intp),
+        sigma=P["sigma"], omega=P["omega"], n_subjects=1, loss=LOSS,
+        log_alpha_bounds=P["log_alpha_bounds"], offset_bounds=P["offset_bounds"],
+    )
+    return x, obj, calls[0]
+
+
 @pytest.fixture
 def plateau_subject():
     """One subject of the first subject step of the benchmark's seed-0 fit
@@ -281,8 +314,6 @@ def plateau_subject():
     flat; there the reweighted curvature makes each undamped step overshoot."""
     ages = np.array([-2.51728012289054, -1.4946828639852896, -0.5458427273753301,
                      0.5689898804790658, 1.5004522062087915, 2.4883636275633165])
-    sigma = np.array([0.3640220373566043, 0.41072374882038676, 0.6577423912105441,
-                      1.4550232954048394, 1.3032970624960405, 0.46763128532096077])
     y = np.array([
         [0.019470924019867778, 0.013471242493994269, 0.032510941998053204,
          0.02715618806306228, 0.017134105639006594, -0.06275080352538594],
@@ -306,34 +337,62 @@ def plateau_subject():
         (0.03682987084042957, 2.992321342357339, 0.3022446630778454, 1.0115051103476356, 0.6552733670727073),
         (0.9736762441816075, 0.01681403048022752, 0.4117696812685539, 1.443098215928941, 0.7725179523210013),
     ]
-    table = CurveArrays.stack([CurveParams(LogisticKind.MODIFIED_STANNARD, *p) for p in params])
-    bm = np.repeat(np.arange(6), 6)
-    return dict(
-        table=table, bm=bm, t=np.tile(ages, 6), y=y.ravel(), sigma=np.repeat(sigma, 6),
-        omega=np.full(36, 1.0 / 36.0), x0=np.array([[0.0, -3.6850023770728484]]),
-        log_alpha_bounds=(-27.631, 2.8333594111303673),
-        offset_bounds=(-42.10628443832009, 43.002089942752576),
-    )
+    return one_subject(ages, y, params, [0.0, -3.6850023770728484], 2.8333594111303673,
+                       (-42.10628443832009, 43.002089942752576))
 
 
 def test_plateau_subject_converges_without_zigzag(plateau_subject):
-    P = plateau_subject
-    calls = [0]
-
-    def eval_fn(s, rows):
-        calls[0] += 1
-        return value_and_slope(P["table"].take(P["bm"][rows]), s)
-
-    x, obj, _ = minimize_subjects(
-        eval_fn, P["x0"], t=P["t"], y=P["y"], sub=np.zeros(36, dtype=np.intp),
-        sigma=P["sigma"], omega=P["omega"], n_subjects=1, loss=LOSS,
-        log_alpha_bounds=P["log_alpha_bounds"], offset_bounds=P["offset_bounds"],
-    )
+    x, obj, calls = solve_one(plateau_subject)
     # Without gain-ratio damping every step was accepted and the iterate
     # zigzagged for all 200 steps, ending at this objective.
-    assert calls[0] <= 40
+    assert calls <= 40
     assert obj[0] <= 0.013577975011452177
     assert -18.5 < x[0, 1] < -17.0
+
+
+@pytest.fixture
+def creeping_subject():
+    """Validation subject ``s0173`` of the fifth subject step of the
+    benchmark's seed-0 fit, cold-started against that step's curves.  Its
+    optimum lies at a score near 17, in a shallow curved valley past the
+    last inflection, where the reweighted Gauss-Newton model over-curves:
+    at the damping floor each step gains about twice what the model
+    predicts."""
+    ages = np.array([-2.495960109558098, -1.5658415591826298, -0.5322637683661782,
+                     0.441858423196237, 1.5782506862099552, 2.573956327700614])
+    y = np.array([
+        [1.0926936594372207, 0.9671002024649181, 0.9893970271609993,
+         1.0552353160318872, 1.0096436579517276, 1.0307057447042676],
+        [0.062267000983637, 0.05866719415212812, -0.07742546465685171,
+         -0.06510766371337488, -0.02094568477334069, -0.07385120978939021],
+        [2.19983565662729, 1.9811577801601798, 2.115867862701752,
+         1.8641614946389486, 2.0384937862967694, 2.093236123732545],
+        [4.27154714215809, 4.966120526408627, 4.869799393866142,
+         5.070969974385997, 4.6318564500651185, 4.950118116674615],
+        [0.05343985744586987, 0.11856378305310888, 0.03348378439255372,
+         -0.14366390361115897, -0.05835001479103913, -0.03321271620482522],
+        [0.9009736785074314, 1.004019832820502, 1.0064371567427637,
+         0.9736476053729028, 1.0689189327910413, 1.0928591078980785],
+    ])
+    params = [
+        (1.0021358029089806, -0.023317169342646576, 0.41773625489608684, -6.693501832592156, 0.8293072460476645),
+        (-0.005088268134070845, 0.995783142410495, 0.5487899512224129, -4.138804758482448, 0.6813696855081707),
+        (1.9940349688842722, 0.4965213122648487, 0.6491266944500648, -2.537207587455234, 0.635216715249356),
+        (5.096131113163603, 0.9232535670765155, 0.2945816858782961, -0.12826451976224362, 1.2572997600464002),
+        (0.006288412070510015, 2.9993406843121058, 0.6794899483571035, 1.201518356313095, 1.1748241221300433),
+        (1.001108992684508, -0.0008717778366140738, 1.3118409072020258, 2.381787451749957, 1.0952891997800767),
+    ]
+    return one_subject(ages, y, params, [0.0, -1.3327360536087387], 2.6004297032916353,
+                       (-34.27294683557581, 34.016417796051314))
+
+
+def test_creeping_subject_takes_longer_steps(creeping_subject):
+    x, obj, calls = solve_one(creeping_subject)
+    # With full Gauss-Newton steps at the damping floor the subject crept
+    # up the valley for 167 evaluations, ending at this objective.
+    assert calls <= 167 // 2
+    assert obj[0] <= 0.009594097514807108
+    assert 16.5 < x[0, 1] < 17.5
 
 
 def escalate(monkeypatch):
@@ -395,6 +454,39 @@ def test_clipped_trial_never_stalls_a_curve_solve(monkeypatch):
                                                        upper=(np.inf, np.inf, np.inf, -0.1))
     assert escalated.x[3] == -0.1
     assert_same_result(stopped, escalated)
+
+
+def test_curve_coordinate_pinned_on_its_bound_leaves_the_solve():
+    # The data's d is 0, below its floor of 0.2, where the solve starts:
+    # the gradient points out of the box for the whole solve.
+    rng = np.random.default_rng(0)
+    s = np.sort(rng.uniform(-4.0, 4.0, 60))
+    y = value_and_slope(CURVES[0], s)[0] + rng.normal(0.0, 0.05, s.size)
+
+    def solve(cols, lower):
+        """Fit the Verhulst parameters ``cols`` of ``(a, d, b, c)`` from
+        ``start``, holding the others there."""
+        start = np.array([0.8, 0.2, 0.7, 0.3])
+
+        def model_fn(x):
+            params = start.copy()
+            params[cols] = x
+            f, grads = value_and_gradients(CurveArrays(VER, *params, 1.0), s)
+            return f, grads[:, cols]
+
+        return minimize_robust(
+            model_fn, start[cols], y=y, sigma=0.1, omega=np.full(s.size, 1.0 / s.size), loss=LOSS,
+            lower=np.array(lower), upper=np.full(len(cols), np.inf),
+        )
+
+    held = solve([0, 1, 2, 3], [-np.inf, 0.2, 1e-8, -np.inf])
+    without_d = solve([0, 2, 3], [-np.inf, 1e-8, -np.inf])
+    # Solved over every coordinate and then clipped, this solve crept along
+    # the bound until it stopped at max_steps.
+    assert held.converged and held.n_steps <= 30
+    assert held.x[1] == 0.2
+    np.testing.assert_allclose(np.delete(held.x, 1), without_d.x, rtol=0.0, atol=1e-10)
+    assert held.objective == pytest.approx(without_d.objective, rel=1e-10)
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
