@@ -341,7 +341,10 @@ def parse_cohort_csv(
         header = [h.strip() for h in header]
         if "subject_id" not in header or "age" not in header:
             raise SchemaError(f"{path}: line 1: header must contain subject_id and age")
-        col = {name: header.index(name) for name in header}
+        col = {name: i for i, name in enumerate(header)}
+        if len(col) < len(header):
+            repeated = next(name for i, name in enumerate(header) if col[name] != i)
+            raise SchemaError(f"{path}: line 1: duplicate column {repeated!r}")
         biomarker_cols = [h for h in header if h not in RESERVED_COLUMNS]
         for name in biomarker_cols:
             if name not in specs:
@@ -428,8 +431,8 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
 def load_biomarker_specs(path) -> dict[str, BiomarkerSpec]:
     """Load biomarker declarations from a JSON list.
 
-    Each entry is an object with ``name`` and optional ``range``,
-    ``constraint_policy`` and ``direction_hint`` keys.
+    Each entry is an object with ``name`` and optional ``range`` (null or
+    two numbers), ``constraint_policy`` and ``direction_hint`` keys.
     """
     data = read_json(path)
     if not isinstance(data, list):
@@ -442,6 +445,12 @@ def load_biomarker_specs(path) -> dict[str, BiomarkerSpec]:
         if name in specs:
             raise SchemaError(f"{path}: duplicate biomarker {name!r}")
         rng = entry.get("range")
+        # JSON numbers decode as int or float; a bool is not a number here.
+        if rng is not None and not (
+            isinstance(rng, list) and len(rng) == 2 and all(type(v) in (int, float) for v in rng)
+        ):
+            raise SchemaError(
+                f"{path}: entry {name!r}: range must be null or a list of two numbers, got {rng!r}")
         try:
             specs[name] = BiomarkerSpec(
                 name=name,
@@ -449,7 +458,7 @@ def load_biomarker_specs(path) -> dict[str, BiomarkerSpec]:
                 constraint_policy=entry.get("constraint_policy", "free"),
                 direction_hint=entry.get("direction_hint", "unknown"),
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: entry {name!r}: {exc}") from exc
     return specs
 

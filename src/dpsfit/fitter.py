@@ -5,9 +5,12 @@ validation loss stops improving or the iteration budget is spent:
 
 * the biomarker step refits every curve's parameters against the current
   subject scores;
-* the subject step refits every subject's ``(alpha, beta)`` against the
-  current curves, with the rate kept positive through a log
-  parameterization.
+* the subject step refits every subject's timeline against the current
+  curves.
+
+Both steps work on one :class:`FitState` in the solvers' own coordinates,
+one time frame throughout; only the selected snapshot becomes curve and
+raw-age subject parameters, through :func:`_state_params`.
 
 Both steps only ever accept objective decreases, so the training loss is
 non-increasing across iterations.  Because the alternation has no global
@@ -27,9 +30,9 @@ its solution; their training and validation sums are the iteration's
 ``E_train`` and ``E_valid``, so no curve is evaluated again to report
 them.
 
-The first biomarker step sees only :func:`initialize`'s identity
-timelines, under which scores are ages and no subject solve has yet
-placed anyone on the curves.  With ``gamma`` free, that step could bend a
+The first biomarker step sees only the starting timelines, under which
+scores follow ages and no subject solve has yet placed anyone on the
+curves.  With ``gamma`` free, that step could bend a
 curve onto the symmetry box ``_GAMMA_BOUNDS`` with asymptotes far outside
 the data, and the fit stayed in that basin to the end: one bootstrap
 replicate in twelve was trapped that way.  Iteration 1 therefore holds
@@ -45,18 +48,17 @@ heavily sampled subjects from dominating.
 
 A subject with fewer than 2 measured points cannot fix its own timeline,
 so :func:`fit` leaves it out of training and validation alike, as
-estimation at inference does.  Warnings about those subjects and about
-training subjects measured without change depend only on the data, so
-:func:`fit` emits them once, before the first iteration, into
-:attr:`FitTrace.warnings`; each subject step adds the training subjects
-whose rate it leaves on the log-alpha bound.  One rule,
+estimation at inference does.  :meth:`FitTrace.warn` records and issues
+every message of a fit once: those about such subjects and about training
+subjects measured without change before the first iteration, and after
+the last, one naming the training subjects whose rate a subject step left
+on the log-alpha bound.  One rule,
 :func:`_curve_box`, gives each curve its free parameters and their box,
 and so the model size ``q_params``.  A curve whose solve stops at
 ``inner_max_steps``, or that ends a biomarker step with a free parameter
 on a finite bound of its box (``a`` or ``d`` at 0 when nonnegative, ``b``
 on its floor, ``gamma`` on its box), is named once per biomarker and
-problem, with the first iteration it happened in, in
-:attr:`FitTrace.warnings` and through :func:`warnings.warn`.
+problem, with the first iteration it happened in.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from .cohort import Cohort, ConstraintPolicy, Diagnosis, Direction, write_csv
-from .curves import CurveParams, LogisticKind
+from .curves import CurveArrays, CurveParams, LogisticKind
 from .errors import FitError, InitializationError, SolverError
 from .optim import minimize_robust
 from .progression import (
@@ -80,8 +82,9 @@ from .progression import (
     _concat_flats,
     _Flat,
     _flatten,
-    _sigma_per_measurement,
+    _scores,
     _solve_subjects,
+    _subject_params,
     standardize,
 )
 from .robust_loss import LossKind, rho
@@ -152,10 +155,19 @@ class FitTrace:
     e_valid: list[float] = field(default_factory=list)
     l_opt: int = 0
     warnings: list[str] = field(default_factory=list)
+    _reported: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def l_stop(self) -> int:
         return len(self.e_valid)
+
+    def warn(self, message: str, key=None) -> None:
+        """Record and issue ``message`` once per ``key``, by default itself."""
+        key = message if key is None else key
+        if key not in self._reported:
+            self._reported.add(key)
+            self.warnings.append(message)
+            warnings.warn(message)
 
     def to_csv(self, path) -> None:
         write_csv(
@@ -168,11 +180,25 @@ class FitTrace:
 
 @dataclass
 class FitState:
-    """Mutable working state of the alternation."""
+    """Working state of the alternation, in the solvers' coordinates: per
+    biomarker, in sorted order, a :data:`~dpsfit.curves.PARAM_NAMES` row of
+    ``curves``, a ``kind`` curve, and a scale of ``sigma``; per subject, by
+    sorted id, a row ``(u, w)`` of ``subjects``, scoring ``exp(u) * (age -
+    m) + w`` with ``m`` the subject's mean measured age.  Rows do not depend
+    on where the age axis starts: ``fit`` uses the mean training age
+    ``t_shift`` once, to start ``w`` at ``m - t_shift``."""
 
-    curves: dict[str, CurveParams]
-    subjects: dict[str, SubjectParams]
-    sigma: dict[str, float]
+    kind: LogisticKind
+    curves: np.ndarray
+    subjects: np.ndarray
+    sigma: np.ndarray
+
+
+def _state_params(state: FitState, flat: _Flat) -> tuple[dict, dict]:
+    """``state``'s curves and raw-age subject timelines, by ``flat``'s names and ids."""
+    curves = [CurveParams(state.kind, *row) for row in state.curves.tolist()]
+    subjects = _subject_params(state.subjects, flat.mean_age)
+    return dict(zip(flat.biomarker_names, curves)), dict(zip(flat.subject_ids, subjects))
 
 
 # ----------------------------------------------------------------------
@@ -212,15 +238,6 @@ def _data_warnings(flat: _Flat) -> list[str]:
     return messages
 
 
-def _subject_matrix(sids: list[str], subjects: dict[str, SubjectParams]) -> np.ndarray:
-    x = np.empty((len(sids), 2))
-    for i, sid in enumerate(sids):
-        sp = subjects[sid]
-        x[i, 0] = np.log(sp.alpha)
-        x[i, 1] = sp.beta
-    return x
-
-
 # ----------------------------------------------------------------------
 # initialization
 # ----------------------------------------------------------------------
@@ -228,16 +245,21 @@ def _subject_matrix(sids: list[str], subjects: dict[str, SubjectParams]) -> np.n
 def initialize(cohort: Cohort, config: FitConfig) -> FitState:
     """Starting parameters derived from group statistics.
 
-    Subjects start at the identity timeline (``alpha = 1``, ``beta = 0``),
-    so initial scores are ages.  Each curve starts with its asymptotes at
-    the observed or declared value range, oriented by comparing the means
+    Subjects start at the identity timeline (unit rate, score ``m`` at the
+    mean age ``m``), so initial scores are ages.  Each curve starts with
+    its asymptotes at the observed or declared value range, oriented by
+    comparing the means
     of cognitively normal and demented measurements (falling back to the
     declared direction hint), inflection at score zero, unit symmetry, and
     the growth rate ``4 * lambda / (a - d)`` that gives the oriented unit
     logistic its slope at the inflection.
     """
-    state_curves: dict[str, CurveParams] = {}
-    sigma: dict[str, float] = {}
+    return _initialize_flat(cohort, _flatten(cohort), config)
+
+
+def _initialize_flat(cohort: Cohort, flat: _Flat, config: FitConfig) -> FitState:
+    """:func:`initialize` of ``cohort``, whose :class:`_Flat` is ``flat``."""
+    rows, sigma = [], []
     for name in cohort.biomarker_names():
         values, cn_values, ad_values = [], [], []
         for v in cohort.visits:
@@ -263,7 +285,7 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
             )
         if not sd > 0:
             raise InitializationError(f"biomarker {name!r}: values have no spread")
-        sigma[name] = sd
+        sigma.append(sd)
 
         spec = cohort.specs[name]
         if means is not None:
@@ -289,12 +311,10 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
                 f"biomarker {name!r}: values are too large to start a curve from "
                 f"(asymptotes {d0} and {a0}, growth rate {b0})"
             )
-        state_curves[name] = CurveParams(
-            kind=config.curve_kind, a=a0, d=d0, b=b0, c=0.0, gamma=1.0
-        )
+        rows.append((a0, d0, b0, 0.0, 1.0))
 
-    subjects = {sid: SubjectParams(alpha=1.0, beta=0.0) for sid in cohort.subject_ids()}
-    return FitState(curves=state_curves, subjects=subjects, sigma=sigma)
+    subjects = np.column_stack([np.zeros(len(flat.subject_ids)), flat.mean_age])
+    return FitState(config.curve_kind, np.array(rows).reshape(-1, 5), subjects, np.array(sigma))
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +324,9 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
 def objective(state: FitState, cohort: Cohort, loss: LossKind) -> float:
     """Robust training objective of a parameter state on a cohort."""
     flat = _flatten(cohort)
-    x = _subject_matrix(flat.subject_ids, state.subjects)
-    s = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
-    table = curves_mod.CurveArrays.stack([state.curves[n] for n in flat.biomarker_names])
-    pred, _ = _eval_flat(table, flat, s, np.arange(s.size))
-    r = (flat.y - pred) / _sigma_per_measurement(flat, state.sigma)
+    s = _scores(flat, state.subjects)
+    pred, _ = _eval_flat(CurveArrays(state.kind, *state.curves.T), flat, s, np.arange(s.size))
+    r = (flat.y - pred) / state.sigma[flat.bm]
     return float(np.dot(flat.omega, rho(loss, r)))
 
 
@@ -360,8 +378,7 @@ def _fit_biomarker_step_flat(
     ``inner_max_steps``, and for each free parameter it left on a finite
     bound of its box.
     """
-    x = _subject_matrix(flat.subject_ids, state.subjects)
-    s_all = np.exp(x[flat.sub, 0]) * flat.t + x[flat.sub, 1]
+    s_all = _scores(flat, state.subjects)
     problems = []
     for k, name in enumerate(flat.biomarker_names):
         idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
@@ -369,17 +386,14 @@ def _fit_biomarker_step_flat(
             continue
         s = s_all[idx]
         policy = cohort.specs[name].constraint_policy
-        current = state.curves[name]
         cols, lower, upper = _curve_box(config.curve_kind, policy, iteration)
-        row = np.array([getattr(current, n) for n in curves_mod.PARAM_NAMES])
+        row = state.curves[k].copy()
 
         def model_fn(x: np.ndarray):
-            # The solver keeps x finite and inside the box, so the checks of
-            # CurveParams.replace would only cost time: evaluate the current
-            # curve's entry with its free columns overwritten instead.
+            # The solver keeps x finite and inside the box: evaluate the row,
+            # its free columns overwritten, as one unchecked curve.
             row[cols] = x
-            entry = curves_mod.CurveArrays(current.kind, *row.tolist())
-            f, grads = curves_mod.value_and_gradients(entry, s)
+            f, grads = curves_mod.value_and_gradients(CurveArrays(state.kind, *row.tolist()), s)
             return f, grads[:, cols]
 
         try:
@@ -387,7 +401,7 @@ def _fit_biomarker_step_flat(
                 model_fn,
                 row[cols],
                 y=flat.y[idx],
-                sigma=state.sigma[name],
+                sigma=state.sigma[k],
                 omega=flat.omega[idx],
                 loss=config.loss_kind,
                 lower=lower,
@@ -398,7 +412,7 @@ def _fit_biomarker_step_flat(
         except SolverError as exc:
             raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
         row[cols] = result.x
-        state.curves[name] = CurveParams(current.kind, *row.tolist())
+        state.curves[k] = row
         if not result.converged:
             problems.append(
                 (name, f"curve solve stopped at inner_max_steps ({config.inner_max_steps})")
@@ -441,16 +455,9 @@ def _fit_subject_step_flat(
     to the validation loss; and which training subjects have their rate on
     the log-alpha bound.
     """
-    train_ids = flat.subject_ids[:n_train]
-    x0 = _subject_matrix(train_ids, state.subjects)
-    # Optimize (log alpha, score at the subject's mean age) instead of
-    # (log alpha, onset): per-subject centered times make the offset the
-    # quantity the score box constrains.
-    alpha0 = np.exp(x0[:, 0])
-    x0[:, 1] = alpha0 * flat.mean_age[:n_train] + x0[:, 1]
     x, obj, at_bound = _solve_subjects(
-        state.curves, state.sigma, flat, config.loss_kind,
-        config.inner_solver_tol, config.inner_max_steps, x0,
+        CurveArrays(state.kind, *state.curves.T), state.sigma, flat, config.loss_kind,
+        config.inner_solver_tol, config.inner_max_steps, state.subjects,
     )
     bad = np.nonzero(~np.isfinite(obj))[0]
     if bad.size:
@@ -459,12 +466,7 @@ def _fit_subject_step_flat(
             f"{phase}, iteration {iteration}, subject {flat.subject_ids[bad[0]]!r}: "
             f"subject objective is not finite at the starting point"
         )
-    for i, sid in enumerate(train_ids):
-        if x[i, 0] == x0[i, 0] and x[i, 1] == x0[i, 1]:
-            continue  # unchanged rows keep their exact previous parameters
-        alpha = float(np.exp(x[i, 0]))
-        beta = float(x[i, 1] - alpha * flat.mean_age[i])
-        state.subjects[sid] = SubjectParams(alpha=alpha, beta=beta)
+    state.subjects = x[:n_train]
     return obj, at_bound[:n_train]
 
 
@@ -500,17 +502,15 @@ def _stops(e_valid: list[float], l_min: int, stop_rtol: float) -> bool:
     return before - e_valid[-1] < stop_rtol * before
 
 
-def _without_sparse_subjects(cohort: Cohort, role: str, messages: list[str]):
+def _without_sparse_subjects(cohort: Cohort, role: str, trace: FitTrace):
     """``cohort`` and its :class:`_Flat` without the subjects of fewer than 2
-    measured points; warns once per subject left out and appends the
-    message to ``messages``."""
+    measured points; reports each subject left out to ``trace``."""
     flat = _flatten(cohort)
     sparse = [sid for sid, n in zip(flat.subject_ids, flat.n_points) if n < 2]
     if not sparse:
         return cohort, flat
     for sid in sparse:
-        messages.append(f"{role} subject {sid!r}: fewer than 2 measured points, left out of the fit")
-        warnings.warn(messages[-1])
+        trace.warn(f"{role} subject {sid!r}: fewer than 2 measured points, left out of the fit")
     cohort = cohort.subset(sorted(set(flat.subject_ids) - set(sparse)))
     return cohort, _flatten(cohort)
 
@@ -538,13 +538,14 @@ def fit(
     ``[l_min, l_stop]`` with the lowest validation loss (earliest on ties),
     standardized to the training cohort's cognitively normal visits when
     any exist.  Subjects with fewer than 2 measured points are left out of
-    both cohorts, with a warning naming each.  One progress line per
-    iteration, and one more when the fit stops early, go to standard error
-    when ``progress`` is set.
+    both cohorts, with a warning naming each, as one warning names the
+    training subjects whose rate a subject step left on the log-alpha
+    bound.  One progress line per iteration, and one more when the fit
+    stops early, go to standard error when ``progress`` is set.
     """
-    dropped: list[str] = []
-    train, flat_train = _without_sparse_subjects(train, "training", dropped)
-    valid, flat_valid = _without_sparse_subjects(valid, "validation", dropped)
+    trace = FitTrace()
+    train, flat_train = _without_sparse_subjects(train, "training", trace)
+    valid, flat_valid = _without_sparse_subjects(valid, "validation", trace)
     if flat_train.y.size == 0:
         raise FitError("training cohort has no measurements")
     if flat_valid.y.size == 0:
@@ -555,15 +556,6 @@ def fit(
             f"training cohort {flat_train.biomarker_names}"
         )
 
-    # Optimize in a mean-centered time frame.  Scores are an affine map of
-    # age, so this only reparameterizes the starting point; it keeps the
-    # inner gradients alive when ages sit far from the initial inflection
-    # at score zero.  Onsets are mapped back to the raw age frame below.
-    t_shift = float(flat_train.t.mean())
-    flat_train.t = flat_train.t - t_shift
-    flat_train.mean_age = flat_train.mean_age - t_shift
-    flat_valid.t = flat_valid.t - t_shift
-    flat_valid.mean_age = flat_valid.mean_age - t_shift
     # Training subjects first, so the subject step's rows of x are 0..n_train-1.
     flat_all = _concat_flats(flat_train, flat_valid)
     n_train = len(flat_train.subject_ids)
@@ -579,33 +571,30 @@ def fit(
             f"{q_params} parameters (degrees of freedom {flat_train.y.size - q_params})"
         )
 
-    state = initialize(train, config)
-    trace = FitTrace(warnings=dropped + _data_warnings(flat_train))
-    for message in trace.warnings[len(dropped):]:
-        warnings.warn(message)
-    best: tuple[float, int, dict, dict] | None = None
-    curve_problems: set[tuple[str, str]] = set()
+    state = _initialize_flat(train, flat_train, config)
+    # Start the scores at the ages less their training mean, around the
+    # inflections at zero, which keeps the first steps' gradients alive.
+    t_shift = float(flat_train.t.mean())
+    state.subjects[:, 1] -= t_shift
+    for message in _data_warnings(flat_train):
+        trace.warn(message)
+    best: tuple[float, int, FitState] | None = None
+    pinned = np.zeros(n_train, dtype=bool)
 
     for iteration in range(1, config.l_max + 1):
         for name, problem in _fit_biomarker_step_flat(state, flat_train, train, config, iteration):
-            if (name, problem) not in curve_problems:
-                curve_problems.add((name, problem))
-                trace.warnings.append(f"biomarker {name!r}: {problem}, first in iteration {iteration}")
-                warnings.warn(trace.warnings[-1])
-        obj, pinned = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
-        for i in np.nonzero(pinned)[0]:
-            message = (
-                f"subject {flat_train.subject_ids[i]!r}: progression rate pinned at "
-                f"the log-alpha bound"
+            trace.warn(
+                f"biomarker {name!r}: {problem}, first in iteration {iteration}", key=(name, problem)
             )
-            if message not in trace.warnings:
-                trace.warnings.append(message)
+        obj, at_bound = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
+        pinned |= at_bound
         e_train = float(obj[:n_train].sum())
         e_valid = float(obj[n_train:].sum())
         trace.e_train.append(e_train)
         trace.e_valid.append(e_valid)
         if iteration >= config.l_min and (best is None or e_valid < best[0]):
-            best = (e_valid, iteration, dict(state.curves), dict(state.subjects))
+            snapshot = FitState(state.kind, state.curves.copy(), state.subjects.copy(), state.sigma)
+            best = (e_valid, iteration, snapshot)
         if progress:
             print(
                 f"iter {iteration:3d}  E_train={e_train:.8e}  E_valid={e_valid:.8e}",
@@ -620,19 +609,21 @@ def fit(
                 )
             break
 
+    if pinned.any():
+        ids = ", ".join(repr(flat_train.subject_ids[i]) for i in np.flatnonzero(pinned))
+        trace.warn(f"progression rate pinned at the log-alpha bound for "
+                   f"{np.count_nonzero(pinned)} training subject(s): {ids}")
+
     assert best is not None  # l_min <= l_max guarantees at least one snapshot
-    e_valid_opt, l_opt, best_curves, best_subjects = best
+    e_valid_opt, l_opt, snapshot = best
     trace.l_opt = l_opt
-    best_subjects = {
-        sid: SubjectParams(alpha=sp.alpha, beta=sp.beta - sp.alpha * t_shift)
-        for sid, sp in best_subjects.items()
-    }
+    best_curves, best_subjects = _state_params(snapshot, flat_train)
 
     model = FittedModel(
         curve_kind=config.curve_kind,
         loss_kind=config.loss_kind,
         curves=best_curves,
-        sigma=dict(state.sigma),
+        sigma=dict(zip(flat_train.biomarker_names, state.sigma.tolist())),
         subjects=best_subjects,
         standardization=Standardization(),
         provenance={
@@ -651,9 +642,5 @@ def fit(
     if len(cn) >= 2 and float(np.std(cn)) > 0:
         model = standardize(model, cn)
     else:
-        message = (
-            "no usable cognitively normal visits; scores are left unstandardized"
-        )
-        trace.warnings.append(message)
-        warnings.warn(message)
+        trace.warn("no usable cognitively normal visits; scores are left unstandardized")
     return model, trace

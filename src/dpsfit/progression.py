@@ -11,9 +11,10 @@ the cognitively normal visits of the training set.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -280,10 +281,6 @@ def _concat_flats(first: _Flat, second: _Flat) -> _Flat:
     )
 
 
-def _sigma_per_measurement(flat: _Flat, sigma: Mapping[str, float]) -> np.ndarray:
-    return np.array([sigma[n] for n in flat.biomarker_names])[flat.bm]
-
-
 def _eval_flat(table: curves.CurveArrays, flat: _Flat, s: np.ndarray, rows: np.ndarray):
     """Curve values and slopes at scores ``s`` of the measurement indices
     ``rows``, in one call over every biomarker; ``table`` holds one entry
@@ -291,7 +288,21 @@ def _eval_flat(table: curves.CurveArrays, flat: _Flat, s: np.ndarray, rows: np.n
     return curves.value_and_slope(table.take(flat.bm[rows]), s)
 
 
-def _subject_bounds(curve_list: list[CurveParams], flat: _Flat, tc: np.ndarray):
+def _scores(flat: _Flat, x: np.ndarray) -> np.ndarray:
+    """Scores ``exp(u) * (age - mean age) + w`` of ``flat``'s measurements
+    under the subject rows ``x`` of ``(u, w)``, as the subject solver forms them."""
+    return np.exp(x[flat.sub, 0]) * (flat.t - flat.mean_age[flat.sub]) + x[flat.sub, 1]
+
+
+def _subject_params(x: np.ndarray, mean_age: np.ndarray) -> list[SubjectParams]:
+    """The ``alpha * age + beta`` timeline of each subject row ``(u, w)`` of
+    ``x``, who scores ``exp(u) * (age - mean_age) + w``."""
+    alpha = np.exp(x[:, 0])
+    beta = x[:, 1] - alpha * mean_age
+    return [SubjectParams(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+
+
+def _subject_bounds(table: curves.CurveArrays, flat: _Flat, tc: np.ndarray):
     """Search box of every subject's ``(log alpha, score at mean age)``.
 
     Beyond ``_SCORE_PAD`` exponent units from every inflection all curves
@@ -303,28 +314,28 @@ def _subject_bounds(curve_list: list[CurveParams], flat: _Flat, tc: np.ndarray):
     ages ``tc``; the rate cap keeps its visits from stretching beyond the
     width of that box.
     """
-    pads = np.array([_SCORE_PAD * max(1.0, p.gamma) / abs(p.b) for p in curve_list])
-    c = np.array([p.c for p in curve_list])
+    pads = _SCORE_PAD * np.maximum(1.0, table.gamma) / np.abs(table.b)
     w_lo = np.full(len(flat.subject_ids), np.inf)
     w_hi = np.full(len(flat.subject_ids), -np.inf)
-    np.minimum.at(w_lo, flat.sub, np.minimum((c - pads)[flat.bm], tc))
-    np.maximum.at(w_hi, flat.sub, np.maximum((c + pads)[flat.bm], tc))
+    np.minimum.at(w_lo, flat.sub, np.minimum((table.c - pads)[flat.bm], tc))
+    np.maximum.at(w_hi, flat.sub, np.maximum((table.c + pads)[flat.bm], tc))
     width = np.maximum(w_hi - w_lo, 1e-12)
     u_hi = np.clip(np.log(width / np.maximum(flat.age_span, 1e-12)), 0.0, _LOG_ALPHA_LIMIT)
     return (w_lo, w_hi), u_hi
 
 
 def _solve_subjects(
-    curve_map: Mapping[str, CurveParams],
-    sigma: Mapping[str, float],
+    table: curves.CurveArrays,
+    sigma: np.ndarray,
     flat: _Flat,
     loss: LossKind,
     tol: float,
     max_steps: int,
-    x0: np.ndarray | None = None,
+    x0: np.ndarray = np.empty((0, 2)),
 ):
     """Fit every subject of ``flat`` against fixed curves in one batch.
 
+    ``table`` and ``sigma`` hold each biomarker's curve and residual scale.
     Works in each subject's mean-centered time frame, where the parameters
     are ``(log alpha, score at the mean age)``.  The rows of ``x0``
     warm-start the first ``len(x0)`` subjects; the others start cold at
@@ -332,17 +343,11 @@ def _solve_subjects(
     fewer than 2 points stay at their start.  Returns ``(x, objective,
     at_bound)`` as :func:`~dpsfit.optim.minimize_subjects` does.
     """
-    curve_list = [curve_map[n] for n in flat.biomarker_names]
     start = np.zeros((len(flat.subject_ids), 2))
-    n_warm = 0
-    if x0 is not None:
-        n_warm = len(x0)
-        start[:n_warm] = x0
-    if n_warm < len(start):
-        start[n_warm:, 1] = float(np.median([p.c for p in curve_list]))
+    start[:len(x0)] = x0
+    start[len(x0):, 1] = np.median(table.c)
     tc = flat.t - flat.mean_age[flat.sub]
-    offset_bounds, log_alpha_hi = _subject_bounds(curve_list, flat, tc)
-    table = curves.CurveArrays.stack(curve_list)
+    offset_bounds, log_alpha_hi = _subject_bounds(table, flat, tc)
 
     def eval_fn(s: np.ndarray, rows: np.ndarray):
         return _eval_flat(table, flat, s, rows)
@@ -353,7 +358,7 @@ def _solve_subjects(
         t=tc,
         y=flat.y,
         sub=flat.sub,
-        sigma=_sigma_per_measurement(flat, sigma),
+        sigma=sigma[flat.bm],
         omega=flat.omega,
         n_subjects=len(flat.subject_ids),
         loss=loss,
@@ -406,25 +411,23 @@ def _estimate(
             measured.add(m[0])
             if m[1] in model.curves:
                 usable.append(m)
-    flat = _flat_from(sids, model.biomarker_names(), usable)
+    names = model.biomarker_names()
+    flat = _flat_from(sids, names, usable)
     x, obj, _ = _solve_subjects(
-        model.curves, model.sigma, flat, model.loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS
+        curves.CurveArrays.stack([model.curves[n] for n in names]),
+        np.array([model.sigma[n] for n in names]),
+        flat, model.loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS,
     )
-    alpha = np.exp(x[:, 0])
-    beta = x[:, 1] - alpha * flat.mean_age
-    estimates: dict[str, SubjectParams] = {}
+    ok = (flat.n_points >= 2) & np.isfinite(obj)
+    estimates = dict(zip(itertools.compress(sids, ok), _subject_params(x[ok], flat.mean_age[ok])))
     failures: dict[str, DpsFitError] = {}
-    for sid, n, a, b, f in zip(sids, flat.n_points, alpha, beta, obj):
+    for sid, n in itertools.compress(zip(sids, flat.n_points), ~ok):
         if n == 0 and sid in measured:
             failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
         elif n == 0:
             failures[sid] = InsufficientDataError("subject has no measured values")
         elif n < 2:
-            failures[sid] = InsufficientDataError(
-                f"need at least 2 measurement points, got {int(n)}"
-            )
-        elif np.isfinite(f):
-            estimates[sid] = SubjectParams(alpha=float(a), beta=float(b))
+            failures[sid] = InsufficientDataError(f"need at least 2 measurement points, got {int(n)}")
         else:
             failures[sid] = SolverError("subject objective is not finite at the starting point")
     return estimates, failures

@@ -544,18 +544,28 @@ def test_bad_cohort_file_exits_with_two_and_names_path_and_line(pipeline, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+# Spec ranges that are not null or a list of two numbers.
+BAD_RANGES = {"number": 5, "bool": True, "one-value": [1], "three-values": [1, 2, 3],
+              "string-bound": ["0", 1]}
+
+
 @pytest.mark.parametrize("argv, culprit", [
     (["fit", "--cohort", TRAIN, "--specs", SPECS, "--config", "list.json"],
      "list.json: config file must hold a JSON object"),
     (["predict", "--cohort", "other.csv", "--specs", "other_specs.json",
       "--model", "ens/model_000.json"], "other.csv: no predictable measurements"),
-], ids=["config-list", "no-shared-biomarker"])
+    *[(["split", "--cohort", "other.csv", "--specs", f"range-{case}.json"],
+       f"range-{case}.json: entry 'other': range must be null or a list of two numbers")
+      for case in BAD_RANGES],
+], ids=["config-list", "no-shared-biomarker", *(f"range-{case}" for case in BAD_RANGES)])
 def test_bad_input_file_exits_with_two_and_names_it(pipeline, tmp_path, capsys, argv, culprit):
     for name in (TRAIN, SPECS, "ens/model_000.json"):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_bytes((pipeline / name).read_bytes())
     (tmp_path / "list.json").write_text('[{"l-max": 2}]')
     (tmp_path / "other_specs.json").write_text('[{"name": "other"}]')
+    for case, value in BAD_RANGES.items():
+        (tmp_path / f"range-{case}.json").write_text(json.dumps([{"name": "other", "range": value}]))
     (tmp_path / "other.csv").write_text("subject_id,age,other\ns1,3.0,0.5\ns1,4.0,0.7\n")
     code = main(_under(tmp_path, argv) + ["--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err

@@ -115,6 +115,17 @@ def test_parse_rejects_unknown_biomarker_column(tmp_path):
         parse_cohort_csv(path, specs_for("MMSE"))
 
 
+@pytest.mark.parametrize("header, repeated", [
+    ("subject_id,age,b0,b0", "b0"), ("subject_id,age,age,b0", "age"),
+])
+def test_parse_rejects_a_repeated_column(tmp_path, header, repeated):
+    path = tmp_path / "c.csv"
+    path.write_text(f"{header}\ns1,70,1,5\n")
+    with pytest.raises(SchemaError) as info:
+        parse_cohort_csv(path, specs_for("b0"))
+    assert str(info.value) == f"{path}: line 1: duplicate column {repeated!r}"
+
+
 def test_parse_assigns_visit_indices_in_time_order(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text(
