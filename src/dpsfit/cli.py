@@ -17,11 +17,15 @@ command, that configuration, the SHA-256 hash of every input file a flag
 names (``--config`` and the ``ensemble.json`` index of an ensemble
 directory included), the recorded list of files produced and the Python,
 numpy and platform versions that produced them.  Numeric outputs are
-byte-identical across reruns with the same inputs and seed.  ``bootstrap``
-fits its replicates in forked worker processes on Linux, one per usable
-CPU up to ``--n``, and in this process on one CPU or another platform;
-memory grows by one fit per worker.  It still accepts the old
-``--threads`` flag and ignores it.
+byte-identical across reruns with the same inputs and seed.
+
+``predict``, ``classify`` and ``report`` estimate the cohort's subjects
+under every model of the ensemble (of both ensembles under ``--compare``)
+together, in one batched subject solve per group of models, and work on
+the cohort's measured cells as arrays.  ``bootstrap`` fits its replicates
+in forked worker processes on Linux, one per usable CPU up to ``--n``, and
+in this process on one CPU or another platform; memory grows by one fit
+per worker.  It still accepts the old ``--threads`` flag and ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.
@@ -56,16 +60,11 @@ from .cohort import (
     write_csv,
     write_json,
 )
-from .curves import LogisticKind, evaluate
+from .curves import CurveArrays, LogisticKind, evaluate
 from .errors import DpsFitError, FitError, MetricError, SchemaError, StagingError
 from .fitter import FitConfig, fit
 from .metrics import bic, mae, multiclass_auc, nmae, wilcoxon_signed_rank
-from .progression import (
-    FittedModel,
-    estimate_subjects,
-    load_model,
-    save_model,
-)
+from .progression import FittedModel, _estimate_models, load_model, save_model
 from .resampling import (
     BootstrapEnsemble,
     aggregate_curves,
@@ -77,6 +76,7 @@ from .robust_loss import LossKind
 from .staging import (
     StagingClassifier,
     collect_class_scores,
+    ensemble_classes,
     fit_classifier,
     kde_eval,
     stage_subjects,
@@ -295,58 +295,105 @@ def _load_ensemble(path) -> BootstrapEnsemble:
 # prediction and staging helpers shared by several commands
 # ----------------------------------------------------------------------
 
-def _predict_models(models, cohort: Cohort, estimates):
-    """Predict every measured cell of a cohort under each model, from the
-    model's :func:`estimate_subjects` result.
+@dataclasses.dataclass
+class _Cells:
+    """The measured cells of a cohort as arrays, in subject order, each
+    subject's cells in the order of :meth:`~dpsfit.cohort.Cohort.iter_records`."""
 
-    Returns the rows of each model, each row a
-    ``(subject_id, visit_index, age, biomarker, actual, predicted)`` tuple
-    in subject order; the NMAE of each model that predicted any cell; and
-    the ``(subject_id, reason)`` pairs of the subjects a model skipped.
-    """
-    records = sorted(cohort.iter_records(), key=lambda r: r.subject_id)
-    per_model_rows, per_model_nmae, skipped = [], [], []
-    for model, (params, failures) in zip(models, estimates):
-        cells = [r for r in records if r.subject_id in params and r.biomarker in model.curves]
-        sps = [params[r.subject_id] for r in cells]
-        scores = np.array([sp.alpha * r.age + sp.beta for sp, r in zip(sps, cells)])
-        names = np.array([r.biomarker for r in cells], dtype=str)
-        predicted = np.empty(len(cells))
-        for name, p in model.curves.items():
-            mask = names == name
-            predicted[mask] = evaluate(p, scores[mask])
-        rows = [
-            (r.subject_id, r.visit_index, r.age, r.biomarker, r.value, f)
-            for r, f in zip(cells, predicted.tolist())
+    subject_ids: list[str]      # sorted
+    names: list[str]            # sorted biomarker names
+    sub: np.ndarray             # index into subject_ids
+    visit_index: np.ndarray
+    age: np.ndarray
+    bm: np.ndarray              # index into names
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, cohort: Cohort) -> "_Cells":
+        subject_ids, names = cohort.subject_ids(), cohort.biomarker_names()
+        sid_ix = {s: i for i, s in enumerate(subject_ids)}
+        bm_ix = {n: i for i, n in enumerate(names)}
+        cells = [
+            (sid_ix[v.subject_id], v.visit_index, v.age, bm_ix[name], v.values[name])
+            for v in cohort.visits
+            for name in sorted(v.values)
+            if v.values[name] is not None
         ]
-        per_model_rows.append(rows)
-        if rows:
-            per_model_nmae.append(_mae_nmae_from_rows(rows)[1])
+        columns = [np.array(c) for c in zip(*cells)] if cells else [np.empty(0)] * 5
+        sub, visit_index, age, bm, value = columns
+        order = np.argsort(sub, kind="stable")
+        return cls(subject_ids, names, sub.astype(np.intp)[order], visit_index.astype(int)[order],
+                   age.astype(float)[order], bm.astype(np.intp)[order], value.astype(float)[order])
+
+    def key_order(self) -> np.ndarray:
+        """The cells sorted by subject id, visit index, age and biomarker."""
+        return np.lexsort((self.bm, self.age, self.visit_index, self.sub))
+
+    def rows(self, cells: np.ndarray, predicted: np.ndarray) -> list[tuple]:
+        """``(subject_id, visit_index, age, biomarker, actual, predicted)``
+        of the cells at the indices ``cells``."""
+        return list(zip(
+            [self.subject_ids[i] for i in self.sub[cells].tolist()],
+            self.visit_index[cells].tolist(),
+            self.age[cells].tolist(),
+            [self.names[k] for k in self.bm[cells].tolist()],
+            self.value[cells].tolist(),
+            predicted.tolist(),
+        ))
+
+
+def _predict_models(models, cells: _Cells, estimates):
+    """Predict every measured cell under each model, from the model's
+    :func:`~dpsfit.progression.estimate_subjects` result.
+
+    Returns the predictions as a ``(cells, models)`` array and a boolean
+    array of the same shape saying which model predicted which cell; the
+    NMAE of each model that predicted any cell, over its cells in order;
+    and the ``(subject_id, reason)`` pairs of the subjects a model skipped.
+    """
+    predicted = np.zeros((cells.sub.size, len(models)))
+    hit = np.zeros(predicted.shape, dtype=bool)
+    per_model_nmae, skipped = [], []
+    for m, (model, (params, failures)) in enumerate(zip(models, estimates)):
+        found = [params.get(sid) for sid in cells.subject_ids]
+        own = model.biomarker_names()
+        index = {name: k for k, name in enumerate(own)}
+        curve = np.array([index.get(n, -1) for n in cells.names], dtype=np.intp)[cells.bm]
+        rows = np.flatnonzero(np.array([sp is not None for sp in found], dtype=bool)[cells.sub]
+                              & (curve >= 0))
+        sub = cells.sub[rows]
+        alpha = np.array([0.0 if sp is None else sp.alpha for sp in found])
+        beta = np.array([0.0 if sp is None else sp.beta for sp in found])
+        table = CurveArrays.stack([model.curves[n] for n in own])
+        predicted[rows, m] = evaluate(table.take(curve[rows]), alpha[sub] * cells.age[rows] + beta[sub])
+        hit[rows, m] = True
+        if rows.size:
+            per_model_nmae.append(
+                _mae_nmae(cells.names, cells.bm[rows], cells.value[rows], predicted[rows, m])[1]
+            )
         skipped += [(sid, str(exc)) for sid, exc in failures.items()]
-    return per_model_rows, per_model_nmae, skipped
+    return predicted, hit, per_model_nmae, skipped
 
 
-def _nmae_by_bootstrap_id(path, models, per_model_rows, per_model_nmae) -> dict:
+def _nmae_by_bootstrap_id(path, models, hit, per_model_nmae) -> dict:
     """The NMAE of each model of the ensemble at ``path`` that predicted
     any cell, by its bootstrap id, from :func:`_predict_models`' result."""
-    ids = [m.provenance.get("bootstrap_id") for m, rows in zip(models, per_model_rows) if rows]
+    ids = [m.provenance.get("bootstrap_id") for m, any_hit in zip(models, hit.any(axis=0)) if any_hit]
     if len(set(ids)) < len(ids):
         raise SchemaError(f"{path}: models repeat a bootstrap id, so replicates cannot be paired")
     return dict(zip(ids, per_model_nmae))
 
 
-def _mae_nmae_from_rows(rows):
-    """Per-biomarker MAE and the NMAE of prediction rows, each biomarker's
-    error normalized by the spread of the same actual values it averages."""
-    actual: dict[str, list[float]] = {}
-    predicted: dict[str, list[float]] = {}
-    for _, _, _, name, a, p in rows:
-        actual.setdefault(name, []).append(a)
-        predicted.setdefault(name, []).append(p)
-    mae_map = mae(actual, predicted)
+def _mae_nmae(names, bm, actual, predicted):
+    """Per-biomarker MAE and the NMAE of predictions of the biomarkers
+    ``names[bm]``, each biomarker's error normalized by the spread of the
+    same actual values it averages."""
+    present = [(names[k], bm == k) for k in np.unique(bm).tolist()]
+    mae_map = mae({name: actual[mask] for name, mask in present},
+                  {name: predicted[mask] for name, mask in present})
     sd_map = {
-        name: float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        for name, values in actual.items()
+        name: float(np.std(actual[mask], ddof=1)) if np.count_nonzero(mask) > 1 else 0.0
+        for name, mask in present
     }
     return mae_map, nmae(mae_map, sd_map)
 
@@ -383,6 +430,19 @@ def _stage_cohort(members, cohort: Cohort, estimates):
     staged = [visit for visits in staged_by_subject.values() for visit in visits]
     truths = [v.diagnosis for sid in staged_by_subject for v in by_subject[sid]]
     return staged, truths, [(sid, str(exc)) for sid, exc in failures.items()]
+
+
+def _mean_likelihoods(members, grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Each class's score likelihood on ``grid``, averaged over the
+    members, for every class of any member; a member without a class adds
+    0 to it, as it does to the class's posterior."""
+    likelihoods = {label.value.lower(): np.zeros(grid.size) for label in ensemble_classes(members)}
+    for _, classifier in members:
+        for label in classifier.classes():
+            likelihoods[label.value.lower()] += kde_eval(classifier.densities[label], grid)
+    for key in likelihoods:
+        likelihoods[key] /= len(members)
+    return likelihoods
 
 
 def _write_mean_curves(out: _OutDir, grid: np.ndarray, aggregates) -> None:
@@ -529,29 +589,24 @@ def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
     models = [load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
 
-    per_model_rows, per_model_nmae, skipped_all = _predict_models(
-        models, cohort, [estimate_subjects(model, cohort) for model in models]
+    cells = _Cells.of(cohort)
+    predicted, hit, per_model_nmae, skipped_all = _predict_models(
+        models, cells, _estimate_models(models, cohort)
     )
-    if not all(per_model_rows):
+    if not hit.any(axis=0).all():
         raise DpsFitError(f"{args.cohort}: no predictable measurements in the cohort")
 
-    # Cells predictable by every model, fused by averaging.
-    keys = set.intersection(*(
-        {row[:4] for row in rows} for rows in per_model_rows
-    ))
-    fused: dict = {}
-    for rows in per_model_rows:
-        for row in rows:
-            if row[:4] in keys:
-                fused.setdefault(row[:4], []).append((row[4], row[5]))
-    fused_rows = [
-        key + (pairs[0][0], float(np.mean([p for _, p in pairs])))
-        for key, pairs in sorted(fused.items())
-    ]
-    mae_map, nmae_value = _mae_nmae_from_rows(fused_rows)
+    # Cells predictable by every model, fused by averaging, in key order.
+    # Each cell's predictions lie along the contiguous last axis, which
+    # adds them in the order of a mean over that cell alone.
+    order = cells.key_order()
+    order = order[hit[order].all(axis=1)]
+    fused = predicted[order].mean(axis=1)
+    mae_map, nmae_value = _mae_nmae(cells.names, cells.bm[order], cells.value[order], fused)
 
     out.csv("predictions.csv",
-            ["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"], fused_rows)
+            ["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"],
+            cells.rows(order, fused))
 
     metrics_data = {
         "mae": mae_map,
@@ -564,7 +619,7 @@ def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     out.json("metrics.json", metrics_data)
     return (
         {"model": args.model, "ensemble": args.ensemble},
-        f"NMAE {nmae_value:.4f} over {len(fused_rows)} measurements",
+        f"NMAE {nmae_value:.4f} over {order.size} measurements",
     )
 
 
@@ -573,7 +628,7 @@ def _cmd_classify(args, out: _OutDir) -> tuple[dict, str | None]:
     train = parse_cohort_csv(args.train, test.specs)
     ensemble = _load_ensemble(args.ensemble)
     members, _ = _build_members(ensemble, train)
-    estimates = [estimate_subjects(model, test) for model, _ in members]
+    estimates = _estimate_models([model for model, _ in members], test)
     staged, truths, skipped = _stage_cohort(members, test, estimates)
     if not staged:
         raise StagingError("no test visit could be staged")
@@ -632,6 +687,7 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
     train = _load_inputs(args)
     test = parse_cohort_csv(args.test, train.specs)
     ensemble = _load_ensemble(args.ensemble)
+    other = _load_ensemble(args.compare) if args.compare else None
 
     bic_values = [
         bic(prov["e_train_opt"], prov["q_params"], prov["n_measurements"])
@@ -639,9 +695,12 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
         if all(k in prov for k in ("e_train_opt", "q_params", "n_measurements"))
     ]
 
-    # One estimate per model serves both prediction and staging.
-    estimates = [estimate_subjects(model, test) for model in ensemble.models]
-    per_model_rows, per_model_nmae, _ = _predict_models(ensemble.models, test, estimates)
+    # One estimate per model serves both prediction and staging, and the
+    # models of both ensembles are estimated together.
+    n_models = len(ensemble.models)
+    estimates = _estimate_models(ensemble.models + (other.models if other else []), test)
+    cells = _Cells.of(test)
+    _, hit, per_model_nmae, _ = _predict_models(ensemble.models, cells, estimates[:n_models])
 
     auc = None
     staging_note = None
@@ -655,14 +714,12 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
         members = []
 
     comparison = None
-    if args.compare:
-        other = _load_ensemble(args.compare)
-        other_estimates = [estimate_subjects(model, test) for model in other.models]
-        other_rows, other_nmae, _ = _predict_models(other.models, test, other_estimates)
+    if other:
+        _, other_hit, other_nmae, _ = _predict_models(other.models, cells, estimates[n_models:])
         # Replicates pair by bootstrap id: the same resample of the
         # training cohort under both ensembles' settings.
-        mine = _nmae_by_bootstrap_id(args.ensemble, ensemble.models, per_model_rows, per_model_nmae)
-        theirs = _nmae_by_bootstrap_id(args.compare, other.models, other_rows, other_nmae)
+        mine = _nmae_by_bootstrap_id(args.ensemble, ensemble.models, hit, per_model_nmae)
+        theirs = _nmae_by_bootstrap_id(args.compare, other.models, other_hit, other_nmae)
         common = [b for b in mine if b in theirs]
         if not common:
             raise MetricError("nothing to compare: the ensembles share no scored bootstrap id")
@@ -690,21 +747,14 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
     )
 
     if members:
-        likelihoods = {
-            label.value.lower(): np.zeros(grid.size)
-            for label in members[0][1].classes()
-        }
-        for _, classifier in members:
-            for label in classifier.classes():
-                likelihoods[label.value.lower()] += kde_eval(
-                    classifier.densities[label], grid
-                )
-        for key in likelihoods:
-            likelihoods[key] /= len(members)
+        likelihoods = _mean_likelihoods(members, grid)
         _write_curve_table(out, "likelihoods.csv", grid, likelihoods)
 
     report = {
         "n_models": len(ensemble.models),
+        # [bootstrap_id, l_opt, l_stop] of each model, from the ensemble
+        # index; null for an index written before it recorded them.
+        "replicates": read_json(os.path.join(args.ensemble, "ensemble.json")).get("replicates"),
         "bic": {
             "per_model": bic_values,
             "mean": float(np.mean(bic_values)) if bic_values else None,

@@ -183,6 +183,10 @@ _SCORE_PAD = 8.0
 # Projected-gradient tolerance and step cap of subject estimation at inference.
 _SUBJECT_TOL = 1e-8
 _SUBJECT_MAX_STEPS = 200
+# Estimation at inference solves the models of an ensemble together, in
+# groups whose usable measurements stay within this many rows, which bounds
+# the solver's memory for any ensemble size.
+_GROUP_ROWS = 100_000
 
 
 @dataclass
@@ -216,6 +220,12 @@ def _flatten(cohort: Cohort) -> _Flat:
 def _flat_from(sids: list[str], names: list[str], measurements) -> _Flat:
     """Flat arrays of ``(subject_id, biomarker, age, value)`` measurements;
     missing values are dropped."""
+    return _flat_of(sids, names, *_sorted_rows(sids, names, measurements))
+
+
+def _sorted_rows(sids: list[str], names: list[str], measurements):
+    """``(bm, sub, t, y)`` arrays of the measurements with a value, sorted by
+    biomarker, then subject, age and value."""
     sid_ix = {s: i for i, s in enumerate(sids)}
     bm_ix = {n: i for i, n in enumerate(names)}
     rows = sorted(
@@ -223,10 +233,16 @@ def _flat_from(sids: list[str], names: list[str], measurements) -> _Flat:
         for sid, name, age, value in measurements
         if value is not None
     )
-    bm = np.array([r[0] for r in rows], dtype=np.intp)
-    sub = np.array([r[1] for r in rows], dtype=np.intp)
-    t = np.array([r[2] for r in rows], dtype=float)
-    y = np.array([r[3] for r in rows], dtype=float)
+    return (
+        np.array([r[0] for r in rows], dtype=np.intp),
+        np.array([r[1] for r in rows], dtype=np.intp),
+        np.array([r[2] for r in rows], dtype=float),
+        np.array([r[3] for r in rows], dtype=float),
+    )
+
+
+def _flat_of(sids: list[str], names: list[str], bm, sub, t, y) -> _Flat:
+    """The :class:`_Flat` of rows in the order :func:`_sorted_rows` gives."""
     n_points = np.bincount(sub, minlength=len(sids)).astype(float)
     omega = np.where(n_points[sub] > 0, 1.0 / np.maximum(n_points[sub], 1.0), 0.0)
     sum_age = np.bincount(sub, weights=t, minlength=len(sids))
@@ -383,54 +399,129 @@ def estimate_subjects(
     biomarker shared with the model, or a non-finite objective at the
     start.  The first two are found from the data before the solve; the
     solve leaves a subject of the third kind at its start and reports it
-    through its objective, so one such subject does not stop the others
-    and every cohort takes exactly one solve.
+    through its objective, so one such subject does not stop the others.
+    The models of an ensemble are estimated together, one solve per group
+    of models (see :func:`_estimate`); a single model takes one solve.
     """
-    return _estimate(model, cohort.subject_ids(), _measurements(cohort))
+    return _estimate_models([model], cohort)[0]
 
 
 def estimate_subject(model: FittedModel, records: Iterable[MeasurementRecord]) -> SubjectParams:
     """Estimate one new subject's ``(alpha, beta)`` from their records; see
     :func:`estimate_subjects`, whose skip reasons are raised here."""
     measurements = (("", r.biomarker, r.age, r.value) for r in records)
-    estimates, failures = _estimate(model, [""], measurements)
+    [(estimates, failures)] = _estimate([model], [""], measurements)
     if failures:
         raise failures[""]
     return estimates[""]
 
 
+def _estimate_models(
+    models: Sequence[FittedModel], cohort: Cohort
+) -> list[tuple[dict[str, SubjectParams], dict[str, DpsFitError]]]:
+    """:func:`estimate_subjects` of each of ``models`` over one cohort."""
+    return _estimate(models, cohort.subject_ids(), _measurements(cohort))
+
+
 def _estimate(
-    model: FittedModel, sids: list[str], measurements
-) -> tuple[dict[str, SubjectParams], dict[str, DpsFitError]]:
-    """:func:`estimate_subjects` over ``(subject_id, biomarker, age, value)``
-    measurements of the subjects ``sids``."""
+    models: Sequence[FittedModel], sids: list[str], measurements
+) -> list[tuple[dict[str, SubjectParams], dict[str, DpsFitError]]]:
+    """:func:`estimate_subjects` of each of ``models``, in their order, over
+    ``(subject_id, biomarker, age, value)`` measurements of the subjects
+    ``sids``.
+
+    The measurements are sorted once, over every biomarker of any model.
+    The models are then solved in groups: consecutive models that share
+    curve and loss kinds, up to ``_GROUP_ROWS`` usable rows (a model with
+    more forms a group alone).  In a group's one solve, each model has its
+    own copy of the subjects, with the model's curves, residual scales,
+    boxes and cold start.  Each copy keeps its rows in the order of a solve
+    of its model alone, and the solver's per-subject sums never mix
+    subjects, so every estimate is bit for bit that solve's.
+    """
+    names = sorted(set().union(*(model.curves for model in models)))
+    known = set(names)
     measured = set()
     usable = []
     for m in measurements:
         if m[3] is not None:
             measured.add(m[0])
-            if m[1] in model.curves:
+            if m[1] in known:
                 usable.append(m)
-    names = model.biomarker_names()
-    flat = _flat_from(sids, names, usable)
-    x, obj, _ = _solve_subjects(
-        curves.CurveArrays.stack([model.curves[n] for n in names]),
-        np.array([model.sigma[n] for n in names]),
-        flat, model.loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS,
-    )
-    ok = (flat.n_points >= 2) & np.isfinite(obj)
-    estimates = dict(zip(itertools.compress(sids, ok), _subject_params(x[ok], flat.mean_age[ok])))
-    failures: dict[str, DpsFitError] = {}
-    for sid, n in itertools.compress(zip(sids, flat.n_points), ~ok):
-        if n == 0 and sid in measured:
-            failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
-        elif n == 0:
-            failures[sid] = InsufficientDataError("subject has no measured values")
-        elif n < 2:
-            failures[sid] = InsufficientDataError(f"need at least 2 measurement points, got {int(n)}")
+    bm, sub, t, y = _sorted_rows(sids, names, usable)
+    # Each model's own index of each row's biomarker, -1 where it has none.
+    own = []
+    for model in models:
+        index = {name: k for k, name in enumerate(model.biomarker_names())}
+        own.append(np.array([index.get(n, -1) for n in names], dtype=np.intp)[bm])
+    groups: list[list[int]] = []
+    for m, model in enumerate(models):
+        size = np.count_nonzero(own[m] >= 0)
+        kinds = (model.curve_kind, model.loss_kind)
+        if groups and kinds == group_kinds and group_rows + size <= _GROUP_ROWS:
+            groups[-1].append(m)
+            group_rows += size
         else:
-            failures[sid] = SolverError("subject objective is not finite at the starting point")
-    return estimates, failures
+            groups.append([m])
+            group_kinds, group_rows = kinds, size
+    return [
+        result
+        for group in groups
+        for result in _estimate_group(
+            [models[g] for g in group], sids, [own[g] for g in group], sub, t, y, measured
+        )
+    ]
+
+
+def _estimate_group(models, sids: list[str], own, sub, t, y, measured: set[str]):
+    """One solve for the subjects ``sids`` under each of ``models``, over
+    the sorted rows ``(sub, t, y)`` whose biomarker is ``own[g]`` under
+    ``models[g]``; returns each model's estimates and failures.
+
+    Model ``g``'s copy of subject ``i`` is subject ``g * len(sids) + i`` of
+    the solve, and its biomarkers follow those of the models before it.
+    """
+    rows = [np.flatnonzero(k >= 0) for k in own]
+    offsets = np.cumsum([0] + [len(m.curves) for m in models])
+    taken = np.concatenate(rows)
+    n = len(sids)
+    flat = _flat_of(
+        sids * len(models),
+        [name for m in models for name in m.biomarker_names()],
+        np.concatenate([k[r] + offset for k, r, offset in zip(own, rows, offsets)]),
+        np.concatenate([sub[r] + g * n for g, r in enumerate(rows)]),
+        t[taken],
+        y[taken],
+    )
+    tables = [curves.CurveArrays.stack([m.curves[name] for name in m.biomarker_names()])
+              for m in models]
+    # Each model's cold start: unit rate, mean age on its median inflection.
+    x0 = np.zeros((len(models) * n, 2))
+    x0[:, 1] = np.repeat([np.median(table.c) for table in tables], n)
+    x, obj, _ = _solve_subjects(
+        curves.CurveArrays(tables[0].kind, *(np.concatenate(v) for v in list(zip(*tables))[1:])),
+        np.array([m.sigma[name] for m in models for name in m.biomarker_names()]),
+        flat, models[0].loss_kind, _SUBJECT_TOL, _SUBJECT_MAX_STEPS, x0,
+    )
+    out = []
+    for g in range(len(models)):
+        part = slice(g * n, (g + 1) * n)
+        n_points, mean_age = flat.n_points[part], flat.mean_age[part]
+        ok = (n_points >= 2) & np.isfinite(obj[part])
+        estimates = dict(zip(itertools.compress(sids, ok),
+                             _subject_params(x[part][ok], mean_age[ok])))
+        failures: dict[str, DpsFitError] = {}
+        for sid, k in itertools.compress(zip(sids, n_points), ~ok):
+            if k == 0 and sid in measured:
+                failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
+            elif k == 0:
+                failures[sid] = InsufficientDataError("subject has no measured values")
+            elif k < 2:
+                failures[sid] = InsufficientDataError(f"need at least 2 measurement points, got {int(k)}")
+            else:
+                failures[sid] = SolverError("subject objective is not finite at the starting point")
+        out.append((estimates, failures))
+    return out
 
 
 # ----------------------------------------------------------------------

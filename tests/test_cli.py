@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from dpsfit import resampling
-from dpsfit.cli import main
-from dpsfit.curves import CurveParams, LogisticKind
+from dpsfit.cli import _mean_likelihoods, main
+from dpsfit.cohort import Diagnosis, load_biomarker_specs, parse_cohort_csv
+from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.metrics import wilcoxon_signed_rank
+from dpsfit.progression import estimate_subjects, load_model, save_model
+from dpsfit.staging import fit_classifier, kde_eval
 from dpsfit.synth import SynthBiomarker, SynthSpec, write_synth_spec
 
 VER = LogisticKind.VERHULST
@@ -958,6 +962,46 @@ def test_predict_spread_ignores_skipped_subjects(pipeline, tmp_path):
     assert with_culprit["nmae"] == without["nmae"]
 
 
+def test_fused_predictions_of_nine_models_equal_the_per_cell_mean(pipeline, tmp_path):
+    # From 9 members on, a mean across the member axis of a (members, cells)
+    # array rounds differently from the mean of each cell's own predictions.
+    ens = tmp_path / "ens9"
+    ens.mkdir()
+    base = load_model(pipeline / "ens" / "model_000.json")
+    models = []
+    for b in range(9):
+        curves = {n: p.replace(c=p.c + 0.013 * b, b=p.b * (1.0 + 0.021 * b))
+                  for n, p in base.curves.items()}
+        models.append(dataclasses.replace(base, curves=curves,
+                                          provenance={**base.provenance, "bootstrap_id": b}))
+        save_model(models[-1], ens / f"model_{b:03d}.json")
+    (ens / "ensemble.json").write_text(json.dumps(
+        {"models": [f"model_{b:03d}.json" for b in range(9)]}))
+    test_csv, specs = pipeline / "split" / "test.csv", pipeline / "sim" / "biomarker_specs.json"
+    assert main(["predict", "--cohort", str(test_csv), "--specs", str(specs),
+                 "--ensemble", str(ens), "--out", str(tmp_path / "pred"), "--quiet"]) == 0
+
+    cohort = parse_cohort_csv(test_csv, load_biomarker_specs(specs))
+    records = sorted(cohort.iter_records(),
+                     key=lambda r: (r.subject_id, r.visit_index, r.age, r.biomarker))
+    per_model = []
+    for model in models:
+        params, _ = estimate_subjects(model, cohort)
+        predicted = np.empty(len(records))
+        names = np.array([r.biomarker for r in records])
+        scores = np.array([params[r.subject_id].alpha * r.age + params[r.subject_id].beta
+                           for r in records])
+        for name, curve in model.curves.items():
+            predicted[names == name] = evaluate(curve, scores[names == name])
+        per_model.append(predicted)
+    with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["subject_id"], r["biomarker"]) for r in rows] == [
+        (r.subject_id, r.biomarker) for r in records]
+    for k, row in enumerate(rows):
+        assert float(row["predicted"]) == float(np.mean([p[k] for p in per_model]))
+
+
 # ----------------------------------------------------------------------
 # staging, ordering, reporting
 # ----------------------------------------------------------------------
@@ -1000,6 +1044,42 @@ def test_order_prints_ranking_and_writes_matrix(pipeline, tmp_path, capsys):
         assert sum(row) == pytest.approx(1.0, abs=1e-12)
     # the early biomarker should lead the timeline in every replicate
     assert lines[1].split(",")[0] == "up"
+
+
+def test_report_copies_each_replicates_stopping_iterations(pipeline, tmp_path):
+    def report(ensemble):
+        out = tmp_path / "rep"
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([
+            "report", "--cohort", str(pipeline / "split" / "train.csv"),
+            "--test", str(pipeline / "split" / "test.csv"),
+            "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+            "--ensemble", str(ensemble), "--out", str(out), "--grid=-4:8:25", "--quiet",
+        ]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    index = json.loads((pipeline / "ens" / "ensemble.json").read_text())
+    replicates = report(pipeline / "ens")["replicates"]
+    assert replicates == index["replicates"]
+    assert [r[0] for r in replicates] == [0, 1, 2]
+    # An index written before it recorded them.
+    shutil.copytree(pipeline / "ens", tmp_path / "old")
+    del index["replicates"]
+    (tmp_path / "old" / "ensemble.json").write_text(json.dumps(index))
+    assert report(tmp_path / "old")["replicates"] is None
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_report_likelihoods_cover_every_members_classes(order):
+    three = fit_classifier({Diagnosis.CN: [-1.0, -0.5, -1.2], Diagnosis.MCI: [0.0, 0.4, 0.1],
+                            Diagnosis.AD: [1.0, 1.5, 1.2]})
+    two = fit_classifier({Diagnosis.CN: [-1.1, -0.4, -0.9], Diagnosis.MCI: [0.2, 0.3, -0.1]})
+    members = [[(None, three), (None, two)][k] for k in order]
+    grid = np.linspace(-3.0, 3.0, 7)
+    likelihoods = _mean_likelihoods(members, grid)
+    assert list(likelihoods) == ["ad", "cn", "mci"]
+    np.testing.assert_array_equal(
+        likelihoods["ad"], kde_eval(three.densities[Diagnosis.AD], grid) / 2)
 
 
 def test_report_with_comparison(pipeline, tmp_path):

@@ -390,6 +390,85 @@ def test_estimate_subjects_solves_once_around_absurd_subjects(monkeypatch):
         assert isinstance(exc, SolverError)
         assert str(exc) == "subject objective is not finite at the starting point"
 
+    # An ensemble takes one solve per group of models: all five fit under
+    # the default row cap, and two per group under a cap of twice one
+    # model's rows.
+    n_rows = sum(len(g) for g in good + absurd)
+    for cap, solves in ((progression._GROUP_ROWS, 1), (2 * n_rows, 3)):
+        monkeypatch.setattr(progression, "_GROUP_ROWS", cap)
+        calls[0] = 0
+        with np.errstate(over="ignore"):
+            results = progression._estimate_models([model] * 5, cohort)
+        assert calls[0] == solves
+        for got, got_failures in results:
+            assert got == estimates
+            assert {k: str(v) for k, v in got_failures.items()} == (
+                {k: str(v) for k, v in failures.items()})
+
+
+def shifted(model, dc, names=None, loss=None):
+    """``model`` with every inflection moved by ``dc``, keeping ``names``."""
+    names = names or sorted(model.curves)
+    return FittedModel(
+        curve_kind=model.curve_kind,
+        loss_kind=loss or model.loss_kind,
+        curves={n: model.curves[n].replace(c=model.curves[n].c + dc) for n in names},
+        sigma={n: model.sigma[n] * (1.0 + 0.1 * dc) for n in names},
+        subjects={},
+    )
+
+
+@pytest.mark.parametrize("cap", [100_000, 100, 1])
+def test_estimates_of_an_ensemble_equal_one_solve_per_model_bitwise(monkeypatch, cap):
+    base = toy_model()
+    models = [
+        base,
+        shifted(base, 0.5, names=["w", "x"]),     # a different biomarker set
+        shifted(base, -0.3),
+        shifted(base, 0.2, loss=LossKind.L2),     # a different loss: its own group
+        shifted(base, 0.1, names=["x", "y", "z"]),
+        shifted(base, -0.6),
+    ]
+    rng = np.random.default_rng(5)
+    records = []
+    for k, (truth, ages) in enumerate([
+        (SubjectParams(1.3, -89.0), [68.0, 70.0, 72.0]),
+        (SubjectParams(0.9, -60.0), [65.0, 68.0, 71.0, 74.0]),
+        (SubjectParams(1.1, -75.0), [70.0, 72.5]),
+    ]):
+        records += [
+            MeasurementRecord(f"s{k}", r.visit_index, r.age, r.biomarker,
+                              r.value + 0.05 * rng.standard_normal())
+            for r in records_from(base, truth, ages)
+        ]
+    records += [
+        MeasurementRecord("one", 0, 70.0, "w", 0.4),                  # < 2 points
+        MeasurementRecord("yz", 0, 70.0, "y", 0.6),                   # shares none with
+        MeasurementRecord("yz", 1, 72.0, "z", 2.0),                   # models[1]
+        MeasurementRecord("w1", 0, 70.0, "w", 0.5),                   # one point under
+        MeasurementRecord("w1", 1, 71.0, "y", 0.4),                   # models[1]
+        MeasurementRecord("w1", 2, 73.0, "z", 2.5),
+    ]
+    # A start the L2 loss cannot evaluate (its squared residual overflows)
+    # and the others can.
+    absurd = relabel(records_from(base, SubjectParams(1.0, -70.0), [69.0, 71.0]), "absurd")
+    absurd[0] = MeasurementRecord("absurd", 0, 69.0, "w", 1e200)
+    records += absurd
+    records += [MeasurementRecord("foreign", i, 70.0 + i, "mystery", 1.0) for i in range(3)]
+    cohort = cohort_of(records)
+
+    with np.errstate(over="ignore"):
+        alone = [estimate_subjects(m, cohort) for m in models]
+        monkeypatch.setattr(progression, "_GROUP_ROWS", cap)
+        together = progression._estimate_models(models, cohort)
+
+    assert "absurd" in alone[3][1] and "absurd" in alone[0][0]
+    assert "yz" in alone[1][1] and "w1" in alone[1][1] and "w1" in alone[4][0]
+    for (est_a, fail_a), (est_b, fail_b) in zip(alone, together):
+        assert est_a == est_b   # SubjectParams compare their floats exactly
+        assert {k: (type(v), str(v)) for k, v in fail_a.items()} == (
+            {k: (type(v), str(v)) for k, v in fail_b.items()})
+
 
 # ----------------------------------------------------------------------
 # complexity accounting

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dpsfit import staging
 from dpsfit.cohort import BiomarkerSpec, Cohort, Diagnosis, MeasurementRecord, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DomainError, MappingError, StagingError
@@ -21,6 +23,7 @@ from dpsfit.staging import (
     posterior,
     remap_curve_to_time,
     silverman_bandwidth,
+    stage_subjects,
 )
 
 VER = LogisticKind.VERHULST
@@ -303,6 +306,102 @@ def test_ensemble_posterior_skips_failing_members():
 
     with pytest.raises(StagingError, match="no ensemble member"):
         ensemble_posterior([(alien, clf)], records)
+
+
+def reference_staging(members, estimates, visits):
+    """Staging one subject at a time, one posterior call per member."""
+    classes = sorted({label for _, c in members for label in c.densities}, key=lambda d: d.value)
+    staged, failures = {}, {}
+    for sid, subject_visits in visits.items():
+        ages = np.array([age for _, age in subject_visits])
+        prob_sum = {label: np.zeros(len(ages)) for label in classes}
+        dps_sum = np.zeros(len(ages))
+        underflow_any = np.zeros(len(ages), dtype=bool)
+        n_used, last_error = 0, None
+        for (_, clf), (params, errors) in zip(members, estimates):
+            sp = params.get(sid)
+            if sp is None:
+                last_error = errors.get(sid, last_error)
+                continue
+            scores = sp.alpha * ages + sp.beta
+            dps_sum += scores
+            probs, underflow = posterior(clf, scores, return_underflow=True)
+            underflow_any |= underflow
+            for label in probs:
+                prob_sum[label] += probs[label]
+            n_used += 1
+        if n_used == 0:
+            failures[sid] = f"no ensemble member could stage the subject ({last_error})"
+            continue
+        if n_used < len(members):
+            warnings.warn(f"{len(members) - n_used} of {len(members)} ensemble members "
+                          f"could not stage subject {sid!r}")
+        staged[sid] = []
+        for i, (visit_index, age) in enumerate(subject_visits):
+            raw = {label: prob_sum[label][i] / n_used for label in classes}
+            total = sum(raw.values())
+            staged[sid].append(StagedVisit(sid, visit_index, age, float(dps_sum[i] / n_used),
+                                           {k: v / total for k, v in raw.items()},
+                                           bool(underflow_any[i])))
+    return staged, failures
+
+
+def test_stage_subjects_equals_one_subject_at_a_time_bitwise(monkeypatch):
+    rng = np.random.default_rng(4)
+    members = [
+        (one_curve_model(), fit_classifier({CN: rng.normal(-1.0, 0.5, 40),
+                                            MCI: rng.normal(0.2, 0.4, 25),
+                                            AD: rng.normal(1.5, 0.6, 30)}))
+        for _ in range(3)
+    ]
+    sids = [f"s{i}" for i in range(12)]
+    params = [
+        {sid: SubjectParams(rng.uniform(0.5, 2.0), rng.normal(-3.0, 1.0)) for sid in sids}
+        for _ in members
+    ]
+    # Member 1 skips two subjects, and no member can stage a third.
+    errors = [{}, {"s3": StagingError("one skip"), "s7": StagingError("two skip")}, {}]
+    for p in params:
+        del p["s9"]
+    errors[2]["s9"] = StagingError("nobody")
+    del params[1]["s3"], params[1]["s7"]
+    estimates = list(zip(params, errors))
+    visits = {sid: [(k, float(a)) for k, a in enumerate(np.sort(rng.uniform(1.0, 4.0, 1 + i % 5)))]
+              for i, sid in enumerate(sids)}
+    visits["s5"] = [(0, 40.0)]   # far out: every likelihood underflows
+
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want, want_failures = reference_staging(members, estimates, visits)
+    # Blocks of a few points each, so that the KDE takes every path.
+    monkeypatch.setattr(staging, "_KDE_BLOCK", 100)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got, got_failures = stage_subjects(members, estimates, visits)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    assert len(got_warnings) == 2
+    assert {sid: str(e) for sid, e in got_failures.items()} == want_failures
+    assert list(got) == list(want)
+    assert got == want   # dataclass equality compares every float exactly
+    assert got["s5"][0].underflow
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_stage_subjects_covers_the_union_of_member_classes(order):
+    model = one_curve_model()
+    three = spread_classifier({CN: 0.0, MCI: 30.0, AD: 60.0})
+    two = spread_classifier({CN: 0.0, MCI: 60.0})
+    members = [[(model, three), (model, two)][k] for k in order]
+    sp = SubjectParams(1.0, -2.0)
+    estimates = [({"n": sp}, {})] * 2
+    staged, failures = stage_subjects(members, estimates, {"n": [(0, 62.0)]})
+    assert not failures
+    probs = staged["n"][0].probabilities
+    assert set(probs) == {CN, MCI, AD}
+    # At score 60, member ``three`` is sure of AD and ``two`` of MCI.
+    assert probs[AD] == pytest.approx(0.5, abs=1e-12)
+    assert probs[MCI] == pytest.approx(0.5, abs=1e-12)
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ensemble_posterior_needs_members_and_visits():
