@@ -30,6 +30,14 @@ its solution; their training and validation sums are the iteration's
 ``E_train`` and ``E_valid``, so no curve is evaluated again to report
 them.
 
+Each step is a set of independent solves, one per curve and one per
+subject timeline, and no result depends on which others share a solve.
+On Linux with more than one usable CPU, ``fit`` therefore cuts every step
+into parts (:func:`_part_count`), solves part 0 itself and the others in
+a pool of helper processes forked once per fit (:class:`_Parts`), and
+merges the results in their original order: the fit comes out
+byte-identical whatever the number of parts.
+
 The first biomarker step sees only the starting timelines, under which
 scores follow ages and no subject solve has yet placed anyone on the
 curves.  With ``gamma`` free, that step could bend a
@@ -63,8 +71,13 @@ problem, with the first iteration it happened in.
 
 from __future__ import annotations
 
+import itertools
+import signal
 import sys
+import threading
 import warnings
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +98,12 @@ from .progression import (
     _scores,
     _solve_subjects,
     _subject_params,
+    _subset_flat,
     standardize,
 )
 from .robust_loss import LossKind, rho
+from .workers import fork_pool, recording_warnings, reissue_warnings
+from .workers import usable_cpus as _usable_cpus
 
 __all__ = [
     "FitConfig",
@@ -374,17 +390,55 @@ def _fit_biomarker_step_flat(
     """Refit every curve of ``flat`` against the timelines in ``state``,
     each within its :func:`_curve_box`.
 
-    Returns ``(biomarker, problem)`` for each curve whose solve stopped at
+    In a fit split into :class:`_Parts` that cover ``flat`` and
+    ``cohort``, the curves are solved in those parts; the results are
+    taken in biomarker order either way, up to the first curve whose
+    solver fails.  Returns
+    ``(biomarker, problem)`` for each curve whose solve stopped at
     ``inner_max_steps``, and for each free parameter it left on a finite
     bound of its box.
     """
-    s_all = _scores(flat, state.subjects)
+    parts = _PARTS.get()
+    if parts is not None and parts.flat_train is flat and parts.train is cohort:
+        solved = parts.map(parts.solve_curves, len(parts.curves), state, config, iteration)
+    else:
+        ks = range(len(flat.biomarker_names))
+        solved = [_solve_curves(state, flat, cohort, config, iteration, ks)]
     problems = []
-    for k, name in enumerate(flat.biomarker_names):
+    for k, row, curve_problems in sorted(itertools.chain(*solved), key=lambda outcome: outcome[0]):
+        if isinstance(row, SolverError):
+            name = flat.biomarker_names[k]
+            raise FitError(f"biomarker {name!r}, iteration {iteration}: {row}") from row
+        state.curves[k] = row
+        problems += curve_problems
+    return problems
+
+
+def _solve_curves(
+    state: FitState,
+    flat: _Flat,
+    cohort: Cohort,
+    config: FitConfig,
+    iteration: int,
+    ks,
+) -> list[tuple]:
+    """Solve the curves ``ks`` of ``flat``, in order, against the timelines
+    in ``state``, up to the first whose solver fails.
+
+    Returns ``(k, row, problems)`` for each curve solved, with its
+    ``(biomarker, problem)`` pairs, and ``(k, error, [])`` for the one that
+    failed with that :class:`~dpsfit.errors.SolverError`.  A curve depends
+    only on its own row and measurements, so no curve's result depends on
+    which others share the call.
+    """
+    s_all = _scores(flat, state.subjects)
+    solved = []
+    for k in ks:
         idx = slice(flat.bm_bounds[k], flat.bm_bounds[k + 1])
         if idx.stop == idx.start:
             continue
         s = s_all[idx]
+        name = flat.biomarker_names[k]
         policy = cohort.specs[name].constraint_policy
         cols, lower, upper = _curve_box(config.curve_kind, policy, iteration)
         row = state.curves[k].copy()
@@ -410,9 +464,10 @@ def _fit_biomarker_step_flat(
                 max_steps=config.inner_max_steps,
             )
         except SolverError as exc:
-            raise FitError(f"biomarker {name!r}, iteration {iteration}: {exc}") from exc
+            solved.append((k, exc, []))
+            break
         row[cols] = result.x
-        state.curves[k] = row
+        problems = []
         if not result.converged:
             problems.append(
                 (name, f"curve solve stopped at inner_max_steps ({config.inner_max_steps})")
@@ -420,7 +475,8 @@ def _fit_biomarker_step_flat(
         for col, lo, hi in zip(cols, lower, upper):
             if row[col] in (lo, hi):
                 problems.append((name, f"{curves_mod.PARAM_NAMES[col]} left on its box bound ({row[col]:g})"))
-    return problems
+        solved.append((k, row, problems))
+    return solved
 
 
 def fit_subject_step(
@@ -449,16 +505,25 @@ def _fit_subject_step_flat(
     warm-started from ``state``, and estimate the others from a cold start
     in the same batched solve.
 
-    The others are validation subjects: they stay out of ``state``.
+    The others are validation subjects: they stay out of ``state``.  In a
+    fit split into :class:`_Parts` that cover ``flat``, the subjects are
+    solved in those parts, one batched solve each, and merged back in
+    their order.
     Returns every subject's objective at its solution, training subjects
     first, so the first ``n_train`` sum to the training loss and the rest
     to the validation loss; and which training subjects have their rate on
     the log-alpha bound.
     """
-    x, obj, at_bound = _solve_subjects(
-        CurveArrays(state.kind, *state.curves.T), state.sigma, flat, config.loss_kind,
-        config.inner_solver_tol, config.inner_max_steps, state.subjects,
-    )
+    parts = _PARTS.get()
+    if parts is not None and parts.flat_all is flat and parts.n_train == n_train:
+        solved = parts.map(parts.solve_subjects, len(parts.subjects), state, config)
+        x = np.empty((len(flat.subject_ids), 2))
+        obj = np.empty(len(flat.subject_ids))
+        at_bound = np.empty(len(flat.subject_ids), dtype=bool)
+        for ids, (x_part, obj_part, bound_part) in zip(parts.subjects, solved):
+            x[ids], obj[ids], at_bound[ids] = x_part, obj_part, bound_part
+    else:
+        x, obj, at_bound = _solve_timelines(state, flat, config, state.subjects)
     bad = np.nonzero(~np.isfinite(obj))[0]
     if bad.size:
         phase = "subject step" if bad[0] < n_train else "validation re-estimation"
@@ -468,6 +533,108 @@ def _fit_subject_step_flat(
         )
     state.subjects = x[:n_train]
     return obj, at_bound[:n_train]
+
+
+def _solve_timelines(state: FitState, flat: _Flat, config: FitConfig, x0: np.ndarray):
+    """:func:`~dpsfit.progression._solve_subjects` of ``flat`` against the
+    curves of ``state``, warm-starting its first ``len(x0)`` subjects."""
+    return _solve_subjects(
+        CurveArrays(state.kind, *state.curves.T), state.sigma, flat, config.loss_kind,
+        config.inner_solver_tol, config.inner_max_steps, x0,
+    )
+
+
+# ----------------------------------------------------------------------
+# the steps in parts
+# ----------------------------------------------------------------------
+
+# The most parts a fit is split into.  Two is the one count measured, on a
+# host with two CPUs; every further part adds a task per step for the
+# parent to send and collect, and no host with more CPUs has been measured.
+_MAX_PARTS = 2
+
+
+def _part_count() -> int:
+    """How many parts the fit splits its steps into: one per usable CPU,
+    up to :data:`_MAX_PARTS`.
+
+    It is one, and the fit forks nothing, on another platform than Linux,
+    in a process that :mod:`multiprocessing` started (a bootstrap worker,
+    whose pool already holds every CPU), and in a process that runs other
+    threads, whose locks a forked helper could inherit held, and whose own
+    fits would each fork helpers for the same CPUs.
+    """
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), _MAX_PARTS)
+
+
+# The parts of the fit running in this context, if any.
+_PARTS: ContextVar[_Parts | None] = ContextVar("_PARTS", default=None)
+
+# Set in each helper process by ``_start_helper``, never in the parent.
+_helper_parts: _Parts | None = None
+
+
+class _Parts:
+    """One fit's biomarker and subject steps, each cut into ``n >= 2`` parts.
+
+    Part ``p`` holds every ``n``-th biomarker of ``flat_train`` and every
+    ``n``-th subject of ``flat_all``, from the ``p``-th on; the biomarker
+    step has at most one part per biomarker.  Within a ``with`` block the
+    steps of the fit find these parts (:data:`_PARTS`); part 0 is solved
+    in this process and the others in a pool of ``n - 1`` helper
+    processes, forked with every input but the state, which each step
+    sends.  A curve or a subject comes out the same whichever part solves
+    it, so the fit does too.  The pool is shut down on exit, on every path.
+    """
+
+    def __init__(self, n: int, flat_train: _Flat, train: Cohort, flat_all: _Flat, n_train: int):
+        self.flat_train, self.train, self.flat_all, self.n_train = flat_train, train, flat_all, n_train
+        n_bm, n_all = len(flat_train.biomarker_names), len(flat_all.subject_ids)
+        self.curves = [range(p, n_bm, n) for p in range(min(n, n_bm))]
+        self.subjects = [np.arange(p, n_all, n) for p in range(min(n, n_all))]
+        self.flats = [_subset_flat(flat_all, ids) for ids in self.subjects]
+        # One warnings registry for the fit, as for a bootstrap run.
+        self._registry: dict = {}
+
+    def __enter__(self) -> _Parts:
+        self._pool = fork_pool(max(len(self.curves), len(self.subjects)) - 1, _start_helper, (self,))
+        self._token = _PARTS.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _PARTS.reset(self._token)
+        self._pool.shutdown(cancel_futures=True)
+
+    def map(self, solve, count: int, *args) -> list:
+        """``solve(p, *args)`` of parts ``0 .. count - 1``, in part order.
+
+        A helper's warnings are issued here after the parts before it, and
+        its exception is raised here.
+        """
+        futures = [self._pool.submit(_solve_part, solve.__name__, p, args) for p in range(1, count)]
+        return [solve(0, *args)] + [reissue_warnings(f.result(), self._registry) for f in futures]
+
+    def solve_curves(self, p: int, state: FitState, config: FitConfig, iteration: int) -> list:
+        return _solve_curves(state, self.flat_train, self.train, config, iteration, self.curves[p])
+
+    def solve_subjects(self, p: int, state: FitState, config: FitConfig):
+        ids = self.subjects[p]
+        return _solve_timelines(state, self.flats[p], config, state.subjects[ids[ids < self.n_train]])
+
+
+def _start_helper(parts: _Parts) -> None:
+    global _helper_parts
+    _helper_parts = parts
+    # An interrupt is the fit's to handle: it shuts the pool down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _solve_part(name: str, p: int, args: tuple):
+    """Part ``p`` of a step, ``_Parts.<name>``, in a helper, with the
+    warnings it issued."""
+    return recording_warnings(getattr(_helper_parts, name), p, *args)
 
 
 # ----------------------------------------------------------------------
@@ -542,6 +709,16 @@ def fit(
     training subjects whose rate a subject step left on the log-alpha
     bound.  One progress line per iteration, and one more when the fit
     stops early, go to standard error when ``progress`` is set.
+
+    On Linux, each step is split over the CPUs this process may use, up to
+    :data:`_MAX_PARTS` parts, the first solved here and the others in
+    helper processes forked at the first step and shut down at the end of
+    the alternation, on every exit path; the helpers' warnings and
+    exceptions are issued and raised here.  In a process that
+    :mod:`multiprocessing` started, such as a bootstrap worker, or that
+    runs other threads, the fit runs in one part, in its own process
+    (:func:`_part_count`).  The result, the trace, the warnings and the
+    progress lines are the same either way.
     """
     trace = FitTrace()
     train, flat_train = _without_sparse_subjects(train, "training", trace)
@@ -581,33 +758,37 @@ def fit(
     best: tuple[float, int, FitState] | None = None
     pinned = np.zeros(n_train, dtype=bool)
 
-    for iteration in range(1, config.l_max + 1):
-        for name, problem in _fit_biomarker_step_flat(state, flat_train, train, config, iteration):
-            trace.warn(
-                f"biomarker {name!r}: {problem}, first in iteration {iteration}", key=(name, problem)
-            )
-        obj, at_bound = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
-        pinned |= at_bound
-        e_train = float(obj[:n_train].sum())
-        e_valid = float(obj[n_train:].sum())
-        trace.e_train.append(e_train)
-        trace.e_valid.append(e_valid)
-        if iteration >= config.l_min and (best is None or e_valid < best[0]):
-            snapshot = FitState(state.kind, state.curves.copy(), state.subjects.copy(), state.sigma)
-            best = (e_valid, iteration, snapshot)
-        if progress:
-            print(
-                f"iter {iteration:3d}  E_train={e_train:.8e}  E_valid={e_valid:.8e}",
-                file=sys.stderr,
-            )
-        if iteration < config.l_max and _stops(trace.e_valid, config.l_min, config.stop_rtol):
+    n_parts = _part_count()
+    # In one part the steps take their own in-process path, with no fork.
+    with _Parts(n_parts, flat_train, train, flat_all, n_train) if n_parts > 1 else nullcontext():
+        for iteration in range(1, config.l_max + 1):
+            for name, problem in _fit_biomarker_step_flat(state, flat_train, train, config, iteration):
+                trace.warn(
+                    f"biomarker {name!r}: {problem}, first in iteration {iteration}",
+                    key=(name, problem),
+                )
+            obj, at_bound = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
+            pinned |= at_bound
+            e_train = float(obj[:n_train].sum())
+            e_valid = float(obj[n_train:].sum())
+            trace.e_train.append(e_train)
+            trace.e_valid.append(e_valid)
+            if iteration >= config.l_min and (best is None or e_valid < best[0]):
+                snapshot = FitState(state.kind, state.curves.copy(), state.subjects.copy(), state.sigma)
+                best = (e_valid, iteration, snapshot)
             if progress:
                 print(
-                    f"stopped after iteration {iteration}: E_valid fell by less than "
-                    f"{config.stop_rtol:g} of itself over {_STOP_WINDOW} iterations",
+                    f"iter {iteration:3d}  E_train={e_train:.8e}  E_valid={e_valid:.8e}",
                     file=sys.stderr,
                 )
-            break
+            if iteration < config.l_max and _stops(trace.e_valid, config.l_min, config.stop_rtol):
+                if progress:
+                    print(
+                        f"stopped after iteration {iteration}: E_valid fell by less than "
+                        f"{config.stop_rtol:g} of itself over {_STOP_WINDOW} iterations",
+                        file=sys.stderr,
+                    )
+                break
 
     if pinned.any():
         ids = ", ".join(repr(flat_train.subject_ids[i]) for i in np.flatnonzero(pinned))

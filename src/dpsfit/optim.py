@@ -361,15 +361,16 @@ def minimize_subjects(
 
     def evaluate(params, loc, rows, t, y, sigma, omega):
         # ``params`` holds one column per subject and ``loc`` the column of
-        # each row.  An absurd value overflows to an infinite residual,
-        # which the objective reports; no warning is needed on the way.
+        # each row.  An absurd value overflows to an infinite residual, or
+        # a finite one to an infinite loss, which the objective reports; no
+        # warning is needed on the way.
         alpha = np.exp(params[0][loc])
         s = alpha * t + params[1][loc]
         pred, dfds = eval_fn(s, rows)
         with np.errstate(over="ignore", invalid="ignore"):
             r = (y - pred) / sigma
-        finite = np.isfinite(r)
-        obj_n = np.where(finite, _rho(loss, np.where(finite, r, 0.0)), np.inf)
+            finite = np.isfinite(r)
+            obj_n = np.where(finite, _rho(loss, np.where(finite, r, 0.0)), np.inf)
         obj = np.bincount(loc, weights=omega * obj_n, minlength=params.shape[1])
         return obj, r, dfds, alpha
 

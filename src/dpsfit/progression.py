@@ -297,6 +297,33 @@ def _concat_flats(first: _Flat, second: _Flat) -> _Flat:
     )
 
 
+def _subset_flat(flat: _Flat, ids: np.ndarray) -> _Flat:
+    """The measurements of ``flat``'s subjects ``ids``, given in ascending
+    order, as one :class:`_Flat` in which subject ``ids[j]`` is numbered
+    ``j``.
+
+    The rows kept stay in their order, so a per-subject sum over the
+    result adds the same terms in the same order as over ``flat``.
+    """
+    number = np.full(len(flat.subject_ids), -1, dtype=np.intp)
+    number[ids] = np.arange(len(ids))
+    rows = np.flatnonzero(number[flat.sub] >= 0)
+    bm = flat.bm[rows]
+    return _Flat(
+        subject_ids=[flat.subject_ids[i] for i in ids],
+        biomarker_names=flat.biomarker_names,
+        t=flat.t[rows],
+        y=flat.y[rows],
+        sub=number[flat.sub[rows]],
+        bm=bm,
+        bm_bounds=np.searchsorted(bm, np.arange(len(flat.biomarker_names) + 1)),
+        omega=flat.omega[rows],
+        n_points=flat.n_points[ids],
+        mean_age=flat.mean_age[ids],
+        age_span=flat.age_span[ids],
+    )
+
+
 def _eval_flat(table: curves.CurveArrays, flat: _Flat, s: np.ndarray, rows: np.ndarray):
     """Curve values and slopes at scores ``s`` of the measurement indices
     ``rows``, in one call over every biomarker; ``table`` holds one entry

@@ -16,7 +16,6 @@ the number of replicates drawn.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -29,6 +28,8 @@ from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, Visit, write_csv
 from .errors import DpsFitError, EnsembleError
 from .fitter import FitConfig, FitTrace, fit
 from .progression import FittedModel
+from .workers import fork_pool, recording_warnings, reissue_warnings
+from .workers import usable_cpus as _usable_cpus
 
 __all__ = [
     "Stratum",
@@ -205,8 +206,12 @@ def run_bootstraps(
 
     On Linux the replicates are fitted in worker processes started by
     ``fork``, one per usable CPU up to ``n_bootstraps``, and each worker
-    holds one fit in memory at a time.  With one usable CPU, or on another
-    platform, where ``fork`` is not safe, they are fitted in this process.
+    holds one fit in memory at a time.  A worker counts one usable CPU
+    (:func:`~dpsfit.workers.usable_cpus`), so its fits run in one part,
+    with no helper process of their own.  With one usable CPU or one
+    replicate, or on another platform, where ``fork`` is not safe, the
+    replicates are fitted in this process, and each fit splits its steps
+    as :func:`~dpsfit.fitter.fit` does.
     Either way the ensemble, the progress lines and the warnings each fit
     issues come out in replicate order, and an exception other than
     :class:`DpsFitError` reaches the caller with its own type.
@@ -228,19 +233,10 @@ def run_bootstraps(
         if workers == 1 or sys.platform != "linux":
             results = map(partial(_fit_replicate, *inputs), range(n_bootstraps))
         else:
-            # Imported here: at module level the pool machinery would add
-            # about a tenth to `import dpsfit.cli`, which every command pays.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # The inputs reach the workers by fork; only results are pickled.
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-                initargs=inputs,
-            )
-            results = _reissue_warnings(pool.map(_fit_in_worker, range(n_bootstraps)))
+            pool = fork_pool(workers, _start_worker, inputs)
+            registry: dict = {}
+            results = (reissue_warnings(recorded, registry)
+                       for recorded in pool.map(_fit_in_worker, range(n_bootstraps)))
         for b, result in enumerate(results):
             if isinstance(result, str):
                 ensemble.failures.append((b, result))
@@ -267,14 +263,6 @@ def run_bootstraps(
             f"{len(ensemble.failures)} of {n_bootstraps} bootstraps failed"
         )
     return ensemble
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _fit_replicate(train: Cohort, config: FitConfig, strata: dict[str, Stratum], b: int):
@@ -306,30 +294,8 @@ def _start_worker(*inputs) -> None:
 
 
 def _fit_in_worker(b: int):
-    """``_fit_replicate`` in a worker, with the warnings it issued.
-
-    A worker's ``sys.stderr`` may be a copy of a stream the parent
-    redirected, so a warning shown there would be lost; every warning is
-    recorded instead and handed back for the parent to issue.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = _fit_replicate(*_worker_inputs, b)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _reissue_warnings(results):
-    """Issue each worker result's warnings here, then yield the result.
-
-    The warnings pass through this process's filters with one registry
-    for the run, so under the default filters a warning that several
-    replicates issue is shown once, as in this process.
-    """
-    registry: dict = {}
-    for result, caught in results:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-        yield result
+    """``_fit_replicate`` in a worker, with the warnings it issued."""
+    return recording_warnings(_fit_replicate, *_worker_inputs, b)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import kendalltau, rankdata
 
+from dpsfit import fitter, resampling
 from dpsfit.cli import main
 from dpsfit.cohort import Diagnosis
 from dpsfit.curves import (
@@ -574,7 +575,7 @@ def test_criterion_09_ensemble_staging_separates_well_spaced_classes():
                     f"(min 0.95), {elapsed:.0f}s")
 
 
-def test_criterion_10_bootstrap_cli_runs_are_byte_identical(tmp_path):
+def test_criterion_10_bootstrap_cli_runs_are_byte_identical(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     biomarkers = (
         SynthBiomarker("up", CurveParams(kind=VER, a=1.0, d=0.0, b=1.0, c=1.0), 0.04),
@@ -621,12 +622,29 @@ def test_criterion_10_bootstrap_cli_runs_are_byte_identical(tmp_path):
             if p.is_file()
         }
 
-    assert main(base + ["--out", str(tmp_path / "a"), "--threads", "1"]) == 0
-    assert main(base + ["--out", str(tmp_path / "b"), "--threads", "1"]) == 0
-    assert main(base + ["--out", str(tmp_path / "c"), "--threads", "3"]) == 0
-    t_a, t_b, t_c = tree(tmp_path / "a"), tree(tmp_path / "b"), tree(tmp_path / "c")
+    # One usable CPU fits the replicates, and the fit, in this process; two
+    # fit the replicates in two forked workers, and split the fit in two
+    # parts.
+    fit = [
+        "fit",
+        "--cohort", str(tmp_path / "sim" / "cohort.csv"),
+        "--specs", str(tmp_path / "sim" / "biomarker_specs.json"),
+        "--curve", "verhulst",
+        "--l-min", "1",
+        "--l-max", "3",
+        "--quiet",
+    ]
+    trees = {}
+    for run, cpus in (("a", 1), ("b", 1), ("c", 2)):
+        monkeypatch.setattr(resampling, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+        assert main(base + ["--out", str(tmp_path / run)]) == 0
+        assert main(fit + ["--out", str(tmp_path / f"fit-{run}")]) == 0
+        trees[run] = tree(tmp_path / run), tree(tmp_path / f"fit-{run}")
+    (t_a, f_a), (t_b, f_b), (t_c, f_c) = trees["a"], trees["b"], trees["c"]
 
     elapsed = time.perf_counter() - t0
-    ok = len(t_a) >= 18 and t_a == t_b and t_a == t_c and elapsed < 120.0
-    _verdict(10, ok, f"{len(t_a)} artifacts byte-identical across a repeated "
-                     f"run and across thread counts, {elapsed:.0f}s")
+    ok = (len(t_a) >= 18 and t_a == t_b and t_a == t_c
+          and len(f_a) >= 3 and f_a == f_b and f_a == f_c and elapsed < 120.0)
+    _verdict(10, ok, f"{len(t_a)} bootstrap and {len(f_a)} fit artifacts byte-identical "
+                     f"across a repeated run and across worker counts, {elapsed:.0f}s")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpsfit import resampling
+from dpsfit import fitter, resampling
 from dpsfit.cli import _mean_likelihoods, main
 from dpsfit.cohort import Diagnosis, load_biomarker_specs, parse_cohort_csv
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
@@ -151,6 +152,41 @@ def test_failed_validation_solve_names_the_subject(pipeline, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"validation re-estimation, iteration 1, subject {rows[0]['subject_id']!r}" in err
+
+
+def test_failed_validation_solve_names_the_subject_in_any_number_of_parts(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    # The subject solve's parts merge their objectives in subject order, so
+    # the first subject that fails is named whichever part solved it.
+    with open(pipeline / "split" / "test.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sids = sorted({row["subject_id"] for row in rows})
+    for row in rows:
+        if row["subject_id"] in sids[1:3] and row["up"]:
+            row["up"] = "1e308"
+    valid = tmp_path / "valid.csv"
+    with open(valid, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+        with np.errstate(over="ignore"):
+            code = main([
+                "fit",
+                "--cohort", str(pipeline / "split" / "train.csv"),
+                "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+                "--valid", str(valid),
+                "--out", str(tmp_path / f"fit{cpus}"),
+                "--curve", "verhulst",
+                "--quiet",
+            ])
+        assert code == 2
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert f"validation re-estimation, iteration 1, subject {sids[1]!r}" in err
 
 
 def test_absurd_training_value_exits_with_two(pipeline, tmp_path, capsys):
@@ -960,6 +996,43 @@ def test_predict_spread_ignores_skipped_subjects(pipeline, tmp_path):
     assert culprit in with_culprit["skipped_subjects"]
     assert with_culprit["mae"] == without["mae"]
     assert with_culprit["nmae"] == without["nmae"]
+
+
+def test_predict_skips_a_subject_whose_squared_residual_overflows(pipeline, tmp_path):
+    # 1e200 is finite, but its squared residual under the L2 loss is not:
+    # the subject is skipped by name, without a numpy overflow warning.
+    assert main([
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+        "--out", str(tmp_path / "fit"),
+        "--curve", "verhulst",
+        "--loss", "l2",
+        "--l-min", "1",
+        "--l-max", "3",
+        "--quiet",
+    ]) == 0
+    with open(pipeline / "split" / "test.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    culprit = rows[0][0]
+    rows[0][header.index("up")] = "1e200"
+    poisoned = tmp_path / "poisoned.csv"
+    with open(poisoned, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "predict",
+            "--cohort", str(poisoned),
+            "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+            "--model", str(tmp_path / "fit" / "model.json"),
+            "--out", str(tmp_path / "pred"),
+            "--quiet",
+        ])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    metrics = json.loads((tmp_path / "pred" / "metrics.json").read_text())
+    assert culprit in metrics["skipped_subjects"]
 
 
 def test_fused_predictions_of_nine_models_equal_the_per_cell_mean(pipeline, tmp_path):

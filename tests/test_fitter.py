@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +18,7 @@ from dpsfit.cohort import (
 )
 from dpsfit.curves import PARAM_NAMES, CurveParams, LogisticKind, evaluate
 from dpsfit import fitter, progression
-from dpsfit.errors import FitError, InitializationError
+from dpsfit.errors import FitError, InitializationError, SolverError
 from dpsfit.fitter import (
     FitConfig,
     FitState,
@@ -818,3 +823,165 @@ def test_affine_reparameterized_inits_agree():
         a, b = np.array(preds0[name]), np.array(preds1[name])
         nmae = np.mean(np.abs(a - b)) / np.std(b)
         assert nmae <= 1e-4, name
+
+
+# ----------------------------------------------------------------------
+# the steps in parts
+# ----------------------------------------------------------------------
+
+def three_curve_split(nonnegative=False):
+    """A modified-Stannard cohort of three biomarkers, split; with
+    ``nonnegative`` every biomarker is declared so, and "neg", which falls
+    to -0.3, leaves its lower asymptote on the floor."""
+    kind = LogisticKind.MODIFIED_STANNARD
+    cohort, _ = generate(small_frame_spec(
+        biomarkers=(
+            SynthBiomarker("neg", CurveParams(kind=kind, a=1.0, d=-0.3, b=1.0, c=1.0, gamma=2.0), 0.03),
+            SynthBiomarker("down", CurveParams(kind=kind, a=0.0, d=2.0, b=0.8, c=2.5, gamma=0.5), 0.03),
+            SynthBiomarker("mid", CurveParams(kind=kind, a=3.0, d=1.0, b=1.2, c=1.8), 0.05),
+        ),
+        n_subjects=30,
+    ))
+    if nonnegative:
+        specs = {name: BiomarkerSpec(name, constraint_policy=ConstraintPolicy.NONNEGATIVE)
+                 for name in cohort.specs}
+        cohort = Cohort(cohort.visits, specs)
+    return partition_train_test(cohort, test_fraction=0.2, seed=11)
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+def test_fit_is_byte_identical_in_any_number_of_parts(monkeypatch, capsys, tmp_path, nonnegative):
+    # Three parts put every curve in its own part and leave them uneven
+    # over the subjects, on any number of CPUs.
+    monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
+    split = []
+    real_parts = fitter._Parts
+    monkeypatch.setattr(fitter, "_Parts", lambda n, *args: split.append(n) or real_parts(n, *args))
+    train, valid = three_curve_split(nonnegative)
+    config = FitConfig(loss_kind=LossKind.LOGISTIC, l_min=2, l_max=6)
+    outputs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model, trace = fit(train, valid, config, progress=True)
+        assert multiprocessing.active_children() == []
+        save_model(model, tmp_path / "model.json")
+        trace.to_csv(tmp_path / "trace.csv")
+        outputs[cpus] = (
+            (tmp_path / "model.json").read_bytes(),
+            (tmp_path / "trace.csv").read_bytes(),
+            trace.warnings,
+            # Python 3.12 warns of a fork in a threaded process (OpenBLAS
+            # threads): a DeprecationWarning that only the split fits issue.
+            [str(w.message) for w in caught if w.category is UserWarning],
+            capsys.readouterr().err,
+        )
+    assert outputs[1][4].count("iter ") == trace.l_stop
+    if nonnegative:
+        assert "biomarker 'neg': d left on its box bound (0), first in iteration 1" in outputs[1][2]
+    assert split == ([2, 3] if sys.platform == "linux" else [])
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def forbid_parts(n, *args):
+    raise LookupError(f"fit split into {n} parts")
+
+
+def test_parts_are_capped_at_the_measured_count(monkeypatch):
+    monkeypatch.setattr(fitter, "_usable_cpus", lambda: 64)
+    assert fitter._part_count() == (2 if sys.platform == "linux" else 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fits are split only on Linux")
+def test_fit_in_a_threaded_process_forks_no_helper(monkeypatch):
+    # A fork could copy a lock another thread holds; a fit run while other
+    # threads run solves in one part, with the same result.
+    monkeypatch.setattr(fitter, "_usable_cpus", lambda: 2)
+    train, valid = three_curve_split()
+    config = FitConfig(l_min=1, l_max=3)
+    want, _ = fit(train, valid, config, progress=False)
+    monkeypatch.setattr(fitter, "_Parts", forbid_parts)
+    fitted = []
+    thread = threading.Thread(target=lambda: fitted.append(fit(train, valid, config, progress=False)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert [model for model, _ in fitted] == [want]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fits are split only on Linux")
+def test_parts_run_in_helpers_that_issue_their_warnings_here_in_order(monkeypatch):
+    real_solve = fitter._solve_curves
+
+    def noisy_solve(state, flat, cohort, config, iteration, ks):
+        warnings.warn(f"iteration {iteration} curves {list(ks)} in process {os.getpid()}")
+        return real_solve(state, flat, cohort, config, iteration, ks)
+
+    monkeypatch.setattr(fitter, "_solve_curves", noisy_solve)
+    monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
+    train, valid = three_curve_split()
+    config = FitConfig(l_min=1, l_max=2)
+    solved, pids = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+        with pytest.warns(UserWarning, match="^iteration ") as record:
+            fit(train, valid, config, progress=False)
+        split = [str(w.message).split(" in process ") for w in record
+                 if str(w.message).startswith("iteration ")]
+        solved[cpus] = [curves for curves, _ in split]
+        pids[cpus] = [int(pid) for _, pid in split]
+    assert solved[1] == ["iteration 1 curves [0, 1, 2]", "iteration 2 curves [0, 1, 2]"]
+    assert solved[3] == [f"iteration {i} curves [{k}]" for i in (1, 2) for k in range(3)]
+    assert set(pids[1]) == {os.getpid()}
+    # Part 0 is solved here, parts 1 and 2 in the fit's two helpers.
+    assert pids[3][0] == pids[3][3] == os.getpid()
+    helpers = set(pids[3]) - {os.getpid()}
+    assert set(pids[3][1:3]) <= helpers and set(pids[3][4:6]) <= helpers
+    assert 1 <= len(helpers) <= 2
+
+
+def test_lowest_failing_curve_names_the_error_in_any_number_of_parts(monkeypatch):
+    # The solves of "mid" and "neg", biomarkers 1 and 2, both fail.  In two
+    # parts "neg" fails in part 0 and "mid" in part 1; the error names
+    # "mid", the first to fail in biomarker order, as in one part.
+    train, valid = three_curve_split()
+    config = FitConfig(l_min=1, l_max=2)
+    sigma = initialize(train, config).sigma
+    failing = {sigma[train.biomarker_names().index(name)] for name in ("mid", "neg")}
+    real_minimize = fitter.minimize_robust
+
+    def minimize(model_fn, x0, *, sigma, **kwargs):
+        if sigma in failing:
+            raise SolverError("objective is not finite at the starting point")
+        return real_minimize(model_fn, x0, sigma=sigma, **kwargs)
+
+    monkeypatch.setattr(fitter, "minimize_robust", minimize)
+    monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
+    messages = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+        with pytest.raises(FitError) as info:
+            fit(train, valid, config, progress=False)
+        assert multiprocessing.active_children() == []
+        messages.append(str(info.value))
+    assert messages == ["biomarker 'mid', iteration 1: objective is not finite at the "
+                        "starting point"] * 3
+
+
+def test_interrupted_fit_stops_its_helpers(monkeypatch):
+    train, valid = three_curve_split()
+    real_step = fitter._fit_subject_step_flat
+
+    def interrupted_step(state, flat, config, iteration, n_train):
+        real_step(state, flat, config, iteration, n_train)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fitter, "_fit_subject_step_flat", interrupted_step)
+    monkeypatch.setattr(fitter, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
+    with pytest.raises(KeyboardInterrupt):
+        fit(train, valid, FitConfig(l_min=1, l_max=2), progress=False)
+    assert multiprocessing.active_children() == []

@@ -272,6 +272,24 @@ def test_non_finite_start_parks_the_subject_and_solves_the_rest():
         assert np.array_equal(got[rest], want[rest])
 
 
+@pytest.mark.parametrize("loss", [LossKind.L2, LossKind.L1L2, LossKind.CAUCHY_LORENTZ])
+def test_finite_residual_whose_loss_overflows_parks_the_subject_quietly(loss):
+    # 1e200 is a finite residual, but its square is not: the subject's
+    # objective is infinite at its start, with no overflow warning.
+    clean = solve_all(cohort_problem(), loss=loss)
+    P = cohort_problem()
+    P["y"] = P["y"].copy()
+    P["y"][np.flatnonzero(P["sub"] == 2)[0]] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, obj, at_bound = solve_all(P, loss=loss)
+    assert np.array_equal(x[2], P["x0"][2])
+    assert obj[2] == np.inf
+    rest = np.setdiff1d(np.arange(P["n_subjects"]), [2])
+    for got, want in zip((x, obj, at_bound), clean):
+        assert np.array_equal(got[rest], want[rest])
+
+
 # Each biomarker's residual scale in the benchmark's seed-0 fit.
 SEED0_SIGMA = np.array([0.3640220373566043, 0.41072374882038676, 0.6577423912105441,
                         1.4550232954048394, 1.3032970624960405, 0.46763128532096077])

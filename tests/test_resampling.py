@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dpsfit import resampling
+from dpsfit import fitter, resampling
 from dpsfit.cohort import BiomarkerSpec, Cohort, Diagnosis, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DpsFitError, EnsembleError
@@ -296,6 +296,32 @@ def test_pooled_replicates_issue_their_warnings_here_in_order(monkeypatch):
     assert fits[3] == fits[1]
     assert pids[1] == {os.getpid()}
     assert os.getpid() not in pids[3]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="replicates are pooled only on Linux")
+def test_pooled_replicates_fit_in_one_part(monkeypatch):
+    # Three usable CPUs would split a fit in this process; each of the
+    # pool's workers counts one, and splitting there would raise.
+    def split(n, *args):
+        raise LookupError(f"fit split into {n} parts in process {os.getpid()}")
+
+    real_fit = resampling.fit
+
+    def noisy_fit(train, valid, config, **kwargs):
+        warnings.warn(f"fit in process {os.getpid()}")
+        return real_fit(train, valid, config, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(fitter, "_Parts", split)
+    monkeypatch.setattr(resampling, "fit", noisy_fit)
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    with pytest.warns(UserWarning, match="^fit in process ") as record:
+        ensemble = run_bootstraps(train, config, n_bootstraps=2, progress=False)
+    assert len(ensemble.models) == 2
+    pids = {int(str(w.message).split()[-1]) for w in record}
+    assert pids and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
 
 
 def test_bootstrap_ensemble_recovers_noiseless_truth():
