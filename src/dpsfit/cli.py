@@ -45,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import (
+    DIAGNOSES,
     Cohort,
     Diagnosis,
     ancova_residuals,
@@ -297,8 +298,8 @@ def _load_ensemble(path) -> BootstrapEnsemble:
 
 @dataclasses.dataclass
 class _Cells:
-    """The measured cells of a cohort as arrays, in subject order, each
-    subject's cells in the order of :meth:`~dpsfit.cohort.Cohort.iter_records`."""
+    """The measured cells of a cohort as arrays, in its row order: by
+    subject, then visit, then biomarker."""
 
     subject_ids: list[str]      # sorted
     names: list[str]            # sorted biomarker names
@@ -310,20 +311,9 @@ class _Cells:
 
     @classmethod
     def of(cls, cohort: Cohort) -> "_Cells":
-        subject_ids, names = cohort.subject_ids(), cohort.biomarker_names()
-        sid_ix = {s: i for i, s in enumerate(subject_ids)}
-        bm_ix = {n: i for i, n in enumerate(names)}
-        cells = [
-            (sid_ix[v.subject_id], v.visit_index, v.age, bm_ix[name], v.values[name])
-            for v in cohort.visits
-            for name in sorted(v.values)
-            if v.values[name] is not None
-        ]
-        columns = [np.array(c) for c in zip(*cells)] if cells else [np.empty(0)] * 5
-        sub, visit_index, age, bm, value = columns
-        order = np.argsort(sub, kind="stable")
-        return cls(subject_ids, names, sub.astype(np.intp)[order], visit_index.astype(int)[order],
-                   age.astype(float)[order], bm.astype(np.intp)[order], value.astype(float)[order])
+        rows, bm = cohort.cells()
+        return cls(cohort.subject_ids(), cohort.biomarker_names(), cohort.sub[rows],
+                   cohort.visit_index[rows], cohort.age[rows], bm, cohort.values[rows, bm])
 
     def key_order(self) -> np.ndarray:
         """The cells sorted by subject id, visit index, age and biomarker."""
@@ -421,14 +411,15 @@ def _build_members(ensemble: BootstrapEnsemble, train: Cohort):
 def _stage_cohort(members, cohort: Cohort, estimates):
     """Fuse ensemble posteriors for every subject of a cohort, given each
     member's subject estimates."""
-    by_subject = cohort.by_subject()
+    bounds = cohort.bounds().tolist()
+    spans = dict(zip(cohort.ids, zip(bounds, bounds[1:])))
+    pairs = list(zip(cohort.visit_index.tolist(), cohort.age.tolist()))
     staged_by_subject, failures = stage_subjects(
-        members,
-        estimates,
-        {sid: [(v.visit_index, v.age) for v in visits] for sid, visits in by_subject.items()},
+        members, estimates, {sid: pairs[a:b] for sid, (a, b) in spans.items()}
     )
     staged = [visit for visits in staged_by_subject.values() for visit in visits]
-    truths = [v.diagnosis for sid in staged_by_subject for v in by_subject[sid]]
+    labels = [DIAGNOSES[d] for d in cohort.dx.tolist()]
+    truths = [label for sid in staged_by_subject for label in labels[slice(*spans[sid])]]
     return staged, truths, [(sid, str(exc)) for sid, exc in failures.items()]
 
 

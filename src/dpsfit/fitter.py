@@ -276,25 +276,17 @@ def initialize(cohort: Cohort, config: FitConfig) -> FitState:
 def _initialize_flat(cohort: Cohort, flat: _Flat, config: FitConfig) -> FitState:
     """:func:`initialize` of ``cohort``, whose :class:`_Flat` is ``flat``."""
     rows, sigma = [], []
-    for name in cohort.biomarker_names():
-        values, cn_values, ad_values = [], [], []
-        for v in cohort.visits:
-            value = v.values.get(name)
-            if value is None:
-                continue
-            values.append(value)
-            if v.diagnosis is Diagnosis.CN:
-                cn_values.append(value)
-            elif v.diagnosis is Diagnosis.AD:
-                ad_values.append(value)
-        if len(values) < 2:
+    for name, column in zip(cohort.biomarker_names(), cohort.values.T):
+        present = ~np.isnan(column)
+        arr, dx = column[present], cohort.dx[present]
+        cn_values, ad_values = arr[dx == Diagnosis.CN.code], arr[dx == Diagnosis.AD.code]
+        if arr.size < 2:
             raise InitializationError(f"biomarker {name!r}: fewer than 2 values")
-        arr = np.array(values)
         # An absurd value overflows these statistics; the checks below
         # name its biomarker instead of letting numpy warn.
         with np.errstate(over="ignore", invalid="ignore"):
             sd = float(arr.std(ddof=1))
-            means = (np.mean(cn_values), np.mean(ad_values)) if cn_values and ad_values else None
+            means = (cn_values.mean(), ad_values.mean()) if cn_values.size and ad_values.size else None
         if not np.isfinite(sd):
             raise InitializationError(
                 f"biomarker {name!r}: values are too large to scale (standard deviation {sd})"
@@ -641,13 +633,14 @@ def _solve_part(name: str, p: int, args: tuple):
 # the full fit
 # ----------------------------------------------------------------------
 
-def _cn_scores(cohort: Cohort, subjects: dict[str, SubjectParams]) -> list[float]:
-    scores = []
-    for v in sorted(cohort.visits, key=lambda v: (v.subject_id, v.visit_index)):
-        if v.diagnosis is Diagnosis.CN and v.subject_id in subjects:
-            sp = subjects[v.subject_id]
-            scores.append(sp.alpha * v.age + sp.beta)
-    return scores
+def _cn_scores(cohort: Cohort, subjects: dict[str, SubjectParams]) -> np.ndarray:
+    """The scores of the cognitively normal visits of ``subjects``, in row order."""
+    found = [subjects.get(sid) for sid in cohort.ids]
+    alpha = np.array([np.nan if sp is None else sp.alpha for sp in found])
+    beta = np.array([np.nan if sp is None else sp.beta for sp in found])
+    rows = np.flatnonzero((cohort.dx == Diagnosis.CN.code) & ~np.isnan(alpha[cohort.sub]))
+    sub = cohort.sub[rows]
+    return alpha[sub] * cohort.age[rows] + beta[sub]
 
 
 def _stops(e_valid: list[float], l_min: int, stop_rtol: float) -> bool:

@@ -206,43 +206,21 @@ class _Flat:
     age_span: np.ndarray        # per subject, max - min measured age
 
 
-def _measurements(cohort: Cohort):
-    """``(subject_id, biomarker, age, value)`` of every cohort cell."""
-    return (
-        (v.subject_id, name, v.age, value) for v in cohort.visits for name, value in v.values.items()
-    )
-
-
 def _flatten(cohort: Cohort) -> _Flat:
-    return _flat_from(cohort.subject_ids(), cohort.biomarker_names(), _measurements(cohort))
+    rows, bm = cohort.cells()
+    return _flat_of(cohort.subject_ids(), cohort.biomarker_names(),
+                    *_grouped(bm, cohort.sub[rows], cohort.age[rows], cohort.values[rows, bm]))
 
 
-def _flat_from(sids: list[str], names: list[str], measurements) -> _Flat:
-    """Flat arrays of ``(subject_id, biomarker, age, value)`` measurements;
-    missing values are dropped."""
-    return _flat_of(sids, names, *_sorted_rows(sids, names, measurements))
-
-
-def _sorted_rows(sids: list[str], names: list[str], measurements):
-    """``(bm, sub, t, y)`` arrays of the measurements with a value, sorted by
-    biomarker, then subject, age and value."""
-    sid_ix = {s: i for i, s in enumerate(sids)}
-    bm_ix = {n: i for i, n in enumerate(names)}
-    rows = sorted(
-        (bm_ix[name], sid_ix[sid], age, value)
-        for sid, name, age, value in measurements
-        if value is not None
-    )
-    return (
-        np.array([r[0] for r in rows], dtype=np.intp),
-        np.array([r[1] for r in rows], dtype=np.intp),
-        np.array([r[2] for r in rows], dtype=float),
-        np.array([r[3] for r in rows], dtype=float),
-    )
+def _grouped(bm, sub, t, y):
+    """The measurements ``(bm, sub, t, y)`` sorted by biomarker, then
+    subject, age and value."""
+    order = np.lexsort((y, t, sub, bm))
+    return bm[order], sub[order], t[order], y[order]
 
 
 def _flat_of(sids: list[str], names: list[str], bm, sub, t, y) -> _Flat:
-    """The :class:`_Flat` of rows in the order :func:`_sorted_rows` gives."""
+    """The :class:`_Flat` of rows in the order :func:`_grouped` gives."""
     n_points = np.bincount(sub, minlength=len(sids)).astype(float)
     omega = np.where(n_points[sub] > 0, 1.0 / np.maximum(n_points[sub], 1.0), 0.0)
     sum_age = np.bincount(sub, weights=t, minlength=len(sids))
@@ -436,8 +414,7 @@ def estimate_subjects(
 def estimate_subject(model: FittedModel, records: Iterable[MeasurementRecord]) -> SubjectParams:
     """Estimate one new subject's ``(alpha, beta)`` from their records; see
     :func:`estimate_subjects`, whose skip reasons are raised here."""
-    measurements = (("", r.biomarker, r.age, r.value) for r in records)
-    [(estimates, failures)] = _estimate([model], [""], measurements)
+    [(estimates, failures)] = _estimate_records([model], "", list(records))
     if failures:
         raise failures[""]
     return estimates[""]
@@ -447,15 +424,27 @@ def _estimate_models(
     models: Sequence[FittedModel], cohort: Cohort
 ) -> list[tuple[dict[str, SubjectParams], dict[str, DpsFitError]]]:
     """:func:`estimate_subjects` of each of ``models`` over one cohort."""
-    return _estimate(models, cohort.subject_ids(), _measurements(cohort))
+    rows, bm = cohort.cells()
+    return _estimate(models, cohort.subject_ids(), cohort.biomarker_names(),
+                     cohort.sub[rows], bm, cohort.age[rows], cohort.values[rows, bm])
+
+
+def _estimate_records(models: Sequence[FittedModel], subject_id: str,
+                      records: Sequence[MeasurementRecord]):
+    """:func:`_estimate` of each of ``models`` over one subject's records."""
+    names = sorted({r.biomarker for r in records})
+    bm = np.array([names.index(r.biomarker) for r in records], dtype=np.intp)
+    return _estimate(models, [subject_id], names, np.zeros(bm.size, dtype=np.intp), bm,
+                     np.array([r.age for r in records], dtype=float),
+                     np.array([r.value for r in records], dtype=float))
 
 
 def _estimate(
-    models: Sequence[FittedModel], sids: list[str], measurements
+    models: Sequence[FittedModel], sids: list[str], names: list[str], sub, bm, t, y
 ) -> list[tuple[dict[str, SubjectParams], dict[str, DpsFitError]]]:
     """:func:`estimate_subjects` of each of ``models``, in their order, over
-    ``(subject_id, biomarker, age, value)`` measurements of the subjects
-    ``sids``.
+    the measurements ``(sub, bm, t, y)``: the value ``y`` of biomarker
+    ``names[bm]`` of subject ``sids[sub]`` at age ``t``.
 
     The measurements are sorted once, over every biomarker of any model.
     The models are then solved in groups: consecutive models that share
@@ -466,21 +455,17 @@ def _estimate(
     of its model alone, and the solver's per-subject sums never mix
     subjects, so every estimate is bit for bit that solve's.
     """
-    names = sorted(set().union(*(model.curves for model in models)))
-    known = set(names)
-    measured = set()
-    usable = []
-    for m in measurements:
-        if m[3] is not None:
-            measured.add(m[0])
-            if m[1] in known:
-                usable.append(m)
-    bm, sub, t, y = _sorted_rows(sids, names, usable)
+    measured = np.bincount(sub, minlength=len(sids)) > 0
+    known = sorted(set().union(*(model.curves for model in models)))
+    index = {name: k for k, name in enumerate(known)}
+    bm = np.array([index.get(name, -1) for name in names], dtype=np.intp)[bm]
+    usable = bm >= 0
+    bm, sub, t, y = _grouped(bm[usable], sub[usable], t[usable], y[usable])
     # Each model's own index of each row's biomarker, -1 where it has none.
     own = []
     for model in models:
         index = {name: k for k, name in enumerate(model.biomarker_names())}
-        own.append(np.array([index.get(n, -1) for n in names], dtype=np.intp)[bm])
+        own.append(np.array([index.get(n, -1) for n in known], dtype=np.intp)[bm])
     groups: list[list[int]] = []
     for m, model in enumerate(models):
         size = np.count_nonzero(own[m] >= 0)
@@ -500,7 +485,7 @@ def _estimate(
     ]
 
 
-def _estimate_group(models, sids: list[str], own, sub, t, y, measured: set[str]):
+def _estimate_group(models, sids: list[str], own, sub, t, y, measured: np.ndarray):
     """One solve for the subjects ``sids`` under each of ``models``, over
     the sorted rows ``(sub, t, y)`` whose biomarker is ``own[g]`` under
     ``models[g]``; returns each model's estimates and failures.
@@ -538,8 +523,8 @@ def _estimate_group(models, sids: list[str], own, sub, t, y, measured: set[str])
         estimates = dict(zip(itertools.compress(sids, ok),
                              _subject_params(x[part][ok], mean_age[ok])))
         failures: dict[str, DpsFitError] = {}
-        for sid, k in itertools.compress(zip(sids, n_points), ~ok):
-            if k == 0 and sid in measured:
+        for sid, k, seen in itertools.compress(zip(sids, n_points, measured), ~ok):
+            if k == 0 and seen:
                 failures[sid] = IncompatibleModelError("subject and model share no biomarkers")
             elif k == 0:
                 failures[sid] = InsufficientDataError("subject has no measured values")

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, Visit, write_csv
+from .cohort import DIAGNOSES, REPLICATE_SEPARATOR, Cohort, Diagnosis, write_csv
 from .errors import DpsFitError, EnsembleError
 from .fitter import FitConfig, FitTrace, fit
 from .progression import FittedModel
@@ -65,19 +65,15 @@ def compute_strata(cohort: Cohort) -> dict[str, Stratum]:
     The band splits each (first, last) diagnosis group at its median visit
     count; subjects at or below the median are "few".
     """
-    endpoints: dict[str, tuple[str, str]] = {}
-    counts: dict[str, int] = {}
-    for sid, visits in cohort.by_subject().items():
-        labeled = [v.diagnosis for v in visits if v.diagnosis is not Diagnosis.MISSING]
-        if labeled:
-            endpoints[sid] = (labeled[0].value, labeled[-1].value)
-        else:
-            endpoints[sid] = (Diagnosis.MISSING.value, Diagnosis.MISSING.value)
-        counts[sid] = len(visits)
-
+    missing = Diagnosis.MISSING.code
+    dx = cohort.dx.tolist()
+    bounds = cohort.bounds().tolist()
     groups: dict[tuple[str, str], list[str]] = {}
-    for sid, pair in endpoints.items():
-        groups.setdefault(pair, []).append(sid)
+    counts: dict[str, int] = {}
+    for sid, start, stop in zip(cohort.ids, bounds, bounds[1:]):
+        labeled = [d for d in dx[start:stop] if d != missing] or [missing]
+        groups.setdefault((DIAGNOSES[labeled[0]].value, DIAGNOSES[labeled[-1]].value), []).append(sid)
+        counts[sid] = stop - start
 
     strata: dict[str, Stratum] = {}
     for pair, sids in groups.items():
@@ -160,18 +156,16 @@ def _replicate_cohort(cohort: Cohort, in_bag: dict[str, int]) -> Cohort:
 
     A subject drawn twice appears as two replicate subjects; each gets its
     own timeline during fitting, which is exactly the reweighting the
-    bootstrap asks for.
+    bootstrap asks for.  Copy ``k`` of subject ``sid`` is ``sid#k``, and
+    the copies sort as strings (``s1#10`` before ``s1#2``).
     """
-    by_subject = cohort.by_subject()
-    visits: list[Visit] = []
-    for sid in sorted(in_bag):
-        for copy in range(in_bag[sid]):
-            rep = f"{sid}{REPLICATE_SEPARATOR}{copy}"
-            for v in by_subject[sid]:
-                clone = v.clone()
-                clone.subject_id = rep
-                visits.append(clone)
-    return Cohort(visits, dict(cohort.specs))
+    copies = sorted(
+        (f"{sid}{REPLICATE_SEPARATOR}{copy}", source)
+        for source, sid in enumerate(cohort.ids)
+        for copy in range(in_bag.get(sid, 0))
+    )
+    rows, owner = cohort.rows_of([source for _, source in copies])
+    return cohort.take(rows, ids=[rep for rep, _ in copies], sub=owner)
 
 
 @dataclass

@@ -21,10 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import REPLICATE_SEPARATOR, Cohort, Diagnosis, MeasurementRecord
+from .cohort import DIAGNOSES, REPLICATE_SEPARATOR, Cohort, Diagnosis, MeasurementRecord
 from .curves import CurveParams
 from .errors import DomainError, DpsFitError, MappingError, StagingError
-from .progression import FittedModel, SubjectParams, _estimate
+from .progression import FittedModel, SubjectParams, _estimate_records
 
 __all__ = [
     "KdeDensity",
@@ -194,15 +194,18 @@ def collect_class_scores(
     source subject's visits, so a twice-drawn subject contributes its
     scores twice, matching its weight in the fit.
     """
-    by_subject = cohort.by_subject()
-    scores: dict[Diagnosis, list[float]] = {}
-    for rep_id in sorted(model.subjects):
-        base = rep_id.split(REPLICATE_SEPARATOR, 1)[0]
-        sp = model.subjects[rep_id]
-        for v in by_subject.get(base, []):
-            if v.diagnosis in (Diagnosis.CN, Diagnosis.MCI, Diagnosis.AD):
-                scores.setdefault(v.diagnosis, []).append(sp.alpha * v.age + sp.beta)
-    return scores
+    number = {sid: i for i, sid in enumerate(cohort.ids)}
+    found = [(sp, number.get(rep_id.split(REPLICATE_SEPARATOR, 1)[0]))
+             for rep_id, sp in sorted(model.subjects.items())]
+    found = [(sp, i) for sp, i in found if i is not None]
+    rows, owner = cohort.rows_of([i for _, i in found])
+    labeled = cohort.dx[rows] != Diagnosis.MISSING.code
+    rows, owner = rows[labeled], owner[labeled]
+    alpha = np.array([sp.alpha for sp, _ in found], dtype=float)
+    beta = np.array([sp.beta for sp, _ in found], dtype=float)
+    scores = alpha[owner] * cohort.age[rows] + beta[owner]
+    dx = cohort.dx[rows]
+    return {DIAGNOSES[code]: scores[dx == code].tolist() for code in np.unique(dx).tolist()}
 
 
 @dataclass
@@ -331,8 +334,7 @@ def ensemble_posterior(
     if not visits:
         raise StagingError("no visits to stage")
     subject_id = records[0].subject_id
-    measurements = [(subject_id, r.biomarker, r.age, r.value) for r in records]
-    estimates = _estimate([model for model, _ in members], [subject_id], measurements)
+    estimates = _estimate_records([model for model, _ in members], subject_id, records)
     staged, failures = stage_subjects(members, estimates, {subject_id: visits})
     if failures:
         raise failures[subject_id]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as curves_mod
-from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, Visit, read_json, write_json
+from .cohort import BiomarkerSpec, Cohort, ConstraintPolicy, Diagnosis, Direction, read_json, write_json
 from .curves import CurveParams, LogisticKind
 from .errors import DomainError, SchemaError
 from .progression import FittedModel, Standardization, SubjectParams
@@ -124,8 +124,9 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
     noise: one curve call per biomarker, with the same float operations,
     and so the same values, as a call per value.
     """
-    visits: list[Visit] = []
     subjects: dict[str, SubjectParams] = {}
+    ages: list[float] = []
+    dx_codes: list[int] = []
     lo, hi = spec.dx_thresholds
     scores: list[float] = []
     present: list[list[int]] = [[] for _ in spec.biomarkers]
@@ -155,24 +156,17 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
                 present[k].append(len(scores))
                 if bm.noise_sd > 0:
                     noise[k].append(bm.noise_sd * rng.standard_normal())
-            visits.append(
-                Visit(
-                    subject_id=sid,
-                    visit_index=j,
-                    age=float(age),
-                    diagnosis=dx,
-                    cohort_tag="synthetic",
-                )
-            )
+            ages.append(float(age))
+            dx_codes.append(dx.code)
             scores.append(score)
 
     score_array = np.array(scores, dtype=float)
+    values = np.full((score_array.size, len(spec.biomarkers)), np.nan)
     for k, bm in enumerate(spec.biomarkers):
         curve = curves_mod.evaluate(bm.params, score_array[present[k]])
         if bm.noise_sd > 0:
             curve = curve + np.array(noise[k], dtype=float)
-        for row, value in zip(present[k], curve.tolist()):
-            visits[row].values[bm.name] = value
+        values[present[k], k] = curve
 
     specs = {
         bm.name: BiomarkerSpec(
@@ -192,7 +186,21 @@ def generate(spec: SynthSpec) -> tuple[Cohort, FittedModel]:
         standardization=Standardization(),
         provenance={"seed": spec.seed, "source": "synthetic"},
     )
-    return Cohort(visits, specs), truth
+    ids = sorted(subjects)
+    number = {sid: i for i, sid in enumerate(ids)}
+    cohort = Cohort.from_columns(
+        specs,
+        ids,
+        sub=np.repeat([number[sid] for sid in subjects], spec.n_visits),
+        visit_index=np.tile(np.arange(spec.n_visits), spec.n_subjects),
+        age=ages,
+        dx=dx_codes,
+        tag=["synthetic"] * len(ages),
+        icv=np.full(len(ages), np.nan),
+        date=np.zeros(len(ages), dtype=np.int64),
+        values=values[:, np.argsort([bm.name for bm in spec.biomarkers])],
+    )
+    return cohort, truth
 
 
 def inject_outliers(
@@ -214,33 +222,29 @@ def inject_outliers(
         raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
     if not 0.0 <= magnitude < np.inf:
         raise DomainError(f"magnitude must be nonnegative and finite, got {magnitude}")
-    out = cohort.clone()
-    cells = []
-    for v in sorted(out.visits, key=lambda v: (v.subject_id, v.visit_index)):
-        for name in sorted(v.values):
-            if v.values[name] is not None:
-                cells.append((v, name))
-    n_corrupt = int(round(fraction * len(cells)))
+    rows, cols = cohort.cells()
+    n_corrupt = int(round(fraction * rows.size))
     if n_corrupt == 0:
-        return out, []
+        return cohort, []
 
-    ranges: dict[str, tuple[float, float]] = {}
-    for name in out.biomarker_names():
-        values = [v.values[name] for v in out.visits if v.values.get(name) is not None]
-        if values:
-            ranges[name] = (min(values), max(values))
+    # Each biomarker's observed range, over its present values.
+    present = ~np.isnan(cohort.values)
+    lows = np.where(present, cohort.values, np.inf).min(axis=0).tolist()
+    highs = np.where(present, cohort.values, -np.inf).max(axis=0).tolist()
+    names = cohort.biomarker_names()
 
+    values = cohort.values.copy()
     rng = np.random.default_rng([seed, 1])
-    chosen = rng.choice(len(cells), size=n_corrupt, replace=False)
+    chosen = rng.choice(rows.size, size=n_corrupt, replace=False)
     corrupted = []
     for ix in sorted(int(c) for c in chosen):
-        visit, name = cells[ix]
-        lo, hi = ranges[name]
+        row, k = rows[ix], cols[ix]
+        lo, hi = lows[k], highs[k]
         mid = 0.5 * (lo + hi)
         half = 0.5 * magnitude * max(hi - lo, 1e-12)
-        visit.values[name] = float(rng.uniform(mid - half, mid + half))
-        corrupted.append((visit.subject_id, visit.visit_index, name))
-    return out, corrupted
+        values[row, k] = float(rng.uniform(mid - half, mid + half))
+        corrupted.append((cohort.ids[cohort.sub[row]], int(cohort.visit_index[row]), names[k]))
+    return cohort.take(slice(None), values=values), corrupted
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import csv
+import datetime as dt
+import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsfit.cohort import (
     BiomarkerSpec,
@@ -20,7 +25,9 @@ from dpsfit.cohort import (
     write_biomarker_specs,
     write_cohort_csv,
 )
+from dpsfit.cli import _Cells
 from dpsfit.errors import ParseError, PreprocessingError, SchemaError
+from dpsfit.progression import _flatten
 
 CN, MCI, AD, MISSING = Diagnosis.CN, Diagnosis.MCI, Diagnosis.AD, Diagnosis.MISSING
 
@@ -149,6 +156,101 @@ def test_parse_assigns_visit_indices_in_time_order(tmp_path):
     assert [[v.visit_index for v in vs] for vs in groups.values()] == [[0, 1, 2], [0, 1]]
     assert [v.age for v in shuffled.visits_of("s2")] == [65.0, 66.0]
     assert shuffled.visits_of("s3") == []
+
+
+def test_parse_orders_a_partly_dated_subject_by_age(tmp_path):
+    # An undated visit's day is its age; a dated one's is its date's
+    # ordinal, some 700,000 days.  Mixing the two put the undated visit
+    # first whatever its age, so a subject with any undated visit is
+    # ordered by age, in parsing and in visit matching alike.
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "subject_id,visit_date,age,MMSE\n"
+        "s1,2010-01-01,70,1\n"
+        "s1,,75,2\n"
+        "s1,2012-01-01,72,3\n"
+        "s2,2012-01-01,60,4\n"
+        "s2,2010-01-01,61,5\n"
+    )
+    cohort = parse_cohort_csv(path, specs_for("MMSE"))
+    for ordered in (cohort, match_visits(cohort)):
+        s1 = ordered.visits_of("s1")
+        assert [(v.visit_index, v.age, v.values["MMSE"]) for v in s1] == [
+            (0, 70.0, 1.0), (1, 72.0, 3.0), (2, 75.0, 2.0)]
+        # A subject dated throughout still goes by its dates.
+        assert [v.age for v in ordered.visits_of("s2")] == [61.0, 60.0]
+
+
+def rows(*lines):
+    """A cohort file of ``lines`` under a header with dates, ICV and ``b0``."""
+    return "\n".join(("subject_id,visit_date,age,icv,b0",) + lines) + "\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (rows("s1,,70,,abc"), ParseError, "line 2: column 'b0': bad number 'abc'"),
+    (rows("s1,,70,, inf "), ParseError, "line 2: column 'b0': non-finite value"),
+    (rows("s1,,70,,nan"), ParseError, "line 2: column 'b0': non-finite value"),
+    (rows("s1,,70,,-Infinity"), ParseError, "line 2: column 'b0': non-finite value"),
+    (rows("s1,,70,,1", "  ,,71,,1"), ParseError, "line 3: empty subject_id"),
+    (rows("s#1,,70,,1"), ParseError, "line 2: subject_id may not contain '#'"),
+    (rows("s1,,0,,1"), ParseError, "line 2: age must be a positive number"),
+    (rows("s1,,-3,,1"), ParseError, "line 2: age must be a positive number"),
+    (rows("s1,, ,,1"), ParseError, "line 2: age must be a positive number"),
+    (rows("s1,,seventy,,1"), ParseError, "line 2: column 'age': bad number 'seventy'"),
+    (rows("s1,2010-13-01,70,,1"), ParseError, "line 2: bad visit_date '2010-13-01'"),
+    (rows("s1,,70,big,1"), ParseError, "line 2: column 'icv': bad number 'big'"),
+    (rows("s1,,70,inf,1"), ParseError, "line 2: column 'icv': non-finite value"),
+    (rows("s1,,70,,1", "s1,,71,1"), ParseError, "line 3: expected 5 cells, got 4"),
+    (rows("s1,,70,,1,2"), ParseError, "line 2: expected 5 cells, got 6"),
+    # Both cells of line 3 are bad: the first in row order is named.
+    (rows("s1,,70,,1", "s1,,0,,abc"), ParseError, "line 3: age must be a positive number"),
+    # A bad cell after a row of the wrong width: the row comes first.
+    (rows("s1,,70,,1", "s1,,71", "s1,,72,,abc"), ParseError, "line 3: expected 5 cells, got 3"),
+    ("subject_id,age,b0,b0\ns1,70,1,2\n", SchemaError, "line 1: duplicate column 'b0'"),
+    ("subject_id,age,b0,mystery\ns1,70,1,2\n", SchemaError,
+     "line 1: biomarker column 'mystery' has no spec"),
+    ("subject_id,b0\ns1,1\n", SchemaError, "line 1: header must contain subject_id and age"),
+    ("", ParseError, "line 1: missing header (empty file)"),
+])
+def test_parse_errors_name_the_first_bad_cell(tmp_path, text, error, message):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        parse_cohort_csv(path, specs_for("b0"))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_parse_names_the_earlier_of_two_bad_lines(tmp_path):
+    # A biomarker cell on line 3 and an age cell on line 5: line 3 is named
+    # whichever column a columnwise conversion meets first.
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "subject_id,age,b0\n"
+        "s1,70,1\n"
+        "s1,71,1.5.2\n"
+        "s1,72,3\n"
+        "s1,old,4\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_cohort_csv(path, specs_for("b0"))
+    assert str(info.value) == f"{path}: line 3: column 'b0': bad number '1.5.2'"
+
+
+def test_parse_reads_padded_and_underscored_numbers_and_skips_blank_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "subject_id,age,b0,b1\n"
+        "\n"
+        " s1 , 70 , 1.5 ,1_000\n"
+        ",,,\n"
+        "   \n"
+        "s1,71,,\t2e3 \n"
+    )
+    cohort = parse_cohort_csv(path, specs_for("b0", "b1"))
+    assert [(v.subject_id, v.age, dict(v.values)) for v in cohort.visits] == [
+        ("s1", 70.0, {"b0": 1.5, "b1": 1000.0}),
+        ("s1", 71.0, {"b1": 2000.0}),
+    ]
 
 
 def test_cohort_csv_round_trip(tmp_path):
@@ -439,7 +541,7 @@ def test_empty_cohort_passes_through():
 # ANCOVA residuals
 # ----------------------------------------------------------------------
 
-def ancova_cohort():
+def ancova_visits():
     rng = np.random.default_rng(21)
     visits = []
     idx = 0
@@ -456,7 +558,11 @@ def ancova_cohort():
         visits.append(
             visit(f"p{i}", 0, 74.0, AD, {"VOL": value}, icv=icv, cohort_tag="siteA")
         )
-    return Cohort(visits, specs_for("VOL"))
+    return visits
+
+
+def ancova_cohort():
+    return Cohort(ancova_visits(), specs_for("VOL"))
 
 
 def test_ancova_exact_line_gives_identical_control_residuals():
@@ -477,11 +583,12 @@ def test_ancova_standardizes_stratum():
 
 
 def test_ancova_control_residuals_orthogonal_to_icv():
-    cohort = ancova_cohort()
+    visits = ancova_visits()
     # add noise so the fit is non-trivial
     rng = np.random.default_rng(5)
-    for v in cohort.visits:
+    for v in visits:
         v.values["VOL"] += 3.0 * rng.standard_normal()
+    cohort = Cohort(visits, specs_for("VOL"))
     adjusted = ancova_residuals(cohort, ["VOL"])
     cn = [(v.icv, v.values["VOL"]) for v in adjusted.visits if v.diagnosis is CN]
     icv = np.array([x for x, _ in cn])
@@ -569,3 +676,91 @@ def test_filters_never_invent_values():
     cleaned = match_visits(cleaned)
     cleaned = drop_sparse_subjects(cleaned)
     assert set(value_multiset(cleaned)) <= before
+
+
+# ----------------------------------------------------------------------
+# the columns against a row-by-row reference
+# ----------------------------------------------------------------------
+
+PROPERTY_SPECS = specs_for("b0", "b1", "b2")  # b2 has a spec but no column
+LABELS = {"CN": CN, "MCI": MCI, "LMCI": MCI, "AD": AD, "DEMENTIA": AD}  # as drawn, upper-cased
+
+
+@st.composite
+def cohort_texts(draw):
+    """A small cohort CSV: repeated subjects, dates that disagree with the
+    ages, blank cells and rows, padded cells, columns in any order."""
+    columns = draw(st.permutations(["subject_id", "visit_date", "age", "diagnosis", "b0", "b1"]))
+    pad = st.sampled_from(["", " ", "\t "])
+    value = st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False), st.just(-0.0))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from([",,,,,", "  ", ""])))
+            continue
+        date = draw(st.one_of(st.none(), st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))))
+        cells = {
+            "subject_id": draw(st.sampled_from(["s1", "s2", "s10", "t"])),
+            "visit_date": "" if date is None else date.isoformat(),
+            "age": repr(draw(st.integers(400, 900)) / 10),  # ages repeat
+            "diagnosis": draw(st.sampled_from(["", "CN", "mci", "Dementia", "LMCI", "other"])),
+            "b0": "" if (x := draw(value)) is None else repr(x),
+            "b1": "" if (x := draw(value)) is None else repr(x),
+        }
+        lines.append(",".join(draw(pad) + cells[c] + draw(pad) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def reference_visits(text):
+    """Each subject's ``(visit_index, age, date, diagnosis, values)`` rows,
+    subjects sorted, from ``csv.DictReader`` rows: a subject's visits in
+    date order when all are dated, else in age order, ties in file order."""
+    rows = {}
+    for line, row in enumerate(csv.DictReader(io.StringIO(text))):
+        cells = {name: (cell or "").strip() for name, cell in row.items()}
+        if not any(cells.values()):
+            continue
+        date = dt.date.fromisoformat(cells["visit_date"]) if cells["visit_date"] else None
+        values = {name: float(cells[name]) for name in ("b0", "b1") if cells[name]}
+        dx = LABELS.get(cells["diagnosis"].upper(), MISSING)
+        rows.setdefault(cells["subject_id"], []).append(
+            (float(cells["age"]), date, dx, values, line))
+    out = {}
+    for sid in sorted(rows):
+        dated = all(date is not None for _, date, *_ in rows[sid])
+        ordered = sorted(rows[sid], key=lambda r: (r[1].toordinal() if dated else r[0] * 365.25, r[4]))
+        out[sid] = [(i, age, date, dx, values) for i, (age, date, dx, values, _) in enumerate(ordered)]
+    return out
+
+
+def visit_rows(cohort):
+    return {sid: [(v.visit_index, v.age, v.date, v.diagnosis, dict(v.values)) for v in visits]
+            for sid, visits in cohort.by_subject().items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cohort_texts())
+def test_columns_match_a_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("prop") / "c.csv"
+    path.write_text(text)
+    cohort = parse_cohort_csv(path, PROPERTY_SPECS)
+    want = reference_visits(text)
+    assert visit_rows(cohort) == want
+
+    sids, names = sorted(want), sorted(PROPERTY_SPECS)
+    cells = [
+        (sids.index(sid), index, age, names.index(name), value)
+        for sid in sids for index, age, _, _, values in want[sid]
+        for name, value in sorted(values.items())
+    ]
+    got = _Cells.of(cohort)
+    assert list(zip(got.sub.tolist(), got.visit_index.tolist(), got.age.tolist(),
+                    got.bm.tolist(), got.value.tolist())) == cells
+    flat = _flatten(cohort)
+    assert flat.subject_ids == sids and flat.biomarker_names == names
+    assert list(zip(flat.bm.tolist(), flat.sub.tolist(), flat.t.tolist(), flat.y.tolist())) == sorted(
+        (bm, sub, age, value) for sub, _, age, bm, value in cells)
+
+    out = tmp_path_factory.mktemp("prop") / "back.csv"
+    write_cohort_csv(cohort, out)
+    assert visit_rows(parse_cohort_csv(out, PROPERTY_SPECS)) == want

@@ -213,6 +213,14 @@ def state_of(cohort, curve, sp, sigma):
     )
 
 
+def shifted(cohort, delta):
+    """``cohort`` with ``delta`` added to every value of ``m``."""
+    visits = cohort.visits
+    for v in visits:
+        v.values["m"] += delta
+    return Cohort(visits, cohort.specs)
+
+
 def test_objective_zero_for_exact_predictions():
     state, cohort, _ = exact_state()
     assert objective(state, cohort, LossKind.LOGISTIC) == 0.0
@@ -220,8 +228,7 @@ def test_objective_zero_for_exact_predictions():
 
 def test_objective_equal_residual_arithmetic():
     state, cohort, curve = exact_state(sigma=0.5)
-    for v in cohort.visits:
-        v.values["m"] += 0.25  # residual / sigma = 0.5 everywhere
+    cohort = shifted(cohort, 0.25)  # residual / sigma = 0.5 everywhere
     got = objective(state, cohort, LossKind.LOGISTIC)
     # four points, each weighted 1/4, all with the same scaled residual
     assert got == pytest.approx(float(rho(LossKind.LOGISTIC, 0.5)), rel=1e-12)
@@ -229,8 +236,7 @@ def test_objective_equal_residual_arithmetic():
 
 def test_objective_decreases_when_sigma_doubles():
     state, cohort, _ = exact_state(sigma=0.5)
-    for v in cohort.visits:
-        v.values["m"] += 0.3
+    cohort = shifted(cohort, 0.3)
     low = objective(state, cohort, LossKind.L2)
     state.sigma[0] = 1.0
     assert objective(state, cohort, LossKind.L2) < low
@@ -238,10 +244,11 @@ def test_objective_decreases_when_sigma_doubles():
 
 def test_objective_ignores_missing_values():
     state, cohort, curve = exact_state()
-    for v in cohort.visits:
-        v.values["m"] += 1.0
+    cohort = shifted(cohort, 1.0)
     with_all = objective(state, cohort, LossKind.L2)
-    cohort.visits[0].values["m"] = None
+    visits = cohort.visits
+    visits[0].values["m"] = None
+    cohort = Cohort(visits, cohort.specs)
     # A subject row is relative to the mean measured age, which the missing
     # value moves: restate the same timeline on the cohort as it now is.
     state = state_of(cohort, curve, SubjectParams(1.0, 0.0), 0.5)
@@ -498,10 +505,12 @@ def test_fit_without_cn_visits_skips_standardization():
 def test_fit_flags_constant_data_subject():
     train, valid, truth = noisy_split(n_subjects=14)
     sid = train.subject_ids()[0]
-    for v in train.visits:
+    visits = train.visits
+    for v in visits:
         if v.subject_id == sid:
             for name in v.values:
                 v.values[name] = 0.5 if name == "up" else 1.0  # both curve midpoints
+    train = Cohort(visits, train.specs)
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=4)
     with pytest.warns(UserWarning, match="constant"):
         model, trace = fit(train, valid, config, progress=False)

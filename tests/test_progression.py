@@ -18,7 +18,7 @@ from dpsfit.progression import (
     FittedModel,
     SubjectParams,
     _eval_flat,
-    _flat_from,
+    _flatten,
     compute_dps,
     estimate_subject,
     estimate_subjects,
@@ -559,11 +559,11 @@ def test_eval_flat_equals_one_call_per_biomarker_bitwise(kind):
     ]
     names = ["b0", "b1", "b2"]
     sids = [f"s{i}" for i in range(7)]
-    measurements = [
-        (sid, name, float(age), 0.0)
-        for sid in sids for age in rng.uniform(60.0, 80.0, 3) for name in names
+    visits = [
+        Visit(subject_id=sid, visit_index=j, age=float(age), values=dict.fromkeys(names, 0.0))
+        for sid in sids for j, age in enumerate(rng.uniform(60.0, 80.0, 3))
     ]
-    flat = _flat_from(sids, names, measurements)
+    flat = _flatten(Cohort(visits, {name: BiomarkerSpec(name=name) for name in names}))
     table = CurveArrays.stack(curve_list)
     s_all = np.concatenate([[-1e4, 1e4, 0.0], rng.normal(0.0, 6.0, flat.y.size - 3)])
     for rows in (np.arange(flat.y.size), np.sort(rng.choice(flat.y.size, 20, replace=False)),
