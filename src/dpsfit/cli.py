@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import platform
@@ -792,6 +793,9 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
 # parser assembly
 # ----------------------------------------------------------------------
 
+# Built once per process: parsing leaves the parser as it was, and each
+# call's flags and config file go into its own namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dpsfit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dpsfit {__version__}")

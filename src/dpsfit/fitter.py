@@ -32,11 +32,12 @@ them.
 
 Each step is a set of independent solves, one per curve and one per
 subject timeline, and no result depends on which others share a solve.
-On Linux with more than one usable CPU, ``fit`` therefore cuts every step
-into parts (:func:`_part_count`), solves part 0 itself and the others in
-a pool of helper processes forked once per fit (:class:`_Parts`), and
-merges the results in their original order: the fit comes out
-byte-identical whatever the number of parts.
+One object, :class:`_Steps`, runs both steps for any number of parts: it
+cuts each step into parts, solves part 0 itself and the others in a pool
+of helper processes, and merges the results in their original order, so
+the fit comes out byte-identical whatever the number of parts.  ``fit``
+takes one part per usable CPU on Linux (:func:`_part_count`); only with
+more than one does it fork helpers, once per fit.
 
 The first biomarker step sees only the starting timelines, under which
 scores follow ages and no subject solve has yet placed anyone on the
@@ -76,8 +77,6 @@ import signal
 import sys
 import threading
 import warnings
-from contextlib import nullcontext
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,42 +367,9 @@ def fit_biomarker_step(
     """Refit every curve with subject timelines held fixed; ``iteration``
     1 holds ``gamma``, as the first iteration of :func:`fit` does."""
     flat = _flatten(cohort)
-    _fit_biomarker_step_flat(state, flat, cohort, config, iteration)
+    with _Steps(1, flat, cohort, flat, len(flat.subject_ids)) as steps:
+        steps.biomarker_step(state, config, iteration)
     return state
-
-
-def _fit_biomarker_step_flat(
-    state: FitState,
-    flat: _Flat,
-    cohort: Cohort,
-    config: FitConfig,
-    iteration: int,
-) -> list[tuple[str, str]]:
-    """Refit every curve of ``flat`` against the timelines in ``state``,
-    each within its :func:`_curve_box`.
-
-    In a fit split into :class:`_Parts` that cover ``flat`` and
-    ``cohort``, the curves are solved in those parts; the results are
-    taken in biomarker order either way, up to the first curve whose
-    solver fails.  Returns
-    ``(biomarker, problem)`` for each curve whose solve stopped at
-    ``inner_max_steps``, and for each free parameter it left on a finite
-    bound of its box.
-    """
-    parts = _PARTS.get()
-    if parts is not None and parts.flat_train is flat and parts.train is cohort:
-        solved = parts.map(parts.solve_curves, len(parts.curves), state, config, iteration)
-    else:
-        ks = range(len(flat.biomarker_names))
-        solved = [_solve_curves(state, flat, cohort, config, iteration, ks)]
-    problems = []
-    for k, row, curve_problems in sorted(itertools.chain(*solved), key=lambda outcome: outcome[0]):
-        if isinstance(row, SolverError):
-            name = flat.biomarker_names[k]
-            raise FitError(f"biomarker {name!r}, iteration {iteration}: {row}") from row
-        state.curves[k] = row
-        problems += curve_problems
-    return problems
 
 
 def _solve_curves(
@@ -415,7 +381,8 @@ def _solve_curves(
     ks,
 ) -> list[tuple]:
     """Solve the curves ``ks`` of ``flat``, in order, against the timelines
-    in ``state``, up to the first whose solver fails.
+    in ``state``, each within its :func:`_curve_box`, up to the first whose
+    solver fails.
 
     Returns ``(k, row, problems)`` for each curve solved, with its
     ``(biomarker, problem)`` pairs, and ``(k, error, [])`` for the one that
@@ -482,62 +449,13 @@ def fit_subject_step(
     flat = _flatten(cohort)
     for message in _data_warnings(flat):
         warnings.warn(message)
-    _fit_subject_step_flat(state, flat, config, iteration, len(flat.subject_ids))
+    with _Steps(1, flat, cohort, flat, len(flat.subject_ids)) as steps:
+        steps.subject_step(state, config, iteration)
     return state
 
 
-def _fit_subject_step_flat(
-    state: FitState,
-    flat: _Flat,
-    config: FitConfig,
-    iteration: int,
-    n_train: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refit the timelines of the first ``n_train`` subjects of ``flat``,
-    warm-started from ``state``, and estimate the others from a cold start
-    in the same batched solve.
-
-    The others are validation subjects: they stay out of ``state``.  In a
-    fit split into :class:`_Parts` that cover ``flat``, the subjects are
-    solved in those parts, one batched solve each, and merged back in
-    their order.
-    Returns every subject's objective at its solution, training subjects
-    first, so the first ``n_train`` sum to the training loss and the rest
-    to the validation loss; and which training subjects have their rate on
-    the log-alpha bound.
-    """
-    parts = _PARTS.get()
-    if parts is not None and parts.flat_all is flat and parts.n_train == n_train:
-        solved = parts.map(parts.solve_subjects, len(parts.subjects), state, config)
-        x = np.empty((len(flat.subject_ids), 2))
-        obj = np.empty(len(flat.subject_ids))
-        at_bound = np.empty(len(flat.subject_ids), dtype=bool)
-        for ids, (x_part, obj_part, bound_part) in zip(parts.subjects, solved):
-            x[ids], obj[ids], at_bound[ids] = x_part, obj_part, bound_part
-    else:
-        x, obj, at_bound = _solve_timelines(state, flat, config, state.subjects)
-    bad = np.nonzero(~np.isfinite(obj))[0]
-    if bad.size:
-        phase = "subject step" if bad[0] < n_train else "validation re-estimation"
-        raise FitError(
-            f"{phase}, iteration {iteration}, subject {flat.subject_ids[bad[0]]!r}: "
-            f"subject objective is not finite at the starting point"
-        )
-    state.subjects = x[:n_train]
-    return obj, at_bound[:n_train]
-
-
-def _solve_timelines(state: FitState, flat: _Flat, config: FitConfig, x0: np.ndarray):
-    """:func:`~dpsfit.progression._solve_subjects` of ``flat`` against the
-    curves of ``state``, warm-starting its first ``len(x0)`` subjects."""
-    return _solve_subjects(
-        CurveArrays(state.kind, *state.curves.T), state.sigma, flat, config.loss_kind,
-        config.inner_solver_tol, config.inner_max_steps, x0,
-    )
-
-
 # ----------------------------------------------------------------------
-# the steps in parts
+# the steps, in parts
 # ----------------------------------------------------------------------
 
 # The most parts a fit is split into.  Two is the one count measured, on a
@@ -561,45 +479,46 @@ def _part_count() -> int:
     return min(_usable_cpus(), _MAX_PARTS)
 
 
-# The parts of the fit running in this context, if any.
-_PARTS: ContextVar[_Parts | None] = ContextVar("_PARTS", default=None)
-
 # Set in each helper process by ``_start_helper``, never in the parent.
-_helper_parts: _Parts | None = None
+_helper_steps: _Steps | None = None
 
 
-class _Parts:
-    """One fit's biomarker and subject steps, each cut into ``n >= 2`` parts.
+class _Steps:
+    """The biomarker and subject steps of one fit, each cut into ``n >= 1``
+    parts.
 
-    Part ``p`` holds every ``n``-th biomarker of ``flat_train`` and every
-    ``n``-th subject of ``flat_all``, from the ``p``-th on; the biomarker
-    step has at most one part per biomarker.  Within a ``with`` block the
-    steps of the fit find these parts (:data:`_PARTS`); part 0 is solved
-    in this process and the others in a pool of ``n - 1`` helper
-    processes, forked with every input but the state, which each step
-    sends.  A curve or a subject comes out the same whichever part solves
-    it, so the fit does too.  The pool is shut down on exit, on every path.
+    The biomarker step refits the curves of ``flat_train``, the biomarkers
+    of ``train``; the subject step refits the first ``n_train`` subjects of
+    ``flat_all`` and estimates the others, the validation subjects, from a
+    cold start.  Part ``p`` holds every ``n``-th biomarker and every
+    ``n``-th subject, from the ``p``-th on.  Part 0 is solved in this
+    process.  With more than one part, the ``with`` block forks a pool of
+    helper processes, one per further part, with every input but the
+    state, which each step sends, and shuts it down on exit, on every path.
+    A curve or a subject comes out the same whichever part solves it, and
+    each step merges its parts in their original order, so a fit comes out
+    the same in any number of parts.
     """
 
     def __init__(self, n: int, flat_train: _Flat, train: Cohort, flat_all: _Flat, n_train: int):
         self.flat_train, self.train, self.flat_all, self.n_train = flat_train, train, flat_all, n_train
         n_bm, n_all = len(flat_train.biomarker_names), len(flat_all.subject_ids)
-        self.curves = [range(p, n_bm, n) for p in range(min(n, n_bm))]
-        self.subjects = [np.arange(p, n_all, n) for p in range(min(n, n_all))]
+        self.curves = [range(p, n_bm, n) for p in range(max(1, min(n, n_bm)))]
+        self.subjects = [np.arange(p, n_all, n) for p in range(max(1, min(n, n_all)))]
         self.flats = [_subset_flat(flat_all, ids) for ids in self.subjects]
         # One warnings registry for the fit, as for a bootstrap run.
         self._registry: dict = {}
 
-    def __enter__(self) -> _Parts:
-        self._pool = fork_pool(max(len(self.curves), len(self.subjects)) - 1, _start_helper, (self,))
-        self._token = _PARTS.set(self)
+    def __enter__(self) -> _Steps:
+        helpers = max(len(self.curves), len(self.subjects)) - 1
+        self._pool = fork_pool(helpers, _start_helper, (self,)) if helpers else None
         return self
 
     def __exit__(self, *exc) -> None:
-        _PARTS.reset(self._token)
-        self._pool.shutdown(cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
-    def map(self, solve, count: int, *args) -> list:
+    def _map(self, solve, count: int, *args) -> list:
         """``solve(p, *args)`` of parts ``0 .. count - 1``, in part order.
 
         A helper's warnings are issued here after the parts before it, and
@@ -608,25 +527,72 @@ class _Parts:
         futures = [self._pool.submit(_solve_part, solve.__name__, p, args) for p in range(1, count)]
         return [solve(0, *args)] + [reissue_warnings(f.result(), self._registry) for f in futures]
 
+    def biomarker_step(self, state: FitState, config: FitConfig, iteration: int) -> list[tuple[str, str]]:
+        """Refit every curve against the timelines in ``state``.
+
+        The results are taken in biomarker order, up to the first curve
+        whose solver fails.  Returns ``(biomarker, problem)`` for each
+        curve whose solve stopped at ``inner_max_steps``, and for each free
+        parameter it left on a finite bound of its box.
+        """
+        solved = self._map(self.solve_curves, len(self.curves), state, config, iteration)
+        problems = []
+        for k, row, curve_problems in sorted(itertools.chain(*solved), key=lambda outcome: outcome[0]):
+            if isinstance(row, SolverError):
+                name = self.flat_train.biomarker_names[k]
+                raise FitError(f"biomarker {name!r}, iteration {iteration}: {row}") from row
+            state.curves[k] = row
+            problems += curve_problems
+        return problems
+
+    def subject_step(self, state: FitState, config: FitConfig, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """Refit the training timelines, warm-started from ``state``, and
+        estimate the validation subjects, which stay out of ``state``.
+
+        Returns every subject's objective at its solution, training subjects
+        first, so the first ``n_train`` sum to the training loss and the
+        rest to the validation loss; and which training subjects have their
+        rate on the log-alpha bound.
+        """
+        solved = self._map(self.solve_subjects, len(self.subjects), state, config)
+        n_all = len(self.flat_all.subject_ids)
+        x, obj, at_bound = np.empty((n_all, 2)), np.empty(n_all), np.empty(n_all, dtype=bool)
+        for ids, (x_part, obj_part, bound_part) in zip(self.subjects, solved):
+            x[ids], obj[ids], at_bound[ids] = x_part, obj_part, bound_part
+        bad = np.nonzero(~np.isfinite(obj))[0]
+        if bad.size:
+            phase = "subject step" if bad[0] < self.n_train else "validation re-estimation"
+            raise FitError(
+                f"{phase}, iteration {iteration}, subject {self.flat_all.subject_ids[bad[0]]!r}: "
+                f"subject objective is not finite at the starting point"
+            )
+        state.subjects = x[:self.n_train]
+        return obj, at_bound[:self.n_train]
+
     def solve_curves(self, p: int, state: FitState, config: FitConfig, iteration: int) -> list:
         return _solve_curves(state, self.flat_train, self.train, config, iteration, self.curves[p])
 
     def solve_subjects(self, p: int, state: FitState, config: FitConfig):
+        """:func:`~dpsfit.progression._solve_subjects` of part ``p`` against
+        the curves of ``state``, warm-starting its training subjects."""
         ids = self.subjects[p]
-        return _solve_timelines(state, self.flats[p], config, state.subjects[ids[ids < self.n_train]])
+        return _solve_subjects(
+            CurveArrays(state.kind, *state.curves.T), state.sigma, self.flats[p], config.loss_kind,
+            config.inner_solver_tol, config.inner_max_steps, state.subjects[ids[ids < self.n_train]],
+        )
 
 
-def _start_helper(parts: _Parts) -> None:
-    global _helper_parts
-    _helper_parts = parts
+def _start_helper(steps: _Steps) -> None:
+    global _helper_steps
+    _helper_steps = steps
     # An interrupt is the fit's to handle: it shuts the pool down.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _solve_part(name: str, p: int, args: tuple):
-    """Part ``p`` of a step, ``_Parts.<name>``, in a helper, with the
+    """Part ``p`` of a step, ``_Steps.<name>``, in a helper, with the
     warnings it issued."""
-    return recording_warnings(getattr(_helper_parts, name), p, *args)
+    return recording_warnings(getattr(_helper_steps, name), p, *args)
 
 
 # ----------------------------------------------------------------------
@@ -703,15 +669,15 @@ def fit(
     bound.  One progress line per iteration, and one more when the fit
     stops early, go to standard error when ``progress`` is set.
 
-    On Linux, each step is split over the CPUs this process may use, up to
-    :data:`_MAX_PARTS` parts, the first solved here and the others in
-    helper processes forked at the first step and shut down at the end of
-    the alternation, on every exit path; the helpers' warnings and
-    exceptions are issued and raised here.  In a process that
-    :mod:`multiprocessing` started, such as a bootstrap worker, or that
-    runs other threads, the fit runs in one part, in its own process
-    (:func:`_part_count`).  The result, the trace, the warnings and the
-    progress lines are the same either way.
+    Both steps run through one :class:`_Steps`, in one part per CPU this
+    process may use on Linux, up to :data:`_MAX_PARTS` (:func:`_part_count`).
+    Part 0 is solved here.  With more than one part, the others are solved
+    in helper processes forked once for the alternation and shut down at
+    its end, on every exit path, and the helpers' warnings and exceptions
+    are issued and raised here.  In a process that :mod:`multiprocessing`
+    started, such as a bootstrap worker, or that runs other threads, there
+    is one part and nothing is forked.  The result, the trace, the warnings
+    and the progress lines are the same in any number of parts.
     """
     trace = FitTrace()
     train, flat_train = _without_sparse_subjects(train, "training", trace)
@@ -751,16 +717,14 @@ def fit(
     best: tuple[float, int, FitState] | None = None
     pinned = np.zeros(n_train, dtype=bool)
 
-    n_parts = _part_count()
-    # In one part the steps take their own in-process path, with no fork.
-    with _Parts(n_parts, flat_train, train, flat_all, n_train) if n_parts > 1 else nullcontext():
+    with _Steps(_part_count(), flat_train, train, flat_all, n_train) as steps:
         for iteration in range(1, config.l_max + 1):
-            for name, problem in _fit_biomarker_step_flat(state, flat_train, train, config, iteration):
+            for name, problem in steps.biomarker_step(state, config, iteration):
                 trace.warn(
                     f"biomarker {name!r}: {problem}, first in iteration {iteration}",
                     key=(name, problem),
                 )
-            obj, at_bound = _fit_subject_step_flat(state, flat_all, config, iteration, n_train)
+            obj, at_bound = steps.subject_step(state, config, iteration)
             pinned |= at_bound
             e_train = float(obj[:n_train].sum())
             e_valid = float(obj[n_train:].sum())

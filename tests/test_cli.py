@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from dpsfit import fitter, resampling
-from dpsfit.cli import _mean_likelihoods, main
+from dpsfit.cli import _config_dict, _mean_likelihoods, main
 from dpsfit.cohort import Diagnosis, load_biomarker_specs, parse_cohort_csv
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
+from dpsfit.fitter import FitConfig
 from dpsfit.metrics import wilcoxon_signed_rank
 from dpsfit.progression import estimate_subjects, load_model, save_model
 from dpsfit.staging import fit_classifier, kde_eval
@@ -1275,6 +1276,25 @@ def test_config_file_fills_unset_flags(pipeline, tmp_path):
     assert manifest["config"]["l_max"] == 3
     assert manifest["config"]["l_min"] == 2
     assert manifest["config"]["curve_kind"] == "verhulst"
+
+
+def test_config_file_does_not_carry_over_to_the_next_call(pipeline, tmp_path, capsys):
+    # One parser serves every call in a process; a config file fills only
+    # its own call's flags.
+    config = tmp_path / "defaults.json"
+    config.write_text(json.dumps({"l-max": 3, "l-min": 1, "curve": "verhulst",
+                                  "loss": "l2", "seed": 5, "quiet": True}))
+    fit = [
+        "fit",
+        "--cohort", str(pipeline / "split" / "train.csv"),
+        "--specs", str(pipeline / "sim" / "biomarker_specs.json"),
+    ]
+    assert main(fit + ["--out", str(tmp_path / "configured"), "--config", str(config)]) == 0
+    assert read_manifest(tmp_path / "configured")["config"]["l_max"] == 3
+    capsys.readouterr()
+    assert main(fit + ["--out", str(tmp_path / "plain")]) == 0
+    assert "iter   1" in capsys.readouterr().err
+    assert read_manifest(tmp_path / "plain")["config"] == _config_dict(FitConfig())
 
 
 def test_simulate_with_outliers(tmp_path):

@@ -332,9 +332,11 @@ def test_subject_step_objectives_sum_to_the_training_objective(loss):
     train, valid = partition_train_test(cohort, test_fraction=0.25, seed=11)
     config = tight_config(loss_kind=loss)
     state = initialize(train, config)
-    flat = progression._concat_flats(progression._flatten(train), progression._flatten(valid))
+    flat_train = progression._flatten(train)
+    flat = progression._concat_flats(flat_train, progression._flatten(valid))
     n_train = len(train.subject_ids())
-    obj, _ = fitter._fit_subject_step_flat(state, flat, config, 1, n_train)
+    with fitter._Steps(1, flat_train, train, flat, n_train) as steps:
+        obj, _ = steps.subject_step(state, config, 1)
     assert obj.shape == (n_train + len(valid.subject_ids()),)
     want = objective(state, train, loss)
     assert want > 0
@@ -525,15 +527,15 @@ def test_fit_reports_pinned_subjects_once_by_count_and_id(monkeypatch):
     # iteration; the fit names them all in one message after its last.
     monkeypatch.setattr(progression, "_LOG_ALPHA_LIMIT", 0.02)
     train, valid, _ = noisy_split()
-    real_step = fitter._fit_subject_step_flat
+    real_step = fitter._Steps.subject_step
     flagged = set()
 
-    def recording_step(state, flat, config, iteration, n_train):
-        obj, at_bound = real_step(state, flat, config, iteration, n_train)
-        flagged.update(flat.subject_ids[i] for i in np.flatnonzero(at_bound))
+    def recording_step(steps, state, config, iteration):
+        obj, at_bound = real_step(steps, state, config, iteration)
+        flagged.update(steps.flat_all.subject_ids[i] for i in np.flatnonzero(at_bound))
         return obj, at_bound
 
-    monkeypatch.setattr(fitter, "_fit_subject_step_flat", recording_step)
+    monkeypatch.setattr(fitter._Steps, "subject_step", recording_step)
     with pytest.warns(UserWarning) as record:
         _, trace = fit(train, valid, FitConfig(curve_kind=VER, l_min=1, l_max=4), progress=False)
     ids = sorted(flagged)
@@ -583,14 +585,14 @@ def test_failed_training_subject_is_named_by_the_subject_step(monkeypatch):
     # residual before that solve, so no input data gets a training subject
     # that far: a residual scale shrunk after the biomarker step does.
     train, valid, _ = noisy_split(n_subjects=10)
-    real_step = fitter._fit_biomarker_step_flat
+    real_step = fitter._Steps.biomarker_step
 
-    def shrinking_step(state, *args):
-        problems = real_step(state, *args)
+    def shrinking_step(steps, state, *args):
+        problems = real_step(steps, state, *args)
         state.sigma[train.biomarker_names().index("up")] = 5e-324
         return problems
 
-    monkeypatch.setattr(fitter, "_fit_biomarker_step_flat", shrinking_step)
+    monkeypatch.setattr(fitter._Steps, "biomarker_step", shrinking_step)
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=1)
     first = train.subject_ids()[0]
     with pytest.raises(FitError, match=f"^subject step, iteration 1, subject {first!r}: "):
@@ -604,12 +606,12 @@ def test_only_curves_with_gamma_see_the_first_step_hold(monkeypatch, tmp_path, k
     train, valid, _ = noisy_split()
     config = FitConfig(curve_kind=kind, loss_kind=LossKind.LOGISTIC, l_min=2, l_max=4)
     runs = [fit(train, valid, config, progress=False)]
-    real_step = fitter._fit_biomarker_step_flat
+    real_step = fitter._Steps.biomarker_step
 
-    def never_first(state, flat, cohort, config, iteration):
-        return real_step(state, flat, cohort, config, iteration + 1)
+    def never_first(steps, state, config, iteration):
+        return real_step(steps, state, config, iteration + 1)
 
-    monkeypatch.setattr(fitter, "_fit_biomarker_step_flat", never_first)
+    monkeypatch.setattr(fitter._Steps, "biomarker_step", never_first)
     runs.append(fit(train, valid, config, progress=False))
     for k, (model, _) in enumerate(runs):
         save_model(model, tmp_path / f"{k}.json")
@@ -863,9 +865,10 @@ def test_fit_is_byte_identical_in_any_number_of_parts(monkeypatch, capsys, tmp_p
     # Three parts put every curve in its own part and leave them uneven
     # over the subjects, on any number of CPUs.
     monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
-    split = []
-    real_parts = fitter._Parts
-    monkeypatch.setattr(fitter, "_Parts", lambda n, *args: split.append(n) or real_parts(n, *args))
+    helpers = []
+    real_fork_pool = fitter.fork_pool
+    monkeypatch.setattr(fitter, "fork_pool",
+                        lambda n, *args: helpers.append(n) or real_fork_pool(n, *args))
     train, valid = three_curve_split(nonnegative)
     config = FitConfig(loss_kind=LossKind.LOGISTIC, l_min=2, l_max=6)
     outputs = {}
@@ -889,13 +892,14 @@ def test_fit_is_byte_identical_in_any_number_of_parts(monkeypatch, capsys, tmp_p
     assert outputs[1][4].count("iter ") == trace.l_stop
     if nonnegative:
         assert "biomarker 'neg': d left on its box bound (0), first in iteration 1" in outputs[1][2]
-    assert split == ([2, 3] if sys.platform == "linux" else [])
+    # One helper for two parts and two for three; one part forks nothing.
+    assert helpers == ([1, 2] if sys.platform == "linux" else [])
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
 
 
-def forbid_parts(n, *args):
-    raise LookupError(f"fit split into {n} parts")
+def forbid_fork(n, *args):
+    raise LookupError(f"fit forked {n} helpers")
 
 
 def test_parts_are_capped_at_the_measured_count(monkeypatch):
@@ -911,7 +915,7 @@ def test_fit_in_a_threaded_process_forks_no_helper(monkeypatch):
     train, valid = three_curve_split()
     config = FitConfig(l_min=1, l_max=3)
     want, _ = fit(train, valid, config, progress=False)
-    monkeypatch.setattr(fitter, "_Parts", forbid_parts)
+    monkeypatch.setattr(fitter, "fork_pool", forbid_fork)
     fitted = []
     thread = threading.Thread(target=lambda: fitted.append(fit(train, valid, config, progress=False)))
     thread.start()
@@ -982,13 +986,13 @@ def test_lowest_failing_curve_names_the_error_in_any_number_of_parts(monkeypatch
 
 def test_interrupted_fit_stops_its_helpers(monkeypatch):
     train, valid = three_curve_split()
-    real_step = fitter._fit_subject_step_flat
+    real_step = fitter._Steps.subject_step
 
-    def interrupted_step(state, flat, config, iteration, n_train):
-        real_step(state, flat, config, iteration, n_train)
+    def interrupted_step(steps, state, config, iteration):
+        real_step(steps, state, config, iteration)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(fitter, "_fit_subject_step_flat", interrupted_step)
+    monkeypatch.setattr(fitter._Steps, "subject_step", interrupted_step)
     monkeypatch.setattr(fitter, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(fitter, "_MAX_PARTS", 3)
     with pytest.raises(KeyboardInterrupt):

@@ -301,9 +301,10 @@ def test_pooled_replicates_issue_their_warnings_here_in_order(monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="replicates are pooled only on Linux")
 def test_pooled_replicates_fit_in_one_part(monkeypatch):
     # Three usable CPUs would split a fit in this process; each of the
-    # pool's workers counts one, and splitting there would raise.
+    # pool's workers counts one, and forking a fit's helpers there would
+    # raise.
     def split(n, *args):
-        raise LookupError(f"fit split into {n} parts in process {os.getpid()}")
+        raise LookupError(f"fit forked {n} helpers in process {os.getpid()}")
 
     real_fit = resampling.fit
 
@@ -312,7 +313,7 @@ def test_pooled_replicates_fit_in_one_part(monkeypatch):
         return real_fit(train, valid, config, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(fitter, "_Parts", split)
+    monkeypatch.setattr(fitter, "fork_pool", split)
     monkeypatch.setattr(resampling, "fit", noisy_fit)
     train, _ = synth_train(n_subjects=10, seed=8)
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
