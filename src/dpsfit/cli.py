@@ -23,9 +23,12 @@ byte-identical across reruns with the same inputs and seed.
 under every model of the ensemble (of both ensembles under ``--compare``)
 together, in one batched subject solve per group of models, and work on
 the cohort's measured cells as arrays.  ``bootstrap`` fits its replicates
-in forked worker processes on Linux, one per usable CPU up to ``--n``, and
-in this process on one CPU or another platform; memory grows by one fit
-per worker.  It still accepts the old ``--threads`` flag and ignores it.
+in forked worker processes, one per usable CPU up to ``--n``, and memory
+grows by one fit per worker; ``fit`` splits its steps over forked helpers.
+Both fork under one rule (:func:`dpsfit.workers.usable_cpus`): with one
+usable CPU, on another platform than Linux, or when :func:`main` runs in a
+process with other threads, they fit in this process.  ``bootstrap`` still
+accepts the old ``--threads`` flag and ignores it.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or fitting
 errors.

@@ -36,8 +36,11 @@ One object, :class:`_Steps`, runs both steps for any number of parts: it
 cuts each step into parts, solves part 0 itself and the others in a pool
 of helper processes, and merges the results in their original order, so
 the fit comes out byte-identical whatever the number of parts.  ``fit``
-takes one part per usable CPU on Linux (:func:`_part_count`); only with
-more than one does it fork helpers, once per fit.
+takes one part per usable CPU (:func:`_part_count`), which
+:func:`~dpsfit.workers.usable_cpus` counts as one on another platform than
+Linux, in a worker of :mod:`multiprocessing` and in a process that runs
+other threads; only with more than one part does it fork helpers, once per
+fit, through :func:`~dpsfit.workers.fork_pool`.
 
 The first biomarker step sees only the starting timelines, under which
 scores follow ages and no subject solve has yet placed anyone on the
@@ -73,9 +76,7 @@ problem, with the first iteration it happened in.
 from __future__ import annotations
 
 import itertools
-import signal
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,7 +92,6 @@ from .progression import (
     Standardization,
     SubjectParams,
     _eval_flat,
-    _concat_flats,
     _Flat,
     _flatten,
     _scores,
@@ -101,8 +101,7 @@ from .progression import (
     standardize,
 )
 from .robust_loss import LossKind, rho
-from .workers import fork_pool, recording_warnings, reissue_warnings
-from .workers import usable_cpus as _usable_cpus
+from .workers import fork_pool, usable_cpus as _usable_cpus
 
 __all__ = [
     "FitConfig",
@@ -465,22 +464,15 @@ _MAX_PARTS = 2
 
 
 def _part_count() -> int:
-    """How many parts the fit splits its steps into: one per usable CPU,
-    up to :data:`_MAX_PARTS`.
+    """How many parts the fit splits its steps into: one per usable CPU
+    (:func:`~dpsfit.workers.usable_cpus`), up to :data:`_MAX_PARTS`.
 
-    It is one, and the fit forks nothing, on another platform than Linux,
-    in a process that :mod:`multiprocessing` started (a bootstrap worker,
-    whose pool already holds every CPU), and in a process that runs other
-    threads, whose locks a forked helper could inherit held, and whose own
-    fits would each fork helpers for the same CPUs.
+    It is one, and the fit forks nothing, wherever that rule allows no
+    fork: on another platform than Linux, in a process that
+    :mod:`multiprocessing` started (a bootstrap worker, whose pool already
+    holds every CPU), and in a process that runs other threads.
     """
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
     return min(_usable_cpus(), _MAX_PARTS)
-
-
-# Set in each helper process by ``_start_helper``, never in the parent.
-_helper_steps: _Steps | None = None
 
 
 class _Steps:
@@ -506,26 +498,24 @@ class _Steps:
         self.curves = [range(p, n_bm, n) for p in range(max(1, min(n, n_bm)))]
         self.subjects = [np.arange(p, n_all, n) for p in range(max(1, min(n, n_all)))]
         self.flats = [_subset_flat(flat_all, ids) for ids in self.subjects]
-        # One warnings registry for the fit, as for a bootstrap run.
-        self._registry: dict = {}
 
     def __enter__(self) -> _Steps:
         helpers = max(len(self.curves), len(self.subjects)) - 1
-        self._pool = fork_pool(helpers, _start_helper, (self,)) if helpers else None
+        self._pool = fork_pool(helpers, (self,)) if helpers else None
         return self
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+            self._pool.__exit__(*exc)
 
     def _map(self, solve, count: int, *args) -> list:
-        """``solve(p, *args)`` of parts ``0 .. count - 1``, in part order.
+        """``solve(self, p, *args)`` of parts ``0 .. count - 1``, in part order.
 
         A helper's warnings are issued here after the parts before it, and
         its exception is raised here.
         """
-        futures = [self._pool.submit(_solve_part, solve.__name__, p, args) for p in range(1, count)]
-        return [solve(0, *args)] + [reissue_warnings(f.result(), self._registry) for f in futures]
+        futures = [self._pool.submit(solve, p, *args) for p in range(1, count)]
+        return [solve(self, 0, *args)] + [self._pool.result(f) for f in futures]
 
     def biomarker_step(self, state: FitState, config: FitConfig, iteration: int) -> list[tuple[str, str]]:
         """Refit every curve against the timelines in ``state``.
@@ -535,7 +525,7 @@ class _Steps:
         curve whose solve stopped at ``inner_max_steps``, and for each free
         parameter it left on a finite bound of its box.
         """
-        solved = self._map(self.solve_curves, len(self.curves), state, config, iteration)
+        solved = self._map(_Steps.solve_curves, len(self.curves), state, config, iteration)
         problems = []
         for k, row, curve_problems in sorted(itertools.chain(*solved), key=lambda outcome: outcome[0]):
             if isinstance(row, SolverError):
@@ -554,7 +544,7 @@ class _Steps:
         rest to the validation loss; and which training subjects have their
         rate on the log-alpha bound.
         """
-        solved = self._map(self.solve_subjects, len(self.subjects), state, config)
+        solved = self._map(_Steps.solve_subjects, len(self.subjects), state, config)
         n_all = len(self.flat_all.subject_ids)
         x, obj, at_bound = np.empty((n_all, 2)), np.empty(n_all), np.empty(n_all, dtype=bool)
         for ids, (x_part, obj_part, bound_part) in zip(self.subjects, solved):
@@ -580,19 +570,6 @@ class _Steps:
             CurveArrays(state.kind, *state.curves.T), state.sigma, self.flats[p], config.loss_kind,
             config.inner_solver_tol, config.inner_max_steps, state.subjects[ids[ids < self.n_train]],
         )
-
-
-def _start_helper(steps: _Steps) -> None:
-    global _helper_steps
-    _helper_steps = steps
-    # An interrupt is the fit's to handle: it shuts the pool down.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _solve_part(name: str, p: int, args: tuple):
-    """Part ``p`` of a step, ``_Steps.<name>``, in a helper, with the
-    warnings it issued."""
-    return recording_warnings(getattr(_helper_steps, name), p, *args)
 
 
 # ----------------------------------------------------------------------
@@ -628,17 +605,15 @@ def _stops(e_valid: list[float], l_min: int, stop_rtol: float) -> bool:
     return before - e_valid[-1] < stop_rtol * before
 
 
-def _without_sparse_subjects(cohort: Cohort, role: str, trace: FitTrace):
-    """``cohort`` and its :class:`_Flat` without the subjects of fewer than 2
-    measured points; reports each subject left out to ``trace``."""
-    flat = _flatten(cohort)
-    sparse = [sid for sid, n in zip(flat.subject_ids, flat.n_points) if n < 2]
-    if not sparse:
-        return cohort, flat
+def _without_sparse_subjects(cohort: Cohort, role: str, trace: FitTrace) -> Cohort:
+    """``cohort`` without the subjects of fewer than 2 measured points;
+    reports each subject left out to ``trace``."""
+    rows, _ = cohort.cells()
+    n_points = np.bincount(cohort.sub[rows], minlength=len(cohort.ids))
+    sparse = [sid for sid, n in zip(cohort.ids, n_points.tolist()) if n < 2]
     for sid in sparse:
         trace.warn(f"{role} subject {sid!r}: fewer than 2 measured points, left out of the fit")
-    cohort = cohort.subset(sorted(set(flat.subject_ids) - set(sparse)))
-    return cohort, _flatten(cohort)
+    return cohort.subset(set(cohort.ids) - set(sparse)) if sparse else cohort
 
 
 def fit(
@@ -670,31 +645,33 @@ def fit(
     stops early, go to standard error when ``progress`` is set.
 
     Both steps run through one :class:`_Steps`, in one part per CPU this
-    process may use on Linux, up to :data:`_MAX_PARTS` (:func:`_part_count`).
+    process may use, up to :data:`_MAX_PARTS` (:func:`_part_count`).
     Part 0 is solved here.  With more than one part, the others are solved
     in helper processes forked once for the alternation and shut down at
     its end, on every exit path, and the helpers' warnings and exceptions
-    are issued and raised here.  In a process that :mod:`multiprocessing`
-    started, such as a bootstrap worker, or that runs other threads, there
-    is one part and nothing is forked.  The result, the trace, the warnings
-    and the progress lines are the same in any number of parts.
+    are issued and raised here.  On another platform than Linux, in a
+    process that :mod:`multiprocessing` started, such as a bootstrap
+    worker, and in one that runs other threads, there is one part and
+    nothing is forked.  The result, the trace, the warnings and the
+    progress lines are the same in any number of parts.
     """
     trace = FitTrace()
-    train, flat_train = _without_sparse_subjects(train, "training", trace)
-    valid, flat_valid = _without_sparse_subjects(valid, "validation", trace)
-    if flat_train.y.size == 0:
+    train = _without_sparse_subjects(train, "training", trace)
+    valid = _without_sparse_subjects(valid, "validation", trace)
+    if train.n_measurements() == 0:
         raise FitError("training cohort has no measurements")
-    if flat_valid.y.size == 0:
+    if valid.n_measurements() == 0:
         raise FitError("validation cohort has no measurements")
-    if flat_valid.biomarker_names != flat_train.biomarker_names:
+    if valid.biomarker_names() != train.biomarker_names():
         raise FitError(
-            f"validation cohort declares biomarkers {flat_valid.biomarker_names}, "
-            f"training cohort {flat_train.biomarker_names}"
+            f"validation cohort declares biomarkers {valid.biomarker_names()}, "
+            f"training cohort {train.biomarker_names()}"
         )
 
     # Training subjects first, so the subject step's rows of x are 0..n_train-1.
-    flat_all = _concat_flats(flat_train, flat_valid)
-    n_train = len(flat_train.subject_ids)
+    flat_all = _flatten(train, valid)
+    n_train = len(train.ids)
+    flat_train = _subset_flat(flat_all, np.arange(n_train))
 
     # Every curve spends its free parameters and every subject two.
     q_params = 2 * n_train + sum(

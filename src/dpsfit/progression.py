@@ -206,10 +206,18 @@ class _Flat:
     age_span: np.ndarray        # per subject, max - min measured age
 
 
-def _flatten(cohort: Cohort) -> _Flat:
-    rows, bm = cohort.cells()
-    return _flat_of(cohort.subject_ids(), cohort.biomarker_names(),
-                    *_grouped(bm, cohort.sub[rows], cohort.age[rows], cohort.values[rows, bm]))
+def _flatten(*cohorts: Cohort) -> _Flat:
+    """The measurements of ``cohorts``, which declare the same biomarkers,
+    as one :class:`_Flat`: each cohort's subjects are numbered after those
+    of the cohorts before it."""
+    columns, offset = [], 0
+    for cohort in cohorts:
+        rows, bm = cohort.cells()
+        columns.append((bm, cohort.sub[rows] + offset, cohort.age[rows], cohort.values[rows, bm]))
+        offset += len(cohort.ids)
+    bm, sub, t, y = (np.concatenate(column) for column in zip(*columns))
+    return _flat_of([sid for cohort in cohorts for sid in cohort.ids],
+                    cohorts[0].biomarker_names(), *_grouped(bm, sub, t, y))
 
 
 def _grouped(bm, sub, t, y):
@@ -243,35 +251,6 @@ def _flat_of(sids: list[str], names: list[str], bm, sub, t, y) -> _Flat:
         n_points=n_points,
         mean_age=mean_age,
         age_span=age_span,
-    )
-
-
-def _concat_flats(first: _Flat, second: _Flat) -> _Flat:
-    """The measurements of ``first`` and ``second`` as one :class:`_Flat`,
-    the subjects of ``second`` numbered after those of ``first``.
-
-    Both must list the same biomarkers.  Every subject keeps its rows in
-    their order, so a per-subject sum over the result adds the same terms
-    in the same order as over the subject's own :class:`_Flat`.
-    """
-    order = np.argsort(np.concatenate([first.bm, second.bm]), kind="stable")
-
-    def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([a, b])[order]
-
-    bm = rows(first.bm, second.bm)
-    return _Flat(
-        subject_ids=first.subject_ids + second.subject_ids,
-        biomarker_names=first.biomarker_names,
-        t=rows(first.t, second.t),
-        y=rows(first.y, second.y),
-        sub=rows(first.sub, second.sub + len(first.subject_ids)),
-        bm=bm,
-        bm_bounds=np.searchsorted(bm, np.arange(len(first.biomarker_names) + 1)),
-        omega=rows(first.omega, second.omega),
-        n_points=np.concatenate([first.n_points, second.n_points]),
-        mean_age=np.concatenate([first.mean_age, second.mean_age]),
-        age_span=np.concatenate([first.age_span, second.age_span]),
     )
 
 

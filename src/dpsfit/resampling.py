@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .cohort import DIAGNOSES, REPLICATE_SEPARATOR, Cohort, Diagnosis, write_csv
 from .errors import DpsFitError, EnsembleError
 from .fitter import FitConfig, FitTrace, fit
 from .progression import FittedModel
-from .workers import fork_pool, recording_warnings, reissue_warnings
-from .workers import usable_cpus as _usable_cpus
+from .workers import fork_pool, usable_cpus as _usable_cpus
 
 __all__ = [
     "Stratum",
@@ -198,14 +197,17 @@ def run_bootstraps(
     ``(config.seed, b)`` alone, so it comes out the same whatever
     ``n_bootstraps`` is and whichever replicates precede it.
 
-    On Linux the replicates are fitted in worker processes started by
-    ``fork``, one per usable CPU up to ``n_bootstraps``, and each worker
-    holds one fit in memory at a time.  A worker counts one usable CPU
-    (:func:`~dpsfit.workers.usable_cpus`), so its fits run in one part,
-    with no helper process of their own.  With one usable CPU or one
-    replicate, or on another platform, where ``fork`` is not safe, the
-    replicates are fitted in this process, and each fit splits its steps
-    as :func:`~dpsfit.fitter.fit` does.
+    The replicates are fitted in worker processes started by ``fork``,
+    one per usable CPU (:func:`~dpsfit.workers.usable_cpus`) up to
+    ``n_bootstraps``, and each worker holds one fit in memory at a time.
+    A worker counts one usable CPU, so its fits run in one part, with no
+    helper process of their own.  Where that rule gives one CPU, or with
+    one replicate, the replicates are fitted in this process, and each fit
+    splits its steps as :func:`~dpsfit.fitter.fit` does: so on another
+    platform than Linux, and in a process that runs other threads, such as
+    a thread pool or a notebook kernel, nothing is forked.  The workers
+    ignore SIGINT; on an interrupt here, the replicates not yet started are
+    cancelled and the running ones finish before it propagates.
     Either way the ensemble, the progress lines and the warnings each fit
     issues come out in replicate order, and an exception other than
     :class:`DpsFitError` reaches the caller with its own type.
@@ -222,15 +224,11 @@ def run_bootstraps(
         seed=config.seed,
     )
     workers = min(n_bootstraps, _usable_cpus())
-    pool = None
-    try:
-        if workers == 1 or sys.platform != "linux":
-            results = map(partial(_fit_replicate, *inputs), range(n_bootstraps))
+    with fork_pool(workers, inputs) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            results = (_fit_replicate(*inputs, b) for b in range(n_bootstraps))
         else:
-            pool = fork_pool(workers, _start_worker, inputs)
-            registry: dict = {}
-            results = (reissue_warnings(recorded, registry)
-                       for recorded in pool.map(_fit_in_worker, range(n_bootstraps)))
+            results = map(pool.result, [pool.submit(_fit_replicate, b) for b in range(n_bootstraps)])
         for b, result in enumerate(results):
             if isinstance(result, str):
                 ensemble.failures.append((b, result))
@@ -248,9 +246,6 @@ def run_bootstraps(
                     f"E_valid={trace.e_valid[trace.l_opt - 1]:.6e}",
                     file=sys.stderr,
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     if len(ensemble.failures) > 0.1 * n_bootstraps:
         raise EnsembleError(
@@ -276,20 +271,6 @@ def _fit_replicate(train: Cohort, config: FitConfig, strata: dict[str, Stratum],
         return str(exc)
     model = replace(model, provenance={**model.provenance, "bootstrap_id": b})
     return model, trace, oob, in_bag
-
-
-# Set in each worker process by ``_start_worker``, never in the parent.
-_worker_inputs: tuple = ()
-
-
-def _start_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _fit_in_worker(b: int):
-    """``_fit_replicate`` in a worker, with the warnings it issued."""
-    return recording_warnings(_fit_replicate, *_worker_inputs, b)
 
 
 # ----------------------------------------------------------------------

@@ -1,76 +1,113 @@
 """Forked worker processes, shared by the split fit and the bootstrap.
 
-Both fork their workers with every input already in memory, so only each
-task's arguments and result are pickled.  A worker records the warnings
-its task issues and hands them back with the result, and the parent
-issues them in task order; a task's exception reaches the parent through
-its future, with its own type.
+One rule, :func:`usable_cpus`, says how many processes may work at once,
+and both ask it: a fork is allowed only on Linux, outside a process that
+:mod:`multiprocessing` started, and with no other Python thread running,
+whose locks a forked child could inherit held.
+
+One protocol, :func:`fork_pool`, runs their tasks.  The workers are forked
+with the pool's inputs already in memory, so only each task's arguments
+and result are pickled.  A worker ignores SIGINT: an interrupt is the
+parent's to handle, and it leaves the pool, which cancels the queued
+tasks and lets the running ones finish.  A worker records the warnings its
+task issues and hands them back with the result, and the parent issues
+them as it takes each result; a task's exception reaches the parent
+through its future, with its own type.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import sys
+import threading
 import warnings
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run work on: its affinity mask where there is one.
+    """CPUs this process may run work on: its affinity mask.
 
-    A process that :mod:`multiprocessing` started counts one: it is taken
-    to be one worker of a pool that already runs a process per usable CPU,
-    as the bootstrap's does.
+    It is one on another platform than Linux, where ``fork`` is not safe;
+    in a process that :mod:`multiprocessing` started, taken to be one
+    worker of a pool that already runs a process per usable CPU; and in a
+    process that runs other Python threads, whose own work would fork for
+    the same CPUs.
     """
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
         return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
-def fork_pool(workers: int, initializer, initargs: tuple):
-    """A :class:`~concurrent.futures.ProcessPoolExecutor` of ``workers``
-    processes started by ``fork``, each running ``initializer(*initargs)``
-    first; the initial arguments reach them by the fork, unpickled."""
-    # Imported here: at module level the pool machinery would add about a
-    # tenth to `import dpsfit.cli`, which every command pays.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # A forked worker starts with its inputs in memory; a spawned one would
-    # first import numpy and dpsfit, about 0.07 s.
-    return ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer,
-        initargs=initargs,
-    )
+def fork_pool(workers: int, inputs: tuple) -> _Pool:
+    """A pool of ``workers`` processes started by ``fork``, each holding
+    ``inputs``, which reach them by the fork, unpickled."""
+    return _Pool(workers, inputs)
 
 
-def recording_warnings(task, *args):
-    """``task(*args)`` in a worker, with the warnings it issued.
+class _Pool:
+    """The pool :func:`fork_pool` returns.  Use it as a context manager:
+    leaving it, on any path, cancels the tasks not yet started and waits
+    for the running ones."""
+
+    def __init__(self, workers: int, inputs: tuple):
+        # Imported here: at module level the pool machinery would add about
+        # a tenth to `import dpsfit.cli`, which every command pays.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A forked worker starts with its inputs in memory; a spawned one
+        # would first import numpy and dpsfit, about 0.07 s.
+        self._executor = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(inputs,),
+        )
+        # One registry for the pool, so under the default filters a warning
+        # that several tasks issue is shown once, as in this process.
+        self._registry: dict = {}
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._executor.shutdown(cancel_futures=True)
+
+    def submit(self, task, *args):
+        """Run ``task(*inputs, *args)`` in a worker; ``task`` is pickled by
+        its qualified name.  Returns the future of its result."""
+        return self._executor.submit(_recording_warnings, task, *args)
+
+    def result(self, future):
+        """Issue here the warnings of ``future``'s task, then return its
+        result or raise its exception."""
+        result, caught = future.result()
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=self._registry)
+        return result
+
+
+# Set in each worker by ``_start_worker``, never in the parent.
+_inputs: tuple = ()
+
+
+def _start_worker(inputs: tuple) -> None:
+    global _inputs
+    _inputs = inputs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _recording_warnings(task, *args):
+    """``task(*_inputs, *args)`` in a worker, with the warnings it issued.
 
     A worker's ``sys.stderr`` may be a copy of a stream the parent
     redirected, so a warning shown there would be lost; every warning is
-    recorded instead and handed back for :func:`reissue_warnings`.
+    recorded instead and handed back for :meth:`_Pool.result`.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = task(*args)
+        result = task(*_inputs, *args)
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def reissue_warnings(recorded, registry: dict):
-    """Issue the warnings of a :func:`recording_warnings` result here, and
-    return its result.
-
-    The warnings pass through this process's filters with ``registry``,
-    one per run, so under the default filters a warning that several tasks
-    of the run issue is shown once, as in this process.
-    """
-    result, caught = recorded
-    for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-    return result

@@ -333,7 +333,7 @@ def test_subject_step_objectives_sum_to_the_training_objective(loss):
     config = tight_config(loss_kind=loss)
     state = initialize(train, config)
     flat_train = progression._flatten(train)
-    flat = progression._concat_flats(flat_train, progression._flatten(valid))
+    flat = progression._flatten(train, valid)
     n_train = len(train.subject_ids())
     with fitter._Steps(1, flat_train, train, flat, n_train) as steps:
         obj, _ = steps.subject_step(state, config, 1)
@@ -904,14 +904,14 @@ def forbid_fork(n, *args):
 
 def test_parts_are_capped_at_the_measured_count(monkeypatch):
     monkeypatch.setattr(fitter, "_usable_cpus", lambda: 64)
-    assert fitter._part_count() == (2 if sys.platform == "linux" else 1)
+    assert fitter._part_count() == 2
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fits are split only on Linux")
 def test_fit_in_a_threaded_process_forks_no_helper(monkeypatch):
     # A fork could copy a lock another thread holds; a fit run while other
     # threads run solves in one part, with the same result.
-    monkeypatch.setattr(fitter, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     train, valid = three_curve_split()
     config = FitConfig(l_min=1, l_max=3)
     want, _ = fit(train, valid, config, progress=False)

@@ -1,12 +1,14 @@
 import multiprocessing
 import os
+import signal
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from dpsfit import fitter, resampling
+from dpsfit import fitter, resampling, workers
 from dpsfit.cohort import BiomarkerSpec, Cohort, Diagnosis, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
 from dpsfit.errors import DpsFitError, EnsembleError
@@ -322,6 +324,60 @@ def test_pooled_replicates_fit_in_one_part(monkeypatch):
     assert len(ensemble.models) == 2
     pids = {int(str(w.message).split()[-1]) for w in record}
     assert pids and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="replicates are pooled only on Linux")
+def test_bootstrap_in_a_threaded_process_forks_no_worker(monkeypatch):
+    # A fork could copy a lock another thread holds; a bootstrap run while
+    # other threads run fits its replicates in this process, with the same
+    # ensemble.
+    def forbid_fork(n, *args):
+        raise LookupError(f"bootstrap forked {n} workers")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    want = run_bootstraps(train, config, n_bootstraps=2, progress=False)
+    monkeypatch.setattr(resampling, "fork_pool", forbid_fork)
+    ensembles = []
+    thread = threading.Thread(
+        target=lambda: ensembles.append(run_bootstraps(train, config, n_bootstraps=2, progress=False))
+    )
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert ensembles == [want]
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_bootstrap_stops_its_workers(monkeypatch):
+    real_fork_pool = resampling.fork_pool
+
+    def interrupted_pool(n, inputs):
+        pool = real_fork_pool(n, inputs)
+        real_result = pool.result
+
+        def result(future):
+            real_result(future)
+            raise KeyboardInterrupt
+
+        pool.result = result
+        return pool
+
+    monkeypatch.setattr(resampling, "fork_pool", interrupted_pool)
+    monkeypatch.setattr(resampling, "_usable_cpus", lambda: 2)
+    train, _ = synth_train(n_subjects=10, seed=8)
+    config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=1, l_max=2)
+    with pytest.raises(KeyboardInterrupt):
+        run_bootstraps(train, config, n_bootstraps=4, progress=False)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_ignore_interrupts():
+    # Ctrl-C reaches the whole process group; only the parent handles it.
+    with workers.fork_pool(1, (signal.SIGINT,)) as pool:
+        assert pool.result(pool.submit(signal.getsignal)) == signal.SIG_IGN
     assert multiprocessing.active_children() == []
 
 
