@@ -18,7 +18,10 @@ shared progression timeline:
 Richards and modified Stannard reduce to Verhulst at ``gamma = 1``, and
 Richards approaches Gompertz as ``gamma -> 0``.  The symmetry parameter
 ``gamma`` of the two asymmetric kinds controls how quickly the curve leaves
-one plateau relative to the other.
+one plateau relative to the other.  The two are one family, the generalized
+logistic of Richards (1959): modified Stannard ``(b, gamma)`` is Richards
+``(b / gamma, 1 / gamma)``, a map that is its own inverse.  The kernel
+evaluates both in modified Stannard coordinates, Richards through the map.
 """
 
 from __future__ import annotations
@@ -146,6 +149,13 @@ def _as_array(s) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _stannard(p: CurveParams | CurveArrays):
+    """``p``'s ``(b, gamma)`` in the modified Stannard coordinates."""
+    if p.kind is LogisticKind.RICHARDS:
+        return p.b / p.gamma, 1.0 / p.gamma
+    return p.b, p.gamma
+
+
 def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the unit-range curve ``g`` and its score derivative.
 
@@ -153,33 +163,22 @@ def _growth(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np.ndarray, np
     and ``q`` the kind-specific ratio reused by the parameter gradients.
     Products are ordered so that extreme ``w`` never meets an infinity.
     """
-    kind = p.kind
-    # ``w`` first holds the exponent, so that no dead temporary adds to
-    # the peak memory of a call over many points.
-    if kind is LogisticKind.MODIFIED_STANNARD:
-        rate = p.b / p.gamma
-        w = -rate * (s - p.c)
-    else:
-        w = -p.b * (s - p.c)
-    w = np.exp(np.clip(w, -_EXP_CLAMP, _EXP_CLAMP))
+    asymmetric = p.kind.has_symmetry_param
+    b, gamma = _stannard(p)
+    rate = b / gamma if asymmetric else b
+    w = np.exp(np.clip(-rate * (s - p.c), -_EXP_CLAMP, _EXP_CLAMP))
 
-    if kind is LogisticKind.VERHULST:
+    if asymmetric:  # modified Stannard, and Richards in its coordinates
+        w_gamma = w / gamma
+        g = np.exp(-gamma * np.log1p(w_gamma))
+        q = w / (1.0 + w_gamma)
+    elif p.kind is LogisticKind.VERHULST:
         g = 1.0 / (1.0 + w)
         q = 1.0 - g
-        dgds = p.b * q * g
-    elif kind is LogisticKind.GOMPERTZ:
+    else:  # Gompertz
         g = np.exp(-w)
         q = w
-        dgds = p.b * q * g
-    elif kind is LogisticKind.RICHARDS:
-        g = np.exp(-np.log1p(p.gamma * w) / p.gamma)
-        q = w / (1.0 + p.gamma * w)
-        dgds = p.b * q * g
-    else:  # modified Stannard
-        w_gamma = w / p.gamma
-        g = np.exp(-p.gamma * np.log1p(w_gamma))
-        q = w / (1.0 + w_gamma)
-        dgds = rate * q * g
+    dgds = rate * q * g
     return g, dgds, w, q
 
 
@@ -262,14 +261,15 @@ def value_and_gradients(p: CurveParams | CurveArrays, s: np.ndarray) -> tuple[np
     # df/ds by the chain rule regardless of kind.
     grads[..., 2] = dfds * (s - p.c) / p.b
     grads[..., 3] = -dfds
-    if p.kind is LogisticKind.RICHARDS:
-        grads[..., 4] = span * g * (np.log1p(p.gamma * w) / p.gamma**2 - q / p.gamma)
-    elif p.kind is LogisticKind.MODIFIED_STANNARD:
+    if p.kind.has_symmetry_param:
+        b, gamma = _stannard(p)
         grads[..., 4] = span * g * (
-            -np.log1p(w / p.gamma)
-            - q * p.b * (s - p.c) / p.gamma**2
-            + q / p.gamma
+            -np.log1p(w / gamma)
+            - q * b * (s - p.c) / gamma**2
+            + q / gamma
         )
+        if p.kind is LogisticKind.RICHARDS:  # the chain rule through _stannard's map
+            grads[..., 4] = -(dfds * (s - p.c) + grads[..., 4] / p.gamma) / p.gamma
     else:
         grads[..., 4] = 0.0
     return f, grads

@@ -265,20 +265,8 @@ def _subset_flat(flat: _Flat, ids: np.ndarray) -> _Flat:
     number = np.full(len(flat.subject_ids), -1, dtype=np.intp)
     number[ids] = np.arange(len(ids))
     rows = np.flatnonzero(number[flat.sub] >= 0)
-    bm = flat.bm[rows]
-    return _Flat(
-        subject_ids=[flat.subject_ids[i] for i in ids],
-        biomarker_names=flat.biomarker_names,
-        t=flat.t[rows],
-        y=flat.y[rows],
-        sub=number[flat.sub[rows]],
-        bm=bm,
-        bm_bounds=np.searchsorted(bm, np.arange(len(flat.biomarker_names) + 1)),
-        omega=flat.omega[rows],
-        n_points=flat.n_points[ids],
-        mean_age=flat.mean_age[ids],
-        age_span=flat.age_span[ids],
-    )
+    return _flat_of([flat.subject_ids[i] for i in ids], flat.biomarker_names,
+                    flat.bm[rows], number[flat.sub[rows]], flat.t[rows], flat.y[rows])
 
 
 def _eval_flat(table: curves.CurveArrays, flat: _Flat, s: np.ndarray, rows: np.ndarray):
@@ -520,12 +508,14 @@ def _estimate_group(models, sids: list[str], own, sub, t, y, measured: np.ndarra
 # ----------------------------------------------------------------------
 
 def save_model(model: FittedModel, path) -> None:
-    """Write a model to JSON, losslessly round-tripping every float."""
+    """Write a model to JSON, losslessly round-tripping every float; a
+    biomarker whose kind is not the model's, as in a truth model, names it."""
     data = {
         "curve_kind": model.curve_kind.value,
         "loss_kind": model.loss_kind.value,
         "biomarkers": {
             name: {
+                **({} if p.kind is model.curve_kind else {"kind": p.kind.value}),
                 "a": p.a,
                 "d": p.d,
                 "b": p.b,
@@ -559,7 +549,7 @@ def load_model(path) -> FittedModel:
         sigma_map = {}
         for name, entry in data["biomarkers"].items():
             curves_map[name] = CurveParams(
-                kind=kind,
+                kind=LogisticKind(entry.get("kind", kind)),
                 a=entry["a"],
                 d=entry["d"],
                 b=entry["b"],

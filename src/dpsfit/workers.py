@@ -10,9 +10,8 @@ with the pool's inputs already in memory, so only each task's arguments
 and result are pickled.  A worker ignores SIGINT: an interrupt is the
 parent's to handle, and it leaves the pool, which cancels the queued
 tasks and lets the running ones finish.  A worker records the warnings its
-task issues and hands them back with the result, and the parent issues
-them as it takes each result; a task's exception reaches the parent
-through its future, with its own type.
+task issues and hands them back with its result or exception, and the
+parent issues them as it takes each one; the exception keeps its own type.
 """
 
 from __future__ import annotations
@@ -84,9 +83,12 @@ class _Pool:
     def result(self, future):
         """Issue here the warnings of ``future``'s task, then return its
         result or raise its exception."""
-        result, caught = future.result()
+        error = future.exception()
+        result, caught = future.result() if error is None else (None, getattr(error, "dpsfit_warnings", ()))
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno, registry=self._registry)
+        if error is not None:
+            raise error
         return result
 
 
@@ -109,5 +111,12 @@ def _recording_warnings(task, *args):
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = task(*_inputs, *args)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            return task(*_inputs, *args), _records(caught)
+        except Exception as error:
+            error.dpsfit_warnings = _records(caught)  # pickled with the exception's __dict__
+            raise
+
+
+def _records(caught) -> list[tuple]:
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught]

@@ -99,8 +99,10 @@ def test_criterion_02_curve_family_algebra():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
 
-    worst_ver = worst_ms = worst_gom = 0.0
-    for _ in range(100):
+    worst_ver = worst_ms = worst_gom = worst_map = 0.0
+    # The identity's gammas come from their own stream, so the draws of
+    # the other checks stay as they were.
+    for gamma in np.random.default_rng(2027).uniform(0.4, 3.0, 100):
         a = float(rng.uniform(0.5, 2.5))
         d = float(rng.uniform(-1.5, 0.2))
         b = float(rng.uniform(0.3, 2.5))
@@ -111,9 +113,12 @@ def test_criterion_02_curve_family_algebra():
         ric1 = evaluate(CurveParams(kind=RIC, a=a, d=d, b=b, c=c, gamma=1.0), s)
         ms1 = evaluate(CurveParams(kind=MS, a=a, d=d, b=b, c=c, gamma=1.0), s)
         ric0 = evaluate(CurveParams(kind=RIC, a=a, d=d, b=b, c=c, gamma=1e-8), s)
+        ms = evaluate(CurveParams(kind=MS, a=a, d=d, b=b, c=c, gamma=gamma), s)
+        ric = evaluate(CurveParams(kind=RIC, a=a, d=d, b=b / gamma, c=c, gamma=1.0 / gamma), s)
         worst_ver = max(worst_ver, float(np.max(np.abs(ric1 - ver))))
         worst_ms = max(worst_ms, float(np.max(np.abs(ms1 - ver))))
         worst_gom = max(worst_gom, float(np.max(np.abs(ric0 - gom))))
+        worst_map = max(worst_map, float(np.max(np.abs(ms - ric))))
 
     # curvature must vanish exactly at the reported inflection point
     h = 1e-3
@@ -136,10 +141,11 @@ def test_criterion_02_curve_family_algebra():
 
     elapsed = time.perf_counter() - t0
     ok = (worst_ver <= 1e-12 and worst_ms <= 1e-12 and worst_gom <= 1e-6
-          and worst_curv <= 1e-6 and elapsed < 1.0)
+          and worst_map <= 1e-12 and worst_curv <= 1e-6 and elapsed < 1.0)
     _verdict(2, ok,
              f"reductions to the symmetric kind {max(worst_ver, worst_ms):.1e} "
              f"(tol 1e-12), small-asymmetry limit {worst_gom:.1e} (tol 1e-6), "
+             f"MS(b, g) = R(b/g, 1/g) {worst_map:.1e} (tol 1e-12), "
              f"curvature at inflection {worst_curv:.1e} (tol 1e-6), {elapsed:.2f}s")
 
 

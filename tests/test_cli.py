@@ -1318,3 +1318,32 @@ def test_simulate_with_outliers(tmp_path):
     ]) == 0
     assert read_manifest(tmp_path / "wide")["config"]["outlier_magnitude"] == 20.0
     assert (tmp_path / "wide" / "cohort.csv").read_text() != dirty
+
+
+def test_predict_with_a_mixed_kind_truth_model_exits_with_two(tmp_path, capsys):
+    # A spec may give a biomarker its own kind; the truth model keeps it,
+    # and inference, which evaluates one kind per model, refuses the model.
+    spec = tmp_path / "sim.json"
+    spec.write_text(json.dumps({"n_subjects": 12, "n_visits": 3, "seed": 2, "biomarkers": [
+        {"name": "b0", "a": 1, "d": 0, "b": 1.0, "c": -1, "gamma": 1.5, "noise_sd": 0.05},
+        {"name": "b1", "kind": "gompertz", "a": 0, "d": 2, "b": 0.8, "c": 1, "noise_sd": 0.1},
+    ]}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(spec), "--out", str(sim), "--quiet"]) == 0
+    truth = load_model(sim / "truth_model.json")
+    assert {name: p.kind for name, p in truth.curves.items()} == {
+        "b0": LogisticKind.MODIFIED_STANNARD, "b1": LogisticKind.GOMPERTZ}
+    capsys.readouterr()
+    code = main([
+        "predict",
+        "--cohort", str(sim / "cohort.csv"),
+        "--specs", str(sim / "biomarker_specs.json"),
+        "--model", str(sim / "truth_model.json"),
+        "--out", str(tmp_path / "pred"),
+        "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpsfit: error:")
+    assert "kind" in err
+    assert "Traceback" not in err

@@ -206,6 +206,55 @@ def test_richards_small_gamma_approaches_gompertz():
         assert abs(r - g) <= 1e-6
 
 
+# The module docstring's formulas of the asymmetric kinds, in each kind's
+# own coordinates: g(x) at x = s - c.
+CLOSED_FORMS = {
+    LogisticKind.RICHARDS: lambda x, b, gamma: (1.0 + gamma * np.exp(-b * x)) ** (-1.0 / gamma),
+    LogisticKind.MODIFIED_STANNARD:
+        lambda x, b, gamma: (1.0 + np.exp(-(b / gamma) * x) / gamma) ** (-gamma),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLOSED_FORMS))
+def test_asymmetric_kinds_match_their_closed_forms(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        p = make(
+            kind,
+            a=rng.uniform(0.5, 3.0),
+            d=rng.uniform(-2.0, 0.4),
+            b=rng.uniform(0.1, 4.0),
+            c=rng.uniform(-3.0, 3.0),
+            gamma=10.0 ** rng.uniform(-1.0, 1.0),
+        )
+        s = p.c + rng.uniform(-6.0, 6.0, 25) / p.b
+        want = (p.a - p.d) * CLOSED_FORMS[kind](s - p.c, p.b, p.gamma) + p.d
+        assert np.max(np.abs(evaluate(p, s) - want)) <= 1e-12 * abs(p.a - p.d), p
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_richards_gamma_column_matches_its_closed_form(gamma):
+    # The kernel takes Richards' column by the chain rule from modified
+    # Stannard's; this is the derivative of Richards' own closed form.
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        p = make(
+            LogisticKind.RICHARDS,
+            a=rng.uniform(0.5, 3.0),
+            d=rng.uniform(-2.0, 0.4),
+            b=rng.uniform(0.1, 4.0),
+            c=rng.uniform(-3.0, 3.0),
+            gamma=gamma,
+        )
+        s = p.c + np.linspace(-40.0, 40.0, 801) / p.b
+        w = np.exp(-p.b * (s - p.c))
+        log_term = np.log1p(gamma * w)
+        g = np.exp(-log_term / gamma)
+        want = (p.a - p.d) * g * (log_term / gamma**2 - w / (1.0 + gamma * w) / gamma)
+        got = value_and_gradients(p, s)[1][:, 4]
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), p
+
+
 # ----------------------------------------------------------------------
 # range, monotonicity, stability
 # ----------------------------------------------------------------------

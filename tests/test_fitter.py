@@ -467,6 +467,41 @@ def test_fit_keeps_its_numbers_at_the_default_schedule():
     assert model.provenance["e_train_opt"] == pytest.approx(0.2831664782779758, rel=1e-8)
 
 
+# The benchmark's baseline biomarkers: name, a, d, b, c, gamma, noise_sd.
+BASELINE_BIOMARKERS = (
+    ("b0", 1, 0, 1.0, -3, 1.5, 0.05),
+    ("b1", 0, 1, 0.8, -1, 0.7, 0.05),
+    ("b2", 2, 0.5, 1.2, 0, 1.0, 0.1),
+    ("b3", 5, 1, 0.6, 1.5, 2.0, 0.2),
+    ("b4", 0, 3, 0.9, 3, 1.2, 0.1),
+    ("b5", 1, 0, 1.5, 4, 0.9, 0.05),
+)
+
+
+@pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.L2])
+def test_richards_and_modified_stannard_fits_agree(loss):
+    # Modified Stannard (b, gamma) is Richards (b / gamma, 1 / gamma), and
+    # the fit's box maps onto itself, so on the benchmark's baseline cohort
+    # the two kinds' fits agree up to rounding.  Richards' gamma column is
+    # modified Stannard's through the chain rule; a wrong one shows here.
+    spec = SynthSpec(
+        biomarkers=tuple(
+            SynthBiomarker(name, CurveParams(LogisticKind.MODIFIED_STANNARD, a, d, b, c, gamma), noise)
+            for name, a, d, b, c, gamma, noise in BASELINE_BIOMARKERS
+        ),
+        n_subjects=300, n_visits=6, beta_sd=4.0, seed=1,
+    )
+    train, _ = partition_train_test(generate(spec)[0], test_fraction=0.2, seed=3)
+    train, valid = partition_train_test(train, test_fraction=0.2, seed=0)
+    ms, ric = (
+        fit(train, valid, FitConfig(curve_kind=kind, loss_kind=loss, l_max=12), progress=False)[1]
+        for kind in (LogisticKind.MODIFIED_STANNARD, LogisticKind.RICHARDS)
+    )
+    assert (ric.l_opt, ric.l_stop) == (ms.l_opt, ms.l_stop)
+    np.testing.assert_allclose(ric.e_train, ms.e_train, rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(ric.e_valid, ms.e_valid, rtol=1e-6, atol=0.0)
+
+
 def test_fit_is_deterministic(tmp_path):
     train, valid, _ = noisy_split()
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=2, l_max=6)

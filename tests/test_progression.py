@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -525,6 +527,20 @@ def test_model_round_trip_is_lossless(tmp_path):
     assert back.subjects == model.subjects
     assert back.standardization == model.standardization
     assert back.provenance == {"seed": 7, "bootstrap_id": 3}
+
+
+def test_model_round_trip_keeps_each_biomarkers_kind(tmp_path):
+    # A file names a biomarker's kind only where it differs from the
+    # model's, so a single-kind file carries no such key.
+    model = toy_model()
+    mixed = dataclasses.replace(
+        model, curves=dict(model.curves, x=model.curves["x"].replace(kind=LogisticKind.GOMPERTZ)))
+    for m, written in ((model, {}), (mixed, {"x": "gompertz"})):
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        assert load_model(path).curves == m.curves
+        entries = json.loads(path.read_text())["biomarkers"]
+        assert {name: e["kind"] for name, e in entries.items() if "kind" in e} == written
 
 
 def test_load_model_rejects_malformed_file(tmp_path):

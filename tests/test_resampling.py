@@ -381,6 +381,21 @@ def test_pool_workers_ignore_interrupts():
     assert multiprocessing.active_children() == []
 
 
+def _warn_then_raise(message):
+    warnings.warn(message, UserWarning)
+    raise LookupError(message)
+
+
+def test_pool_issues_the_warnings_of_a_task_that_raises():
+    # As in process, the task's warnings come first, then its exception.
+    with workers.fork_pool(1, ()) as pool:
+        future = pool.submit(_warn_then_raise, "pooled task failed")
+        with pytest.warns(UserWarning, match="pooled task failed"):
+            with pytest.raises(LookupError, match="pooled task failed"):
+                pool.result(future)
+    assert multiprocessing.active_children() == []
+
+
 def test_bootstrap_ensemble_recovers_noiseless_truth():
     train, truth = synth_train()
     config = FitConfig(curve_kind=VER, loss_kind=LossKind.LOGISTIC, l_min=2, l_max=8)
