@@ -266,12 +266,24 @@ def _save_ensemble(ensemble: BootstrapEnsemble, out: _OutDir) -> None:
     out.json("ensemble.json", index)
 
 
+def _load_model(path) -> FittedModel:
+    """The model at ``path``.  Inference evaluates a model's curves stacked
+    together, so a model whose biomarkers mix kinds, as a simulation's
+    truth model may, is refused before anything is estimated."""
+    model = load_model(path)
+    kinds = sorted({p.kind.value for p in model.curves.values()})
+    if len(kinds) > 1:
+        raise SchemaError(f"{path}: biomarkers mix curve kinds ({', '.join(kinds)}); "
+                          "inference takes one kind per model")
+    return model
+
+
 def _load_ensemble(path) -> BootstrapEnsemble:
     index_path = os.path.join(path, "ensemble.json")
     try:
         index = read_json(index_path)
         ensemble = BootstrapEnsemble(
-            models=[load_model(os.path.join(path, name)) for name in index["models"]],
+            models=[_load_model(os.path.join(path, name)) for name in index["models"]],
             traces=[],
             oob_subjects=[set(s) for s in index.get("oob_subjects", [])],
             in_bag_counts=[],
@@ -582,7 +594,7 @@ def _cmd_bootstrap(args, out: _OutDir) -> tuple[dict, str | None]:
 
 def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
-    models = [load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
+    models = [_load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
 
     cells = _Cells.of(cohort)
     predicted, hit, per_model_nmae, skipped_all = _predict_models(

@@ -340,13 +340,6 @@ class Cohort:
             )
         ]
 
-    def by_subject(self) -> dict[str, list[Visit]]:
-        """Each subject's visits in visit-index order, subjects sorted."""
-        groups: dict[str, list[Visit]] = {}
-        for v in self.visits:
-            groups.setdefault(v.subject_id, []).append(v)
-        return groups
-
     def visits_of(self, subject_id: str) -> list[Visit]:
         return self.subset([subject_id]).visits
 
@@ -437,78 +430,39 @@ def _parse_diagnosis(cell: str, merge_aliases: bool) -> Diagnosis:
     return Diagnosis.MISSING
 
 
-def _parse_date(cell: str, path, lineno: int) -> dt.date | None:
-    text = cell.strip()
-    if not text:
-        return None
+def _float(cell: str) -> float:
+    """The cell as a float; NaN for a bad one."""
     try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise ParseError(f"{path}: line {lineno}: bad visit_date {text!r}") from exc
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
-def _parse_float(cell: str, path, lineno: int, column: str) -> float | None:
-    text = cell.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ParseError(f"{path}: line {lineno}: column {column!r}: bad number {text!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"{path}: line {lineno}: column {column!r}: non-finite value")
-    return value
-
-
-def _numbers(cells) -> np.ndarray:
-    """Each cell as a float, NaN for a blank one, in one pass over the
-    cells; raises ValueError when one is not a finite number."""
+def _numbers(name: str, cells) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Each cell as a float, NaN for a blank or bad one, in one pass over
+    the cells; and the first cell that is not blank or a finite number, as
+    ``(row, problem)``, or ``None``."""
     try:
         numbers = np.array(list(map(float, cells)), dtype=float)
     except ValueError:  # a blank cell, or a bad one
-        numbers = np.array([float(c) if c.strip() else math.nan for c in cells], dtype=float)
-    odd = np.flatnonzero(~np.isfinite(numbers))
-    if any(cells[i].strip() for i in odd.tolist()):
-        raise ValueError("non-finite value")
-    return numbers
+        numbers = np.array([_float(c) if c.strip() else math.nan for c in cells], dtype=float)
+    for row in np.flatnonzero(~np.isfinite(numbers)).tolist():
+        text = cells[row].strip()
+        if text:
+            try:
+                float(text)
+            except ValueError:
+                return numbers, (row, f"column {name!r}: bad number {text!r}")
+            return numbers, (row, f"column {name!r}: non-finite value")
+    return numbers, None
 
 
 def _ordinal(text: str) -> int:
-    return dt.date.fromisoformat(text).toordinal() if text else 0
-
-
-def _first_error(path, header: list[str], rows: list[list[str]]) -> ParseError:
-    """The error of the first bad cell of ``rows``, the records after the
-    header, found by checking them row by row and cell by cell in file
-    order."""
-    col = {name: i for i, name in enumerate(header)}
-    biomarker_cols = [h for h in header if h not in RESERVED_COLUMNS]
+    """The date's ordinal, 0 for a blank cell and -1 for a bad one."""
     try:
-        for lineno, cells in enumerate(rows, start=2):
-            if not "".join(cells).strip():
-                continue
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            sid = cells[col["subject_id"]].strip()
-            if not sid:
-                raise ParseError(f"{path}: line {lineno}: empty subject_id")
-            if REPLICATE_SEPARATOR in sid:
-                raise ParseError(
-                    f"{path}: line {lineno}: subject_id may not contain {REPLICATE_SEPARATOR!r}"
-                )
-            age = _parse_float(cells[col["age"]], path, lineno, "age")
-            if age is None or age <= 0:
-                raise ParseError(f"{path}: line {lineno}: age must be a positive number")
-            if "visit_date" in col:
-                _parse_date(cells[col["visit_date"]], path, lineno)
-            if "icv" in col:
-                _parse_float(cells[col["icv"]], path, lineno, "icv")
-            for name in biomarker_cols:
-                _parse_float(cells[col[name]], path, lineno, name)
-    except ParseError as exc:
-        return exc
+        return dt.date.fromisoformat(text).toordinal() if text else 0
+    except ValueError:
+        return -1
 
 
 def parse_cohort_csv(
@@ -525,9 +479,10 @@ def parse_cohort_csv(
     merged when ``merge_diagnosis_aliases`` is set.  Rows whose cells are
     all blank are skipped.
 
-    Each column is converted in one pass over its cells.  When any cell
-    fails, the rows are checked again one by one (:func:`_first_error`),
-    so the error names the file's first bad cell.
+    Each column is converted and checked in one pass over its cells, which
+    finds its first bad cell.  A row of the wrong width is a problem before
+    any of its cells, and the error names the earliest problem by line,
+    then by column position: the file's first bad cell.
     """
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
@@ -547,27 +502,39 @@ def parse_cohort_csv(
         if name not in RESERVED_COLUMNS and name not in specs:
             raise SchemaError(f"{path}: line 1: biomarker column {name!r} has no spec")
 
+    # The rows before the first of the wrong width, if any, are checked.
     kept = [cells for cells in rows if "".join(cells).strip()]
-    blank = ("",) * len(kept)
-    try:
-        if any(len(cells) != len(header) for cells in kept):
-            raise ValueError("a row of the wrong width")
-        column = dict(zip(header, zip(*kept))) if kept else dict.fromkeys(header, ())
-        sids = [c.strip() for c in column["subject_id"]]
-        if not all(sids) or REPLICATE_SEPARATOR in "".join(sids):
-            raise ValueError("a bad subject_id")
-        age = _numbers(column["age"])
-        if not (age > 0).all():
-            raise ValueError("an age that is not positive")
-        date = np.array([_ordinal(c.strip()) for c in column.get("visit_date", blank)],
-                        dtype=np.int64)
-        icv = _numbers(column["icv"]) if "icv" in column else np.full(len(kept), np.nan)
-        values = np.full((len(kept), len(specs)), np.nan)
-        for k, name in enumerate(sorted(specs)):
-            if name in column:
-                values[:, k] = _numbers(column[name])
-    except ValueError:
-        raise _first_error(path, header, rows) from None
+    n = next((k for k, cells in enumerate(kept) if len(cells) != len(header)), len(kept))
+    column = dict(zip(header, zip(*kept[:n]))) if n else dict.fromkeys(header, ())
+    blank = ("",) * n
+    first = {}  # each column's first bad cell, (row, problem), if any
+    sids = [c.strip() for c in column["subject_id"]]
+    if not all(sids) or REPLICATE_SEPARATOR in "".join(sids):
+        row = next(k for k, sid in enumerate(sids) if not sid or REPLICATE_SEPARATOR in sid)
+        first["subject_id"] = (row, f"subject_id may not contain {REPLICATE_SEPARATOR!r}"
+                               if sids[row] else "empty subject_id")
+    age, first["age"] = _numbers("age", column["age"])
+    if not (age > 0).all():
+        row = int(np.argmin(age > 0))  # a blank or bad cell is NaN
+        if first["age"] is None or row < first["age"][0]:
+            first["age"] = (row, "age must be a positive number")
+    date = np.array([_ordinal(c.strip()) for c in column.get("visit_date", blank)],
+                    dtype=np.int64)
+    if (date < 0).any():
+        row = int(np.argmin(date))
+        first["visit_date"] = (row, f"bad visit_date {column['visit_date'][row].strip()!r}")
+    icv, first["icv"] = _numbers("icv", column.get("icv", blank))
+    values = np.full((n, len(specs)), np.nan)
+    for k, name in enumerate(sorted(specs)):
+        if name in column:
+            values[:, k], first[name] = _numbers(name, column[name])
+    problems = [(cell[0], col[name], cell[1]) for name, cell in first.items() if cell]
+    if n < len(kept):
+        problems.append((n, -1, f"expected {len(header)} cells, got {len(kept[n])}"))
+    if problems:
+        row, _, problem = min(problems)
+        lineno = [k for k, cells in enumerate(rows, start=2) if "".join(cells).strip()][row]
+        raise ParseError(f"{path}: line {lineno}: {problem}")
 
     labels = column.get("diagnosis", blank)
     code = {label: _parse_diagnosis(label, merge_diagnosis_aliases).code for label in set(labels)}
@@ -575,8 +542,8 @@ def parse_cohort_csv(
     number = {sid: i for i, sid in enumerate(ids)}
     sub = np.array([number[sid] for sid in sids], dtype=np.intp)
     order = np.lexsort((_days(sub, len(ids), date, age), sub))
-    visit_index = np.empty(len(kept), dtype=np.intp)
-    visit_index[order] = np.arange(len(kept)) - np.searchsorted(sub[order], sub[order])
+    visit_index = np.empty(n, dtype=np.intp)
+    visit_index[order] = np.arange(n) - np.searchsorted(sub[order], sub[order])
     return Cohort.from_columns(
         specs,
         ids,

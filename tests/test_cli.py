@@ -1344,6 +1344,33 @@ def test_predict_with_a_mixed_kind_truth_model_exits_with_two(tmp_path, capsys):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("dpsfit: error:")
-    assert "kind" in err
+    assert err.startswith(f"dpsfit: error: {sim / 'truth_model.json'}: ")
+    assert "gompertz" in err and "modified_stannard" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "classify", "report", "report-compare"])
+def test_inference_refuses_an_ensemble_model_of_mixed_kinds(pipeline, tmp_path, capsys, command):
+    ensemble = tmp_path / "ens"
+    ensemble.mkdir()
+    for path in (pipeline / "ens").glob("*.json"):
+        (ensemble / path.name).write_bytes(path.read_bytes())
+    _edit_json(ensemble / "model_001.json",
+               lambda d: d["biomarkers"]["up"].__setitem__("kind", "gompertz"))
+    train, test = str(pipeline / "split" / "train.csv"), str(pipeline / "split" / "test.csv")
+    specs = ["--specs", str(pipeline / "sim" / "biomarker_specs.json")]
+    mixed = ["--ensemble", str(ensemble)]
+    report = ["report", "--cohort", train, "--test", test, *specs]
+    argv = {
+        "predict": ["predict", "--cohort", test, *specs, *mixed],
+        "classify": ["classify", "--cohort", test, "--train", train, *specs, *mixed],
+        "report": [*report, *mixed],
+        "report-compare": [*report, "--ensemble", str(pipeline / "ens"), "--compare", str(ensemble)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"dpsfit: error: {ensemble / 'model_001.json'}: biomarkers mix curve kinds "
+        "(gompertz, verhulst); inference takes one kind per model\n")
+    assert not out.exists()

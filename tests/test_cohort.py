@@ -2,10 +2,11 @@ import csv
 import datetime as dt
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpsfit.cohort import (
@@ -41,6 +42,14 @@ def visit(sid, idx, age, dx=MISSING, values=None, **kwargs):
         subject_id=sid, visit_index=idx, age=age, diagnosis=dx,
         values=dict(values or {}), **kwargs,
     )
+
+
+def by_subject(cohort):
+    """Each subject's visits in row order, subjects in the order of the rows."""
+    groups = {}
+    for v in cohort.visits:
+        groups.setdefault(v.subject_id, []).append(v)
+    return groups
 
 
 def value_multiset(cohort):
@@ -151,7 +160,7 @@ def test_parse_assigns_visit_indices_in_time_order(tmp_path):
          visit("s1", 0, 70.0), visit("s1", 1, 71.0)],
         specs_for("MMSE"),
     )
-    groups = shuffled.by_subject()
+    groups = by_subject(shuffled)
     assert list(groups) == ["s1", "s2"]
     assert [[v.visit_index for v in vs] for vs in groups.values()] == [[0, 1, 2], [0, 1]]
     assert [v.age for v in shuffled.visits_of("s2")] == [65.0, 66.0]
@@ -204,6 +213,9 @@ def rows(*lines):
     (rows("s1,,70,,1,2"), ParseError, "line 2: expected 5 cells, got 6"),
     # Both cells of line 3 are bad: the first in row order is named.
     (rows("s1,,70,,1", "s1,,0,,abc"), ParseError, "line 3: age must be a positive number"),
+    # Both cells of line 2 are bad, and b0 comes before age in the header.
+    ("subject_id,b0,age\ns1,abc,0\n", ParseError, "line 2: column 'b0': bad number 'abc'"),
+    ("subject_id,b0,age\ns1, inf ,\n", ParseError, "line 2: column 'b0': non-finite value"),
     # A bad cell after a row of the wrong width: the row comes first.
     (rows("s1,,70,,1", "s1,,71", "s1,,72,,abc"), ParseError, "line 3: expected 5 cells, got 3"),
     ("subject_id,age,b0,b0\ns1,70,1,2\n", SchemaError, "line 1: duplicate column 'b0'"),
@@ -735,7 +747,7 @@ def reference_visits(text):
 
 def visit_rows(cohort):
     return {sid: [(v.visit_index, v.age, v.date, v.diagnosis, dict(v.values)) for v in visits]
-            for sid, visits in cohort.by_subject().items()}
+            for sid, visits in by_subject(cohort).items()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -764,3 +776,99 @@ def test_columns_match_a_row_by_row_reference(tmp_path_factory, text):
     out = tmp_path_factory.mktemp("prop") / "back.csv"
     write_cohort_csv(cohort, out)
     assert visit_rows(parse_cohort_csv(out, PROPERTY_SPECS)) == want
+
+
+# ----------------------------------------------------------------------
+# parse errors against a row-by-row reference
+# ----------------------------------------------------------------------
+
+# Each corruption: the columns it may hit (None for the row's width) and
+# the text it puts there.
+CORRUPTIONS = [
+    (("age", "b0", "b1"), "abc"),
+    (("age", "b0", "b1"), " inf"),
+    (("age",), ""),
+    (("age",), "0"),
+    (("age",), "-2.5"),
+    (("visit_date",), "2010-13-01"),
+    (("subject_id",), " "),
+    (("subject_id",), "s#1"),
+    ((None,), "drop"),
+    ((None,), "extra"),
+]
+
+
+def cell_problem(name, text):
+    """What is wrong with one stripped cell of a property-test column."""
+    if name == "subject_id":
+        if not text:
+            return "empty subject_id"
+        if "#" in text:
+            return "subject_id may not contain '#'"
+    elif name == "visit_date" and text:
+        try:
+            dt.date.fromisoformat(text)
+        except ValueError:
+            return f"bad visit_date {text!r}"
+    elif name in ("age", "b0", "b1") and text:
+        try:
+            value = float(text)
+        except ValueError:
+            return f"column {name!r}: bad number {text!r}"
+        if not math.isfinite(value):
+            return f"column {name!r}: non-finite value"
+        if name == "age" and value <= 0:
+            return "age must be a positive number"
+    elif name == "age":
+        return "age must be a positive number"
+    return None
+
+
+def reference_error(text):
+    """The first problem of the file, line by line and within a line cell
+    by cell, as ``line N: problem``; ``None`` for a good file."""
+    header, *records = csv.reader(io.StringIO(text))
+    for line, cells in enumerate(records, start=2):
+        if not "".join(cells).strip():
+            continue
+        if len(cells) != len(header):
+            return f"line {line}: expected {len(header)} cells, got {len(cells)}"
+        for name, cell in zip(header, cells):
+            if problem := cell_problem(name, cell.strip()):
+                return f"line {line}: {problem}"
+    return None
+
+
+@st.composite
+def corrupted_texts(draw):
+    """A text of :func:`cohort_texts` with 1 to 3 of its cells or rows
+    corrupted."""
+    header, *records = csv.reader(io.StringIO(draw(cohort_texts())))
+    filled = [k for k, cells in enumerate(records) if "".join(cells).strip()]
+    assume(filled)
+    for _ in range(draw(st.integers(1, 3))):
+        cells = records[draw(st.sampled_from(filled))]
+        names, text = draw(st.sampled_from(CORRUPTIONS))
+        name = draw(st.sampled_from(names))
+        if name is not None:
+            if header.index(name) < len(cells):  # not a cell a drop removed
+                cells[header.index(name)] = text
+        elif text == "drop":
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        else:
+            cells.append("1")
+    return "\n".join(",".join(cells) for cells in [header, *records]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_texts())
+def test_parse_errors_match_a_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("bad") / "c.csv"
+    path.write_text(text)
+    want = reference_error(text)
+    if want is None:  # the corruptions blanked a whole row
+        parse_cohort_csv(path, PROPERTY_SPECS)
+        return
+    with pytest.raises(ParseError) as info:
+        parse_cohort_csv(path, PROPERTY_SPECS)
+    assert str(info.value) == f"{path}: {want}"
