@@ -69,7 +69,14 @@ from .curves import CurveArrays, LogisticKind, evaluate
 from .errors import DpsFitError, FitError, MetricError, SchemaError, StagingError
 from .fitter import FitConfig, fit
 from .metrics import bic, mae, multiclass_auc, nmae, wilcoxon_signed_rank
-from .progression import FittedModel, _estimate_models, load_model, save_model
+from .progression import (
+    FittedModel,
+    _estimate_models,
+    _indices,
+    _timelines,
+    load_model,
+    save_model,
+)
 from .resampling import (
     BootstrapEnsemble,
     aggregate_curves,
@@ -312,70 +319,35 @@ def _load_ensemble(path) -> BootstrapEnsemble:
 # prediction and staging helpers shared by several commands
 # ----------------------------------------------------------------------
 
-@dataclasses.dataclass
-class _Cells:
-    """The measured cells of a cohort as arrays, in its row order: by
-    subject, then visit, then biomarker."""
+def _predict_models(models, cohort: Cohort, estimates):
+    """Predict every measured cell of ``cohort`` under each model, from the
+    model's :func:`~dpsfit.progression.estimate_subjects` result.
 
-    subject_ids: list[str]      # sorted
-    names: list[str]            # sorted biomarker names
-    sub: np.ndarray             # index into subject_ids
-    visit_index: np.ndarray
-    age: np.ndarray
-    bm: np.ndarray              # index into names
-    value: np.ndarray
-
-    @classmethod
-    def of(cls, cohort: Cohort) -> "_Cells":
-        rows, bm = cohort.cells()
-        return cls(cohort.subject_ids(), cohort.biomarker_names(), cohort.sub[rows],
-                   cohort.visit_index[rows], cohort.age[rows], bm, cohort.values[rows, bm])
-
-    def key_order(self) -> np.ndarray:
-        """The cells sorted by subject id, visit index, age and biomarker."""
-        return np.lexsort((self.bm, self.age, self.visit_index, self.sub))
-
-    def rows(self, cells: np.ndarray, predicted: np.ndarray) -> list[tuple]:
-        """``(subject_id, visit_index, age, biomarker, actual, predicted)``
-        of the cells at the indices ``cells``."""
-        return list(zip(
-            [self.subject_ids[i] for i in self.sub[cells].tolist()],
-            self.visit_index[cells].tolist(),
-            self.age[cells].tolist(),
-            [self.names[k] for k in self.bm[cells].tolist()],
-            self.value[cells].tolist(),
-            predicted.tolist(),
-        ))
-
-
-def _predict_models(models, cells: _Cells, estimates):
-    """Predict every measured cell under each model, from the model's
-    :func:`~dpsfit.progression.estimate_subjects` result.
-
-    Returns the predictions as a ``(cells, models)`` array and a boolean
-    array of the same shape saying which model predicted which cell; the
-    NMAE of each model that predicted any cell, over its cells in order;
-    and the ``(subject_id, reason)`` pairs of the subjects a model skipped.
+    Returns the predictions as a ``(cells, models)`` array over the cells
+    of :meth:`~dpsfit.cohort.Cohort.cells`, and a boolean array of the same
+    shape saying which model predicted which cell; the NMAE of each model
+    that predicted any cell, over its cells in order; and the
+    ``(subject_id, reason)`` pairs of the subjects a model skipped.
     """
-    predicted = np.zeros((cells.sub.size, len(models)))
+    rows, bm = cohort.cells()
+    sub, age, value = cohort.sub[rows], cohort.age[rows], cohort.values[rows, bm]
+    names = cohort.biomarker_names()
+    predicted = np.zeros((rows.size, len(models)))
     hit = np.zeros(predicted.shape, dtype=bool)
     per_model_nmae, skipped = [], []
     for m, (model, (params, failures)) in enumerate(zip(models, estimates)):
-        found = [params.get(sid) for sid in cells.subject_ids]
+        alpha, beta = _timelines(params, cohort.ids)
         own = model.biomarker_names()
-        index = {name: k for k, name in enumerate(own)}
-        curve = np.array([index.get(n, -1) for n in cells.names], dtype=np.intp)[cells.bm]
-        rows = np.flatnonzero(np.array([sp is not None for sp in found], dtype=bool)[cells.sub]
-                              & (curve >= 0))
-        sub = cells.sub[rows]
-        alpha = np.array([0.0 if sp is None else sp.alpha for sp in found])
-        beta = np.array([0.0 if sp is None else sp.beta for sp in found])
+        curve = _indices(names, own)[bm]
+        cells = np.flatnonzero(~np.isnan(alpha[sub]) & (curve >= 0))
+        subject = sub[cells]
         table = CurveArrays.stack([model.curves[n] for n in own])
-        predicted[rows, m] = evaluate(table.take(curve[rows]), alpha[sub] * cells.age[rows] + beta[sub])
-        hit[rows, m] = True
-        if rows.size:
+        predicted[cells, m] = evaluate(table.take(curve[cells]),
+                                       alpha[subject] * age[cells] + beta[subject])
+        hit[cells, m] = True
+        if cells.size:
             per_model_nmae.append(
-                _mae_nmae(cells.names, cells.bm[rows], cells.value[rows], predicted[rows, m])[1]
+                _mae_nmae(names, bm[cells], value[cells], predicted[cells, m])[1]
             )
         skipped += [(sid, str(exc)) for sid, exc in failures.items()]
     return predicted, hit, per_model_nmae, skipped
@@ -596,24 +568,34 @@ def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     cohort = _load_inputs(args)
     models = [_load_model(args.model)] if args.model else _load_ensemble(args.ensemble).models
 
-    cells = _Cells.of(cohort)
     predicted, hit, per_model_nmae, skipped_all = _predict_models(
-        models, cells, _estimate_models(models, cohort)
+        models, cohort, _estimate_models(models, cohort)
     )
     if not hit.any(axis=0).all():
         raise DpsFitError(f"{args.cohort}: no predictable measurements in the cohort")
 
-    # Cells predictable by every model, fused by averaging, in key order.
-    # Each cell's predictions lie along the contiguous last axis, which
-    # adds them in the order of a mean over that cell alone.
-    order = cells.key_order()
-    order = order[hit[order].all(axis=1)]
-    fused = predicted[order].mean(axis=1)
-    mae_map, nmae_value = _mae_nmae(cells.names, cells.bm[order], cells.value[order], fused)
+    # Cells predictable by every model, fused by averaging, in row order:
+    # by subject, then visit index, then biomarker.  Each cell's
+    # predictions lie along the contiguous last axis, which adds them in
+    # the order of a mean over that cell alone.
+    cells = np.flatnonzero(hit.all(axis=1))
+    fused = predicted[cells].mean(axis=1)
+    rows, bm = cohort.cells()
+    rows, bm = rows[cells], bm[cells]
+    names = cohort.biomarker_names()
+    value = cohort.values[rows, bm]
+    mae_map, nmae_value = _mae_nmae(names, bm, value, fused)
 
     out.csv("predictions.csv",
             ["subject_id", "visit_index", "age", "biomarker", "actual", "predicted"],
-            cells.rows(order, fused))
+            zip(
+                [cohort.ids[i] for i in cohort.sub[rows].tolist()],
+                cohort.visit_index[rows].tolist(),
+                cohort.age[rows].tolist(),
+                [names[k] for k in bm.tolist()],
+                value.tolist(),
+                fused.tolist(),
+            ))
 
     metrics_data = {
         "mae": mae_map,
@@ -626,7 +608,7 @@ def _cmd_predict(args, out: _OutDir) -> tuple[dict, str | None]:
     out.json("metrics.json", metrics_data)
     return (
         {"model": args.model, "ensemble": args.ensemble},
-        f"NMAE {nmae_value:.4f} over {order.size} measurements",
+        f"NMAE {nmae_value:.4f} over {cells.size} measurements",
     )
 
 
@@ -706,8 +688,7 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
     # models of both ensembles are estimated together.
     n_models = len(ensemble.models)
     estimates = _estimate_models(ensemble.models + (other.models if other else []), test)
-    cells = _Cells.of(test)
-    _, hit, per_model_nmae, _ = _predict_models(ensemble.models, cells, estimates[:n_models])
+    _, hit, per_model_nmae, _ = _predict_models(ensemble.models, test, estimates[:n_models])
 
     auc = None
     staging_note = None
@@ -722,7 +703,7 @@ def _cmd_report(args, out: _OutDir) -> tuple[dict, str | None]:
 
     comparison = None
     if other:
-        _, other_hit, other_nmae, _ = _predict_models(other.models, cells, estimates[n_models:])
+        _, other_hit, other_nmae, _ = _predict_models(other.models, test, estimates[n_models:])
         # Replicates pair by bootstrap id: the same resample of the
         # training cohort under both ensembles' settings.
         mine = _nmae_by_bootstrap_id(args.ensemble, ensemble.models, hit, per_model_nmae)

@@ -73,8 +73,9 @@ _MIN_VISITS = 2  # measured visits that constrain a subject's rate
 _MIN_CONTROLS = 3  # control records a covariate-adjustment stratum needs
 _DAYS_PER_YEAR = 365.25
 
-# Alias merging used at parse time: early/late MCI fold into MCI, subjective
-# memory complaints and plain "normal" fold into CN, dementia into AD.
+# The diagnosis labels the parse reads, any case, and their classes: early
+# and late MCI fold into MCI, subjective memory complaints and plain "normal"
+# into CN, dementia into AD.  Any other label is missing.
 DIAGNOSIS_ALIASES = {
     "CN": "CN",
     "NL": "CN",
@@ -418,16 +419,8 @@ def write_json(path, data, *, indent=1) -> None:
         fh.write("\n")
 
 
-def _parse_diagnosis(cell: str, merge_aliases: bool) -> Diagnosis:
-    text = cell.strip()
-    if not text:
-        return Diagnosis.MISSING
-    key = text.upper()
-    if merge_aliases and key in DIAGNOSIS_ALIASES:
-        return Diagnosis(DIAGNOSIS_ALIASES[key])
-    if key in ("CN", "MCI", "AD"):
-        return Diagnosis(key)
-    return Diagnosis.MISSING
+def _parse_diagnosis(cell: str) -> Diagnosis:
+    return Diagnosis(DIAGNOSIS_ALIASES.get(cell.strip().upper(), Diagnosis.MISSING))
 
 
 def _float(cell: str) -> float:
@@ -465,19 +458,14 @@ def _ordinal(text: str) -> int:
         return -1
 
 
-def parse_cohort_csv(
-    path,
-    specs: dict[str, BiomarkerSpec],
-    *,
-    merge_diagnosis_aliases: bool = True,
-) -> Cohort:
+def parse_cohort_csv(path, specs: dict[str, BiomarkerSpec]) -> Cohort:
     """Read a visit-per-row CSV into a :class:`Cohort`.
 
     Every non-reserved column must appear in ``specs``.  Visit indices are
     assigned per subject in day order (see :func:`_days`), ties in file
-    order.  Unknown diagnosis labels become missing; known aliases are
-    merged when ``merge_diagnosis_aliases`` is set.  Rows whose cells are
-    all blank are skipped.
+    order.  Diagnosis labels are read through :data:`DIAGNOSIS_ALIASES`,
+    and an unknown or blank one becomes missing.  Rows whose cells are all
+    blank are skipped.
 
     Each column is converted and checked in one pass over its cells, which
     finds its first bad cell.  A row of the wrong width is a problem before
@@ -537,7 +525,7 @@ def parse_cohort_csv(
         raise ParseError(f"{path}: line {lineno}: {problem}")
 
     labels = column.get("diagnosis", blank)
-    code = {label: _parse_diagnosis(label, merge_diagnosis_aliases).code for label in set(labels)}
+    code = {label: _parse_diagnosis(label).code for label in set(labels)}
     ids = sorted(set(sids))
     number = {sid: i for i, sid in enumerate(ids)}
     sub = np.array([number[sid] for sid in sids], dtype=np.intp)

@@ -98,6 +98,7 @@ from .progression import (
     _solve_subjects,
     _subject_params,
     _subset_flat,
+    _timelines,
     standardize,
 )
 from .robust_loss import LossKind, rho
@@ -578,9 +579,7 @@ class _Steps:
 
 def _cn_scores(cohort: Cohort, subjects: dict[str, SubjectParams]) -> np.ndarray:
     """The scores of the cognitively normal visits of ``subjects``, in row order."""
-    found = [subjects.get(sid) for sid in cohort.ids]
-    alpha = np.array([np.nan if sp is None else sp.alpha for sp in found])
-    beta = np.array([np.nan if sp is None else sp.beta for sp in found])
+    alpha, beta = _timelines(subjects, cohort.ids)
     rows = np.flatnonzero((cohort.dx == Diagnosis.CN.code) & ~np.isnan(alpha[cohort.sub]))
     sub = cohort.sub[rows]
     return alpha[sub] * cohort.age[rows] + beta[sub]

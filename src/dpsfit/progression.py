@@ -14,7 +14,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -290,6 +290,21 @@ def _subject_params(x: np.ndarray, mean_age: np.ndarray) -> list[SubjectParams]:
     return [SubjectParams(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
+def _timelines(subjects: Mapping[str, SubjectParams], ids) -> tuple[np.ndarray, np.ndarray]:
+    """The rate and onset of each of ``ids`` in ``subjects``, NaN for an
+    id it lacks."""
+    found = [subjects.get(sid) for sid in ids]
+    alpha = np.array([math.nan if sp is None else sp.alpha for sp in found])
+    beta = np.array([math.nan if sp is None else sp.beta for sp in found])
+    return alpha, beta
+
+
+def _indices(names, within) -> np.ndarray:
+    """The index of each of ``names`` in the list ``within``, -1 where absent."""
+    index = {name: k for k, name in enumerate(within)}
+    return np.array([index.get(name, -1) for name in names], dtype=np.intp)
+
+
 def _subject_bounds(table: curves.CurveArrays, flat: _Flat, tc: np.ndarray):
     """Search box of every subject's ``(log alpha, score at mean age)``.
 
@@ -380,7 +395,8 @@ def estimate_subjects(
 
 def estimate_subject(model: FittedModel, records: Iterable[MeasurementRecord]) -> SubjectParams:
     """Estimate one new subject's ``(alpha, beta)`` from their records; see
-    :func:`estimate_subjects`, whose skip reasons are raised here."""
+    :func:`estimate_subjects`, whose skip reasons are raised here.  Records
+    of several subjects raise :class:`~dpsfit.errors.SchemaError`."""
     [(estimates, failures)] = _estimate_records([model], "", list(records))
     if failures:
         raise failures[""]
@@ -398,9 +414,13 @@ def _estimate_models(
 
 def _estimate_records(models: Sequence[FittedModel], subject_id: str,
                       records: Sequence[MeasurementRecord]):
-    """:func:`_estimate` of each of ``models`` over one subject's records."""
+    """:func:`_estimate` of each of ``models`` over one subject's records,
+    which are refused before any solve if they name several subjects."""
+    ids = sorted({r.subject_id for r in records})
+    if len(ids) > 1:
+        raise SchemaError(f"records of one subject expected, got {ids[0]!r} and {ids[1]!r}")
     names = sorted({r.biomarker for r in records})
-    bm = np.array([names.index(r.biomarker) for r in records], dtype=np.intp)
+    bm = _indices([r.biomarker for r in records], names)
     return _estimate(models, [subject_id], names, np.zeros(bm.size, dtype=np.intp), bm,
                      np.array([r.age for r in records], dtype=float),
                      np.array([r.value for r in records], dtype=float))
@@ -424,15 +444,11 @@ def _estimate(
     """
     measured = np.bincount(sub, minlength=len(sids)) > 0
     known = sorted(set().union(*(model.curves for model in models)))
-    index = {name: k for k, name in enumerate(known)}
-    bm = np.array([index.get(name, -1) for name in names], dtype=np.intp)[bm]
+    bm = _indices(names, known)[bm]
     usable = bm >= 0
     bm, sub, t, y = _grouped(bm[usable], sub[usable], t[usable], y[usable])
     # Each model's own index of each row's biomarker, -1 where it has none.
-    own = []
-    for model in models:
-        index = {name: k for k, name in enumerate(model.biomarker_names())}
-        own.append(np.array([index.get(n, -1) for n in known], dtype=np.intp)[bm])
+    own = [_indices(known, model.biomarker_names())[bm] for model in models]
     groups: list[list[int]] = []
     for m, model in enumerate(models):
         size = np.count_nonzero(own[m] >= 0)

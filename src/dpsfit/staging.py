@@ -14,6 +14,7 @@ its predicted values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 from .cohort import DIAGNOSES, REPLICATE_SEPARATOR, Cohort, Diagnosis, MeasurementRecord
 from .curves import CurveParams
 from .errors import DomainError, DpsFitError, MappingError, StagingError
-from .progression import FittedModel, SubjectParams, _estimate_records
+from .progression import FittedModel, SubjectParams, _estimate_records, _indices, _timelines
 
 __all__ = [
     "KdeDensity",
@@ -194,15 +195,13 @@ def collect_class_scores(
     source subject's visits, so a twice-drawn subject contributes its
     scores twice, matching its weight in the fit.
     """
-    number = {sid: i for i, sid in enumerate(cohort.ids)}
-    found = [(sp, number.get(rep_id.split(REPLICATE_SEPARATOR, 1)[0]))
-             for rep_id, sp in sorted(model.subjects.items())]
-    found = [(sp, i) for sp, i in found if i is not None]
-    rows, owner = cohort.rows_of([i for _, i in found])
+    reps = sorted(model.subjects)
+    source = _indices([rep.split(REPLICATE_SEPARATOR, 1)[0] for rep in reps], cohort.ids)
+    known = source >= 0
+    alpha, beta = _timelines(model.subjects, itertools.compress(reps, known))
+    rows, owner = cohort.rows_of(source[known])
     labeled = cohort.dx[rows] != Diagnosis.MISSING.code
     rows, owner = rows[labeled], owner[labeled]
-    alpha = np.array([sp.alpha for sp, _ in found], dtype=float)
-    beta = np.array([sp.beta for sp, _ in found], dtype=float)
     scores = alpha[owner] * cohort.age[rows] + beta[owner]
     dx = cohort.dx[rows]
     return {DIAGNOSES[code]: scores[dx == code].tolist() for code in np.unique(dx).tolist()}
@@ -266,17 +265,14 @@ def stage_subjects(
     n_used = np.zeros(len(subject_ids), dtype=np.intp)
     last_error: list = [None] * len(subject_ids)
     for (_, classifier), (params, errors) in zip(members, estimates):
-        found = [params.get(sid) for sid in subject_ids]
-        for i, (sid, sp) in enumerate(zip(subject_ids, found)):
-            if sp is None:
-                last_error[i] = errors.get(sid, last_error[i])
-        used = np.array([sp is not None for sp in found], dtype=bool)
+        alpha, beta = _timelines(params, subject_ids)
+        used = ~np.isnan(alpha)
+        for i in np.flatnonzero(~used).tolist():
+            last_error[i] = errors.get(subject_ids[i], last_error[i])
         n_used += used
         rows = np.flatnonzero(used[owner])
         if not rows.size:
             continue
-        alpha = np.array([0.0 if sp is None else sp.alpha for sp in found])
-        beta = np.array([0.0 if sp is None else sp.beta for sp in found])
         scores = alpha[owner[rows]] * ages[rows] + beta[owner[rows]]
         dps_sum[rows] += scores
         probs, underflow = posterior(classifier, scores, return_underflow=True)
@@ -328,7 +324,8 @@ def ensemble_posterior(
     records: Iterable[MeasurementRecord],
 ) -> list[StagedVisit]:
     """Fused staging of the visits in one subject's ``records``; see
-    :func:`stage_subjects`, whose failure is raised here."""
+    :func:`stage_subjects`, whose failure is raised here.  Records of
+    several subjects raise :class:`~dpsfit.errors.SchemaError`."""
     records = list(records)
     visits = sorted({r.visit_index: r.age for r in reversed(records)}.items())
     if not visits:

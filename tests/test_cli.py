@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import datetime as dt
 import hashlib
 import json
 import multiprocessing
 import os
 import platform
+import random
 import shutil
 import subprocess
 import sys
@@ -1036,9 +1038,30 @@ def test_predict_skips_a_subject_whose_squared_residual_overflows(pipeline, tmp_
     assert culprit in metrics["skipped_subjects"]
 
 
-def test_fused_predictions_of_nine_models_equal_the_per_cell_mean(pipeline, tmp_path):
+def shuffled_copy(path, out):
+    """Write the cohort CSV at ``path`` to ``out`` with its rows shuffled,
+    its first subject's visits dated in reverse age order and one cell
+    blank."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    sid, age, date = (header.index(name) for name in ("subject_id", "age", "visit_date"))
+    first = sorted((row for row in rows if row[sid] == rows[0][sid]),
+                   key=lambda row: float(row[age]))
+    for k, row in enumerate(first):
+        row[date] = (dt.date(2020, 1, 1) - dt.timedelta(days=200 * k)).isoformat()
+    rows[5][header.index("up")] = ""
+    random.Random(11).shuffle(rows)
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["test-split", "shuffled-dated-blank"])
+def test_fused_predictions_of_nine_models_equal_the_per_cell_mean(pipeline, tmp_path, shuffled):
     # From 9 members on, a mean across the member axis of a (members, cells)
     # array rounds differently from the mean of each cell's own predictions.
+    # The predictions follow the cohort's rows, which the parse orders by
+    # subject and visit whatever the file's order; a dated subject's visits
+    # go by date, here the reverse of their ages.
     ens = tmp_path / "ens9"
     ens.mkdir()
     base = load_model(pipeline / "ens" / "model_000.json")
@@ -1052,6 +1075,9 @@ def test_fused_predictions_of_nine_models_equal_the_per_cell_mean(pipeline, tmp_
     (ens / "ensemble.json").write_text(json.dumps(
         {"models": [f"model_{b:03d}.json" for b in range(9)]}))
     test_csv, specs = pipeline / "split" / "test.csv", pipeline / "sim" / "biomarker_specs.json"
+    if shuffled:
+        shuffled_copy(test_csv, tmp_path / "shuffled.csv")
+        test_csv = tmp_path / "shuffled.csv"
     assert main(["predict", "--cohort", str(test_csv), "--specs", str(specs),
                  "--ensemble", str(ens), "--out", str(tmp_path / "pred"), "--quiet"]) == 0
 

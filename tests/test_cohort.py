@@ -26,7 +26,6 @@ from dpsfit.cohort import (
     write_biomarker_specs,
     write_cohort_csv,
 )
-from dpsfit.cli import _Cells
 from dpsfit.errors import ParseError, PreprocessingError, SchemaError
 from dpsfit.progression import _flatten
 
@@ -104,13 +103,6 @@ def test_parse_merges_diagnosis_aliases(tmp_path):
     assert dx["s3"] is AD
     assert dx["s4"] is CN
     assert dx["s5"] is MISSING
-
-
-def test_parse_alias_merge_can_be_disabled(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("subject_id,age,diagnosis,MMSE\ns1,70,LMCI,28\n")
-    cohort = parse_cohort_csv(path, specs_for("MMSE"), merge_diagnosis_aliases=False)
-    assert cohort.visits[0].diagnosis is MISSING
 
 
 def test_parse_rejects_malformed_row_with_line_number(tmp_path):
@@ -765,9 +757,9 @@ def test_columns_match_a_row_by_row_reference(tmp_path_factory, text):
         for sid in sids for index, age, _, _, values in want[sid]
         for name, value in sorted(values.items())
     ]
-    got = _Cells.of(cohort)
-    assert list(zip(got.sub.tolist(), got.visit_index.tolist(), got.age.tolist(),
-                    got.bm.tolist(), got.value.tolist())) == cells
+    rows, bm = cohort.cells()
+    assert list(zip(cohort.sub[rows].tolist(), cohort.visit_index[rows].tolist(),
+                    cohort.age[rows].tolist(), bm.tolist(), cohort.values[rows, bm].tolist())) == cells
     flat = _flatten(cohort)
     assert flat.subject_ids == sids and flat.biomarker_names == names
     assert list(zip(flat.bm.tolist(), flat.sub.tolist(), flat.t.tolist(), flat.y.tolist())) == sorted(

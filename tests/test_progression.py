@@ -291,6 +291,15 @@ def test_estimate_subject_error_cases():
         estimate_subject(model, foreign)
 
 
+def test_estimate_subject_refuses_records_of_two_subjects(monkeypatch):
+    model = toy_model()
+    records = (relabel(records_from(model, SubjectParams(1.3, -89.0), [68.0, 70.0]), "a")
+               + relabel(records_from(model, SubjectParams(0.9, -60.0), [65.0, 68.0]), "b"))
+    monkeypatch.setattr(progression, "_estimate", lambda *args: pytest.fail("estimated"))
+    with pytest.raises(SchemaError, match="'a' and 'b'"):
+        estimate_subject(model, records)
+
+
 def cohort_of(records):
     """A cohort holding the given records, one visit per record."""
     visits = [

@@ -7,7 +7,7 @@ import pytest
 from dpsfit import staging
 from dpsfit.cohort import BiomarkerSpec, Cohort, Diagnosis, MeasurementRecord, Visit
 from dpsfit.curves import CurveParams, LogisticKind, evaluate
-from dpsfit.errors import DomainError, MappingError, StagingError
+from dpsfit.errors import DomainError, MappingError, SchemaError, StagingError
 from dpsfit.progression import FittedModel, SubjectParams
 from dpsfit.robust_loss import LossKind
 from dpsfit.staging import (
@@ -306,6 +306,16 @@ def test_ensemble_posterior_skips_failing_members():
 
     with pytest.raises(StagingError, match="no ensemble member"):
         ensemble_posterior([(alien, clf)], records)
+
+
+def test_ensemble_posterior_refuses_records_of_two_subjects(monkeypatch):
+    model = one_curve_model()
+    clf = spread_classifier({CN: 0.0, AD: 30.0})
+    records = (records_for(model, SubjectParams(1.0, -2.0), [1.5, 2.5], sid="a")
+               + records_for(model, SubjectParams(1.0, -1.0), [1.0, 2.0], sid="b"))
+    monkeypatch.setattr(staging, "stage_subjects", lambda *args: pytest.fail("staged"))
+    with pytest.raises(SchemaError, match="'a' and 'b'"):
+        ensemble_posterior([(model, clf)], records)
 
 
 def reference_staging(members, estimates, visits):
